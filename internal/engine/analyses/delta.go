@@ -18,6 +18,7 @@ import (
 	"csmaterials/internal/engine"
 	"csmaterials/internal/factorize"
 	"csmaterials/internal/materials"
+	"csmaterials/internal/matrix"
 	"csmaterials/internal/ontology"
 )
 
@@ -99,7 +100,7 @@ func (t Types) ComputeWarm(ctx context.Context, repo *materials.Repository, p en
 		}
 	}
 	a, tags := materials.CourseMatrix(courses)
-	if !equalStrings(tags, pr.model.Tags) || !a.Equal(pr.model.A) {
+	if !equalStrings(tags, pr.model.Tags) || !matrix.FromDense(a).Equal(pr.model.A) {
 		return nil, engine.ErrColdCompute
 	}
 	opts := factorize.PaperOptions()

@@ -17,6 +17,7 @@ import (
 	"csmaterials/internal/engine/analyses"
 	"csmaterials/internal/factorize"
 	"csmaterials/internal/materials"
+	"csmaterials/internal/matrix"
 	"csmaterials/internal/nnmf"
 	"csmaterials/internal/resilience"
 	"csmaterials/internal/serving"
@@ -193,24 +194,26 @@ func BenchmarkDatasetServing(b *testing.B) {
 }
 
 // BenchmarkNNMFCore measures the factorization kernel behind the types
-// analysis on the full seed-corpus matrix, in the two modes the
-// incremental pipeline distinguishes: cold (the paper's 10-restart
-// multiplicative-update run) and warm (the same matrix seeded with its
-// own fitted factors — the delta-refresh warm-start path, which
-// retains the fixed point after a single probe iteration). The
-// cold/warm ns gap is the warm start's value; benchcheck gates it at
-// -warm-ratio.
+// analysis on the full seed-corpus matrix — the CSR path factorize.Analyze
+// serves — in the two modes the incremental pipeline distinguishes: cold
+// (the paper's 10-restart multiplicative-update run) and warm (the same
+// matrix seeded with its own fitted factors — the delta-refresh
+// warm-start path, which retains the fixed point after a single probe
+// iteration). The cold/warm ns gap is the warm start's value;
+// benchcheck gates it at -warm-ratio.
 func BenchmarkNNMFCore(b *testing.B) {
-	a, _ := materials.CourseMatrix(dataset.Courses())
+	dense, _ := materials.CourseMatrix(dataset.Courses())
+	a := matrix.FromDense(dense)
 	opts := factorize.PaperOptions()
 	opts.K = 4
-	seed, err := nnmf.Factorize(a, opts)
+	seed, err := nnmf.FactorizeCSR(a, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("nnmf/cold", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := nnmf.Factorize(a, opts); err != nil {
+			if _, err := nnmf.FactorizeCSR(a, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -218,10 +221,11 @@ func BenchmarkNNMFCore(b *testing.B) {
 		recordBench("nnmf", "cold", b)
 	})
 	b.Run("nnmf/warm", func(b *testing.B) {
+		b.ReportAllocs()
 		warm := opts
 		warm.InitW, warm.InitH = seed.W, seed.H
 		for i := 0; i < b.N; i++ {
-			res, err := nnmf.Factorize(a, warm)
+			res, err := nnmf.FactorizeCSR(a, warm)
 			if err != nil {
 				b.Fatal(err)
 			}

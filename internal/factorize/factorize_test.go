@@ -45,8 +45,8 @@ func TestModelShapes(t *testing.T) {
 	if m.H.Rows() != 4 || m.H.Cols() != len(m.Tags) {
 		t.Fatalf("H dims %dx%d vs %d tags", m.H.Rows(), m.H.Cols(), len(m.Tags))
 	}
-	if m.A.Rows() != 20 || m.A.Cols() != len(m.Tags) {
-		t.Fatalf("A dims %dx%d", m.A.Rows(), m.A.Cols())
+	if rows, cols := m.A.Dims(); rows != 20 || cols != len(m.Tags) {
+		t.Fatalf("A dims %dx%d", rows, cols)
 	}
 }
 

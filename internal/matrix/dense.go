@@ -163,15 +163,21 @@ func (m *Dense) Clone() *Dense {
 }
 
 // T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	out := New(m.cols, m.rows)
+func (m *Dense) T() *Dense { return TransposeTo(New(m.cols, m.rows), m) }
+
+// TransposeTo writes mᵀ into dst, which must be m.Cols() × m.Rows(), and
+// returns dst.
+func TransposeTo(dst, m *Dense) *Dense {
+	if dst.rows != m.cols || dst.cols != m.rows {
+		panic(fmt.Sprintf("matrix: TransposeTo shape mismatch %dx%d into %dx%d", m.rows, m.cols, dst.rows, dst.cols))
+	}
 	for i := 0; i < m.rows; i++ {
 		ri := m.data[i*m.cols : (i+1)*m.cols]
 		for j, v := range ri {
-			out.data[j*m.rows+i] = v
+			dst.data[j*m.rows+i] = v
 		}
 	}
-	return out
+	return dst
 }
 
 // Equal reports whether m and n have the same shape and identical entries.
@@ -231,6 +237,19 @@ func (m *Dense) DivElem(n *Dense, eps float64) *Dense {
 		out.data[i] /= v + eps
 	}
 	return out
+}
+
+// MulDivElem scales m in place by num ⊘ (den + eps), element-wise: one
+// multiplicative NNMF update, m ⊙ (num ⊘ den) as MulElem and DivElem
+// compute it, without their temporaries.
+func (m *Dense) MulDivElem(num, den *Dense, eps float64) {
+	m.sameShape(num, "MulDivElem")
+	m.sameShape(den, "MulDivElem")
+	md := m.data
+	nd, dd := num.data[:len(md)], den.data[:len(md)]
+	for i := range md {
+		md[i] *= nd[i] / (dd[i] + eps)
+	}
 }
 
 // Scale returns s * m.

@@ -20,7 +20,7 @@ func (m *Dense) Mul(n *Dense) *Dense {
 	if m.rows*m.cols*n.cols >= parallelThreshold {
 		return m.mulParallel(n, runtime.GOMAXPROCS(0))
 	}
-	return m.mulSerial(n)
+	return MulTo(New(m.rows, n.cols), m, n)
 }
 
 // MulSerial returns m × n computed on the calling goroutine only. It is
@@ -29,7 +29,7 @@ func (m *Dense) MulSerial(n *Dense) *Dense {
 	if m.cols != n.rows {
 		panic(fmt.Sprintf("matrix: MulSerial shape mismatch %dx%d × %dx%d", m.rows, m.cols, n.rows, n.cols))
 	}
-	return m.mulSerial(n)
+	return MulTo(New(m.rows, n.cols), m, n)
 }
 
 // MulParallel returns m × n using exactly workers goroutines (or
@@ -44,13 +44,17 @@ func (m *Dense) MulParallel(n *Dense, workers int) *Dense {
 	return m.mulParallel(n, workers)
 }
 
-// mulSerial uses the i-k-j loop order so the inner loop streams through
-// contiguous rows of both the output and n, which is cache-friendly for
-// row-major storage.
-func (m *Dense) mulSerial(n *Dense) *Dense {
-	out := New(m.rows, n.cols)
-	m.mulRows(n, out, 0, m.rows)
-	return out
+// MulTo writes m × n into dst, which must be m.Rows() × n.Cols(), and
+// returns dst. It is Mul on the calling goroutine with no allocation:
+// the same loop order and zero-skip, so the result is bit-identical.
+func MulTo(dst, m, n *Dense) *Dense {
+	if m.cols != n.rows || dst.rows != m.rows || dst.cols != n.cols {
+		panic(fmt.Sprintf("matrix: MulTo shape mismatch %dx%d × %dx%d into %dx%d",
+			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
+	}
+	clear(dst.data)
+	m.mulRows(n, dst, 0, m.rows)
+	return dst
 }
 
 func (m *Dense) mulParallel(n *Dense, workers int) *Dense {
@@ -75,8 +79,11 @@ func (m *Dense) mulParallel(n *Dense, workers int) *Dense {
 	return out
 }
 
-// mulRows computes rows [lo, hi) of out = m × n. Each goroutine writes a
-// disjoint row range, so no synchronization beyond the WaitGroup is needed.
+// mulRows accumulates rows [lo, hi) of m × n into out. Each goroutine
+// writes a disjoint row range, so no synchronization beyond the
+// WaitGroup is needed. The i-k-j loop order streams the inner loop
+// through contiguous rows of both out and n, which is cache-friendly for
+// row-major storage.
 func (m *Dense) mulRows(n, out *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		mi := m.data[i*m.cols : (i+1)*m.cols]
@@ -95,10 +102,17 @@ func (m *Dense) mulRows(n, out *Dense, lo, hi int) {
 
 // MulAtB returns mᵀ × n without materializing the transpose.
 func (m *Dense) MulAtB(n *Dense) *Dense {
-	if m.rows != n.rows {
-		panic(fmt.Sprintf("matrix: MulAtB shape mismatch %dx%d vs %dx%d", m.rows, m.cols, n.rows, n.cols))
+	return MulAtBTo(New(m.cols, n.cols), m, n)
+}
+
+// MulAtBTo writes mᵀ × n into dst, which must be m.Cols() × n.Cols(),
+// and returns dst.
+func MulAtBTo(dst, m, n *Dense) *Dense {
+	if m.rows != n.rows || dst.rows != m.cols || dst.cols != n.cols {
+		panic(fmt.Sprintf("matrix: MulAtB shape mismatch %dx%d vs %dx%d into %dx%d",
+			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
 	}
-	out := New(m.cols, n.cols)
+	clear(dst.data)
 	for k := 0; k < m.rows; k++ {
 		mk := m.data[k*m.cols : (k+1)*m.cols]
 		nk := n.data[k*n.cols : (k+1)*n.cols]
@@ -106,24 +120,30 @@ func (m *Dense) MulAtB(n *Dense) *Dense {
 			if mki == 0 {
 				continue
 			}
-			oi := out.data[i*out.cols : (i+1)*out.cols]
+			oi := dst.data[i*dst.cols : (i+1)*dst.cols]
 			for j, nkj := range nk {
 				oi[j] += mki * nkj
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // MulABt returns m × nᵀ without materializing the transpose.
 func (m *Dense) MulABt(n *Dense) *Dense {
-	if m.cols != n.cols {
-		panic(fmt.Sprintf("matrix: MulABt shape mismatch %dx%d vs %dx%d", m.rows, m.cols, n.rows, n.cols))
+	return MulABtTo(New(m.rows, n.rows), m, n)
+}
+
+// MulABtTo writes m × nᵀ into dst, which must be m.Rows() × n.Rows(),
+// and returns dst.
+func MulABtTo(dst, m, n *Dense) *Dense {
+	if m.cols != n.cols || dst.rows != m.rows || dst.cols != n.rows {
+		panic(fmt.Sprintf("matrix: MulABt shape mismatch %dx%d vs %dx%d into %dx%d",
+			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
 	}
-	out := New(m.rows, n.rows)
 	for i := 0; i < m.rows; i++ {
 		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
+		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
 		for j := 0; j < n.rows; j++ {
 			nj := n.data[j*n.cols : (j+1)*n.cols]
 			s := 0.0
@@ -133,5 +153,5 @@ func (m *Dense) MulABt(n *Dense) *Dense {
 			oi[j] = s
 		}
 	}
-	return out
+	return dst
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -122,5 +123,85 @@ func BenchmarkMulParallel128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.MulParallel(y, 0)
+	}
+}
+
+// dirty returns an r×c matrix of stale non-zero values, so a kernel that
+// accumulates into its destination without clearing it first fails.
+func dirty(r, c int) *Dense {
+	m := New(r, c)
+	for i := range m.data {
+		m.data[i] = float64(i%7) + 0.5
+	}
+	return m
+}
+
+func bitsEqual(a, b *Dense) bool {
+	if a.rows != b.rows || a.cols != b.cols {
+		return false
+	}
+	for i, v := range a.data {
+		if math.Float64bits(v) != math.Float64bits(b.data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDestinationKernelsOverwrite: the To kernels must replace whatever
+// their destination held with exactly the product the allocating form
+// returns.
+func TestDestinationKernelsOverwrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	a, b := Random(5, 4, rng), Random(4, 6, rng)
+	a.Set(1, 2, 0) // exercise the zero-skip
+	if !bitsEqual(MulTo(dirty(5, 6), a, b), a.MulSerial(b)) {
+		t.Error("MulTo differs from MulSerial")
+	}
+	c := Random(5, 3, rng)
+	if !bitsEqual(MulAtBTo(dirty(4, 3), a, c), a.T().MulSerial(c)) {
+		t.Error("MulAtBTo differs from the explicit transpose product")
+	}
+	d := Random(7, 4, rng)
+	if !bitsEqual(MulABtTo(dirty(5, 7), a, d), a.MulSerial(d.T())) {
+		t.Error("MulABtTo differs from the explicit transpose product")
+	}
+	if !bitsEqual(TransposeTo(dirty(4, 5), a), a.T()) {
+		t.Error("TransposeTo differs from T")
+	}
+}
+
+func TestMulDivElemMatchesAllocatingUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	m, num, den := Random(6, 9, rng), Random(6, 9, rng), Random(6, 9, rng)
+	den.Set(0, 0, 0) // the eps guard
+	want := m.MulElem(num.DivElem(den, 1e-12))
+	m.MulDivElem(num, den, 1e-12)
+	if !bitsEqual(m, want) {
+		t.Fatal("in-place update differs from MulElem(DivElem)")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("shape mismatch accepted")
+		}
+	}()
+	m.MulDivElem(num, New(9, 6), 1e-12)
+}
+
+func TestDestinationKernelShapePanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"MulTo":       func() { MulTo(New(2, 3), New(2, 4), New(4, 2)) },
+		"MulAtBTo":    func() { MulAtBTo(New(3, 3), New(2, 4), New(2, 3)) },
+		"MulABtTo":    func() { MulABtTo(New(2, 2), New(2, 4), New(3, 4)) },
+		"TransposeTo": func() { TransposeTo(New(2, 3), New(2, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on shape mismatch", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

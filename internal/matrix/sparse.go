@@ -17,9 +17,18 @@ type CSR struct {
 }
 
 // FromDense compresses a dense matrix, keeping entries with |v| > 0.
+// The index and value slices are sized exactly: a CSR often outlives
+// its dense source (factorize.Model keeps one per cached result).
 func FromDense(a *Dense) *CSR {
 	rows, cols := a.Dims()
-	c := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
+	nnz := 0
+	for _, v := range a.data {
+		if v != 0 {
+			nnz++
+		}
+	}
+	c := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1),
+		colIdx: make([]int, 0, nnz), vals: make([]float64, 0, nnz)}
 	for i := 0; i < rows; i++ {
 		for j, v := range a.RowView(i) {
 			if v != 0 {
@@ -54,10 +63,10 @@ func (c *CSR) ToDense() *Dense {
 	return out
 }
 
-// MulAtB returns Aᵀ × B where A is this sparse matrix and B is dense —
-// the WᵀA-shaped product of the NNMF H update (with the roles of the
-// operands swapped: call as a.MulAtB(w) computes AᵀW). A.rows must equal
-// B.rows.
+// MulAtB returns Aᵀ × B where A is this sparse matrix and B is dense.
+// A.rows must equal B.rows. The NNMF H update forms its transpose with
+// MulBtATo; this allocating form is the reference that path is tested
+// against.
 func (c *CSR) MulAtB(b *Dense) *Dense {
 	if c.rows != b.Rows() {
 		panic(fmt.Sprintf("matrix: CSR MulAtB shape mismatch %dx%d vs %dx%d", c.rows, c.cols, b.Rows(), b.Cols()))
@@ -76,27 +85,53 @@ func (c *CSR) MulAtB(b *Dense) *Dense {
 	return out
 }
 
-// Mul returns A × B with A sparse and B dense.
-func (c *CSR) Mul(b *Dense) *Dense {
-	if c.cols != b.Rows() {
-		panic(fmt.Sprintf("matrix: CSR Mul shape mismatch %dx%d × %dx%d", c.rows, c.cols, b.Rows(), b.Cols()))
+// MulBtATo writes Bᵀ × A into dst, which must be B.Cols() × A.cols, and
+// returns dst: the WᵀA of the NNMF H update, summed over A's rows in the
+// same order as MulAtB, so it equals MulAtB(b).T() bit for bit.
+func (c *CSR) MulBtATo(dst, b *Dense) *Dense {
+	if c.rows != b.rows || dst.rows != b.cols || dst.cols != c.cols {
+		panic(fmt.Sprintf("matrix: CSR MulBtATo shape mismatch %dx%d vs %dx%d into %dx%d",
+			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
 	}
-	out := New(c.rows, b.Cols())
+	clear(dst.data)
 	for i := 0; i < c.rows; i++ {
-		oi := out.RowView(i)
+		bi := b.data[i*b.cols : (i+1)*b.cols]
 		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			bk := b.RowView(c.colIdx[p])
+			col := dst.data[c.colIdx[p]:]
+			v := c.vals[p]
+			for t, bit := range bi {
+				col[t*dst.cols] += v * bit
+			}
+		}
+	}
+	return dst
+}
+
+// MulTo writes A × B into dst, which must be A.rows × B.Cols(), and
+// returns dst. With B = Hᵀ it is the AHᵀ of the NNMF W update, equal bit
+// for bit to MulABt(H) but reading each Hᵀ row contiguously.
+func (c *CSR) MulTo(dst, b *Dense) *Dense {
+	if c.cols != b.rows || dst.rows != c.rows || dst.cols != b.cols {
+		panic(fmt.Sprintf("matrix: CSR MulTo shape mismatch %dx%d × %dx%d into %dx%d",
+			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
+	}
+	clear(dst.data)
+	for i := 0; i < c.rows; i++ {
+		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
+		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
+			bk := b.data[c.colIdx[p]*b.cols : (c.colIdx[p]+1)*b.cols]
 			v := c.vals[p]
 			for j, bkj := range bk {
 				oi[j] += v * bkj
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// MulABt returns A × Bᵀ with A sparse and B dense (the AHᵀ-shaped product
-// of the NNMF W update).
+// MulABt returns A × Bᵀ with A sparse and B dense. The NNMF W update
+// forms it as MulTo(Bᵀ); this allocating form is the reference that path
+// is tested against.
 func (c *CSR) MulABt(b *Dense) *Dense {
 	if c.cols != b.Cols() {
 		panic(fmt.Sprintf("matrix: CSR MulABt shape mismatch %dx%d vs %dx%d", c.rows, c.cols, b.Rows(), b.Cols()))
@@ -126,6 +161,7 @@ func (c *CSR) FrobeniusNorm() float64 {
 
 // InnerWithProduct returns ⟨A, W·H⟩ = Σ over the non-zeros of A of
 // a_ij · (W_i · H_:j), without forming W·H. W must be rows×k and H k×cols.
+// The NNMF residual uses InnerWithProductT; this form is its reference.
 func (c *CSR) InnerWithProduct(w, h *Dense) float64 {
 	if w.Rows() != c.rows || h.Cols() != c.cols || w.Cols() != h.Rows() {
 		panic(fmt.Sprintf("matrix: InnerWithProduct shape mismatch A %dx%d, W %dx%d, H %dx%d",
@@ -145,6 +181,49 @@ func (c *CSR) InnerWithProduct(w, h *Dense) float64 {
 		}
 	}
 	return s
+}
+
+// InnerWithProductT is InnerWithProduct with H given as its transpose
+// ht (cols × k), so each non-zero reads one contiguous row; the sum is
+// the same, bit for bit.
+func (c *CSR) InnerWithProductT(w, ht *Dense) float64 {
+	if w.rows != c.rows || ht.rows != c.cols || w.cols != ht.cols {
+		panic(fmt.Sprintf("matrix: InnerWithProductT shape mismatch A %dx%d, W %dx%d, Hᵀ %dx%d",
+			c.rows, c.cols, w.rows, w.cols, ht.rows, ht.cols))
+	}
+	k := w.cols
+	s := 0.0
+	for i := 0; i < c.rows; i++ {
+		wi := w.data[i*k : (i+1)*k]
+		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
+			hj := ht.data[c.colIdx[p]*k : (c.colIdx[p]+1)*k]
+			dot := 0.0
+			for t, v := range wi {
+				dot += v * hj[t]
+			}
+			s += c.vals[p] * dot
+		}
+	}
+	return s
+}
+
+// Equal reports whether c and d have the same shape and the same stored
+// entries in the same positions.
+func (c *CSR) Equal(d *CSR) bool {
+	if c.rows != d.rows || c.cols != d.cols || len(c.vals) != len(d.vals) {
+		return false
+	}
+	for i, p := range c.rowPtr {
+		if d.rowPtr[i] != p {
+			return false
+		}
+	}
+	for p, j := range c.colIdx {
+		if d.colIdx[p] != j || c.vals[p] != d.vals[p] { // lint:exact — identity, not closeness
+			return false
+		}
+	}
+	return true
 }
 
 // AnyNegative reports whether any stored entry is negative.

@@ -180,11 +180,8 @@ func Factorize(a *matrix.Dense, opts Options) (*Result, error) {
 func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	rows, cols := a.Dims()
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("nnmf: K must be positive, got %d", opts.K)
-	}
-	if opts.K > rows || opts.K > cols {
-		return nil, fmt.Errorf("nnmf: K=%d exceeds matrix dimensions %dx%d", opts.K, rows, cols)
+	if err := checkK(opts.K, rows, cols); err != nil {
+		return nil, err
 	}
 	for i := 0; i < rows; i++ {
 		for _, v := range a.RowView(i) {
@@ -198,100 +195,175 @@ func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, 
 	}
 	normA := a.FrobeniusNorm()
 	if normA == 0 {
-		return nil, fmt.Errorf("nnmf: input matrix is all zeros")
+		return nil, errAllZero
 	}
+	return factorize(ctx, problem{
+		rows: rows, cols: cols, mean: a.Mean(),
+		dense: func() *matrix.Dense { return a },
+		kern:  &denseKernel{a: a, normA: normA, opts: opts},
+	}, opts)
+}
 
+var errAllZero = fmt.Errorf("nnmf: input matrix is all zeros")
+
+func checkK(k, rows, cols int) error {
+	if k <= 0 {
+		return fmt.Errorf("nnmf: K must be positive, got %d", k)
+	}
+	if k > rows || k > cols {
+		return fmt.Errorf("nnmf: K=%d exceeds matrix dimensions %dx%d", k, rows, cols)
+	}
+	return nil
+}
+
+// kernel is one update rule over one matrix format — all that differs
+// between the entry points. The loop owns W and H; a kernel updates
+// them in place and may carry products from one call to the next, so a
+// run calls start once and then alternates update and residual.
+type kernel interface {
+	// start prepares a run from the factors w, h.
+	start(w, h *matrix.Dense)
+	// update applies one update round to w and h in place.
+	update(w, h *matrix.Dense)
+	// residual returns ‖A − W·H‖_F / ‖A‖_F for the factors last passed
+	// to start or produced by update.
+	residual(w, h *matrix.Dense) float64
+}
+
+// problem is one validated factorization input.
+type problem struct {
+	rows, cols int
+	// mean is the mean of A: it scales random initialization and the
+	// cells a warm start grows.
+	mean float64
+	// dense returns A densely, for NNDSVD initialization.
+	dense func() *matrix.Dense
+	kern  kernel
+}
+
+// factorize is the one restart loop behind every entry point. A warm
+// start (Options.InitW/InitH) is a single run from the reconciled seeds.
+// Otherwise each restart initializes into the factor buffers of a losing
+// restart, so a call allocates at most two factor pairs however many
+// restarts it runs, and the winner's factors are never overwritten.
+func factorize(ctx context.Context, p problem, opts Options) (*Result, error) {
 	if opts.InitW != nil || opts.InitH != nil {
-		w, h, exact, err := warmSeeds(opts, rows, cols, a.Mean())
+		w, h, exact, err := warmSeeds(opts, p.rows, p.cols, p.mean)
 		if err != nil {
 			return nil, err
 		}
-		return runWarm(ctx, opts, exact, w, h,
-			func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
-				switch opts.Algorithm {
-				case MultiplicativeKL:
-					return stepKL(a, w, h, opts.Eps)
-				case HALS:
-					return stepHALS(a, w, h, opts.Eps, opts.L1W, opts.L1H)
-				default:
-					return stepFrobenius(a, w, h, opts.Eps)
-				}
-			},
-			func(w, h *matrix.Dense) float64 { return RelativeError(a, w, h, normA) })
+		res := &Result{W: w, H: h}
+		if err := run(ctx, p.kern, res, opts, exact); err != nil {
+			return nil, err
+		}
+		res.TotalIterations = res.Iterations
+		return res, nil
 	}
 
 	restarts := opts.Restarts
 	if opts.Init == InitNNDSVD {
 		restarts = 1
 	}
+	rng := rand.New(rand.NewSource(opts.Seed))
 	var best *Result
+	cur := &Result{}
 	total := 0
 	for r := 0; r < restarts; r++ {
-		w, h := initialize(a, opts, opts.Seed+int64(r))
-		res, err := run(ctx, a, w, h, opts, normA)
-		if err != nil {
+		w, h := cur.W, cur.H
+		if opts.Init == InitNNDSVD {
+			w, h = nndsvd(p.dense(), opts.K)
+		} else {
+			if w == nil {
+				w, h = matrix.New(p.rows, opts.K), matrix.New(opts.K, p.cols)
+			}
+			rng.Seed(opts.Seed + int64(r))
+			randomInit(w, h, p.mean, rng)
+		}
+		*cur = Result{W: w, H: h, Residuals: cur.Residuals[:0], Restart: r}
+		if err := run(ctx, p.kern, cur, opts, false); err != nil {
 			return nil, err
 		}
-		res.Restart = r
-		total += res.Iterations
-		if best == nil || res.Err < best.Err {
-			best = res
+		total += cur.Iterations
+		if best == nil || cur.Err < best.Err {
+			best, cur = cur, best
+			if cur == nil {
+				cur = &Result{}
+			}
 		}
 	}
 	best.TotalIterations = total
 	return best, nil
 }
 
-func initialize(a *matrix.Dense, opts Options, seed int64) (w, h *matrix.Dense) {
-	rows, cols := a.Dims()
-	switch opts.Init {
-	case InitNNDSVD:
-		return nndsvd(a, opts.K)
-	default:
-		rng := rand.New(rand.NewSource(seed))
-		// Scale like scikit-learn: sqrt(mean(A)/K) keeps W·H at the
-		// magnitude of A so early updates are well-conditioned.
-		scale := math.Sqrt(a.Mean() / float64(opts.K))
-		w = matrix.Random(rows, opts.K, rng).Scale(scale)
-		h = matrix.Random(opts.K, cols, rng).Scale(scale)
-		return w, h
+// randomInit fills w and h with uniform draws, W then H in row-major
+// order, scaled like scikit-learn by sqrt(mean(A)/K), which keeps W·H at
+// the magnitude of A so early updates are well-conditioned.
+func randomInit(w, h *matrix.Dense, mean float64, rng *rand.Rand) {
+	scale := math.Sqrt(mean / float64(w.Cols()))
+	for _, m := range [2]*matrix.Dense{w, h} {
+		for i := 0; i < m.Rows(); i++ {
+			row := m.RowView(i)
+			for j := range row {
+				row[j] = rng.Float64() * scale
+			}
+		}
 	}
 }
 
-func run(ctx context.Context, a, w, h *matrix.Dense, opts Options, normA float64) (*Result, error) {
-	res := &Result{}
-	prev := math.Inf(1)
-	init := 0.0
+// run is the one iteration loop: it updates res.W and res.H in place
+// until the residual stalls or MaxIter is reached, recording every
+// residual in res. A cold run measures the stall against its first
+// residual (scikit-learn's criterion). A warm run (Options.InitW/InitH)
+// records the seeds' own residual as Residuals[0] and measures against
+// it; when the seeds matched the dimensions exactly and one full update
+// round cannot improve on them by more than the tolerance, it returns
+// copies of the seeds unchanged — rather than the infinitesimally
+// different stepped factors — which is the byte-stability guarantee the
+// delta-refresh path relies on.
+func run(ctx context.Context, kern kernel, res *Result, opts Options, exact bool) error {
+	w, h := res.W, res.H
+	warm := opts.InitW != nil
+	kern.start(w, h)
+	prev, base := math.Inf(1), 0.0
+	if warm {
+		base = kern.residual(w, h)
+		prev = base
+		res.Residuals = append(res.Residuals, base)
+	}
 	for it := 0; it < opts.MaxIter; it++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		switch opts.Algorithm {
-		case MultiplicativeKL:
-			w, h = stepKL(a, w, h, opts.Eps)
-		case HALS:
-			w, h = stepHALS(a, w, h, opts.Eps, opts.L1W, opts.L1H)
-		default:
-			w, h = stepFrobenius(a, w, h, opts.Eps)
-		}
-		err := RelativeError(a, w, h, normA)
-		res.Residuals = append(res.Residuals, err)
+		kern.update(w, h)
+		e := kern.residual(w, h)
+		res.Residuals = append(res.Residuals, e)
 		res.Iterations = it + 1
-		if it == 0 {
-			init = err
-		} else if prev-err <= opts.Tol*init {
-			// Converged: the improvement has stalled relative to the
-			// initial error (scikit-learn's criterion). The <= matters:
-			// once the residual bottoms out exactly (prev == err, possibly
-			// 0), a strict inequality would never trigger.
+		if it == 0 && !warm {
+			base, prev = e, e
+			continue
+		}
+		// The retention threshold is absolute in relative-error units
+		// (floored at Tol·seedErr for badly-fit seeds): converged seeds
+		// came from a run that stopped once a round improved less than
+		// Tol·init with init up to ~1 for normalized inputs, so one more
+		// round improves at most on that order.
+		if it == 0 && exact && prev-e <= opts.Tol*math.Max(1, base) {
+			res.W, res.H = opts.InitW.Clone(), opts.InitH.Clone()
+			res.Err = base
+			res.Converged = true
+			res.SeedRetained = true
+			return nil
+		}
+		// The <= matters: once the residual bottoms out exactly (prev ==
+		// e, possibly 0), a strict inequality would never trigger.
+		if prev-e <= opts.Tol*base {
 			res.Converged = true
 			break
 		}
-		prev = err
+		prev = e
 	}
-	res.W, res.H = w, h
 	res.Err = res.Residuals[len(res.Residuals)-1]
-	return res, nil
+	return nil
 }
 
 // warmSeeds validates the warm-start options and reconciles the seed
@@ -359,54 +431,30 @@ func reconcileFactors(initW, initH *matrix.Dense, rows, cols, k int, fill float6
 	return w, h, false
 }
 
-// runWarm drives a warm-started factorization: the seeds are scored,
-// one full update round is taken, and if that round cannot improve on
-// the seeds by more than the tolerance (at exactly matching
-// dimensions) the seed factors are returned unchanged — rather than
-// the infinitesimally different stepped factors — which is the
-// byte-stability guarantee the delta-refresh path relies on.
-// Otherwise iteration continues with the seed error as the convergence
-// baseline, typically finishing in a handful of iterations near a
-// fixed point. Residuals[0] is the seed error, before any update.
-func runWarm(ctx context.Context, opts Options, exact bool, w, h *matrix.Dense,
-	step func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense),
-	score func(w, h *matrix.Dense) float64) (*Result, error) {
+// denseKernel runs an update rule over a dense A: the KL and HALS
+// ablations and the dense Frobenius reference path. Each step allocates
+// its products; only the served CSR path (csrFrobenius) is tuned.
+type denseKernel struct {
+	a     *matrix.Dense
+	normA float64
+	opts  Options
+}
 
-	res := &Result{}
-	seedW, seedH := w, h
-	seedErr := score(w, h)
-	res.Residuals = append(res.Residuals, seedErr)
-	prev := seedErr
-	for it := 0; it < opts.MaxIter; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		w, h = step(w, h)
-		e := score(w, h)
-		res.Residuals = append(res.Residuals, e)
-		res.Iterations = it + 1
-		res.TotalIterations = res.Iterations
-		// The retention threshold is absolute in relative-error units
-		// (floored at Tol·seedErr for badly-fit seeds): converged seeds
-		// came from a run that stopped once a round improved less than
-		// Tol·init with init up to ~1 for normalized inputs, so one more
-		// round improves at most on that order.
-		if it == 0 && exact && prev-e <= opts.Tol*math.Max(1, seedErr) {
-			res.W, res.H = seedW, seedH
-			res.Err = seedErr
-			res.Converged = true
-			res.SeedRetained = true
-			return res, nil
-		}
-		if prev-e <= opts.Tol*seedErr {
-			res.Converged = true
-			break
-		}
-		prev = e
+func (k *denseKernel) start(_, _ *matrix.Dense) {}
+
+func (k *denseKernel) update(w, h *matrix.Dense) {
+	switch k.opts.Algorithm {
+	case MultiplicativeKL:
+		stepKL(k.a, w, h, k.opts.Eps)
+	case HALS:
+		stepHALS(k.a, w, h, k.opts.Eps, k.opts.L1W, k.opts.L1H)
+	default:
+		stepFrobenius(k.a, w, h, k.opts.Eps)
 	}
-	res.W, res.H = w, h
-	res.Err = res.Residuals[len(res.Residuals)-1]
-	return res, nil
+}
+
+func (k *denseKernel) residual(w, h *matrix.Dense) float64 {
+	return RelativeError(k.a, w, h, k.normA)
 }
 
 // RelativeError returns ‖A − W·H‖_F / normA. Pass a.FrobeniusNorm() (or
@@ -416,54 +464,56 @@ func RelativeError(a, w, h *matrix.Dense, normA float64) float64 {
 }
 
 // stepFrobenius applies one round of Lee-Seung multiplicative updates for
-// the squared-error objective:
+// the squared-error objective, in place:
 //
 //	H ← H ⊙ (WᵀA) ⊘ (WᵀWH)
 //	W ← W ⊙ (AHᵀ) ⊘ (WHHᵀ)
-func stepFrobenius(a, w, h *matrix.Dense, eps float64) (*matrix.Dense, *matrix.Dense) {
+func stepFrobenius(a, w, h *matrix.Dense, eps float64) {
 	wtA := w.MulAtB(a)
 	wtWH := w.MulAtB(w).Mul(h)
-	h = h.MulElem(wtA.DivElem(wtWH, eps))
+	h.MulDivElem(wtA, wtWH, eps)
 
 	aHt := a.MulABt(h)
 	wHHt := w.Mul(h.MulABt(h))
-	w = w.MulElem(aHt.DivElem(wHHt, eps))
-	return w, h
+	w.MulDivElem(aHt, wHHt, eps)
 }
 
 // stepKL applies one round of multiplicative updates for the generalized
-// Kullback-Leibler divergence:
+// Kullback-Leibler divergence, in place:
 //
 //	H ← H ⊙ (Wᵀ(A ⊘ WH)) ⊘ (Wᵀ𝟙)
 //	W ← W ⊙ ((A ⊘ WH)Hᵀ) ⊘ (𝟙Hᵀ)
-func stepKL(a, w, h *matrix.Dense, eps float64) (*matrix.Dense, *matrix.Dense) {
+func stepKL(a, w, h *matrix.Dense, eps float64) {
 	// H update.
 	ratio := a.DivElem(w.Mul(h), eps)
 	num := w.MulAtB(ratio)
 	colSumW := w.ColSums() // (Wᵀ𝟙)_t, one per type
-	h = h.Apply(func(t, j int, v float64) float64 {
-		return v * num.At(t, j) / (colSumW[t] + eps)
-	})
+	for t := range colSumW {
+		ht, nt := h.RowView(t), num.RowView(t)
+		for j, v := range ht {
+			ht[j] = v * nt[j] / (colSumW[t] + eps)
+		}
+	}
 
 	// W update with the updated H.
 	ratio = a.DivElem(w.Mul(h), eps)
 	num = ratio.MulABt(h)
 	rowSumH := h.RowSums() // (𝟙Hᵀ)_t
-	w = w.Apply(func(i, t int, v float64) float64 {
-		return v * num.At(i, t) / (rowSumH[t] + eps)
-	})
-	return w, h
+	for i := 0; i < w.Rows(); i++ {
+		wi, ni := w.RowView(i), num.RowView(i)
+		for t, v := range wi {
+			wi[t] = v * ni[t] / (rowSumH[t] + eps)
+		}
+	}
 }
 
-// stepHALS applies one round of hierarchical alternating least squares:
-// each column of W (and row of H) is updated in closed form holding the
-// others fixed, then clamped to non-negativity. Positive l1w/l1h shift
-// the closed-form solution toward zero before clamping (soft
-// thresholding), yielding exactly sparse factors.
-func stepHALS(a, w, h *matrix.Dense, eps, l1w, l1h float64) (*matrix.Dense, *matrix.Dense) {
+// stepHALS applies one round of hierarchical alternating least squares,
+// in place: each column of W (and row of H) is updated in closed form
+// holding the others fixed, then clamped to non-negativity. Positive
+// l1w/l1h shift the closed-form solution toward zero before clamping
+// (soft thresholding), yielding exactly sparse factors.
+func stepHALS(a, w, h *matrix.Dense, eps, l1w, l1h float64) {
 	k := w.Cols()
-	w = w.Clone()
-	h = h.Clone()
 
 	// Update rows of H: H[t,:] ← max(0, H[t,:] + (WᵀA − WᵀW·H)[t,:] / (WᵀW)[t,t])
 	wtA := w.MulAtB(a)
@@ -503,7 +553,6 @@ func stepHALS(a, w, h *matrix.Dense, eps, l1w, l1h float64) (*matrix.Dense, *mat
 			w.Set(i, t, v)
 		}
 	}
-	return w, h
 }
 
 // nndsvd computes the non-negative double SVD initialization: the leading

@@ -1,0 +1,363 @@
+package nnmf
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"csmaterials/internal/dataset"
+	"csmaterials/internal/materials"
+	"csmaterials/internal/matrix"
+)
+
+// This file keeps the allocating CSR factorization exactly as it stood
+// before the shared loops and their workspace — its own restart loop,
+// cold and warm iteration loops, and a fresh matrix for every product —
+// as the oracle the differential tests hold FactorizeCSR to, bit for
+// bit.
+
+func oracleFactorizeCSR(a *matrix.CSR, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
+	rows, cols := a.Dims()
+	normA := a.FrobeniusNorm()
+	mean := normA * normA / float64(rows*cols)
+
+	if opts.InitW != nil || opts.InitH != nil {
+		w, h, exact, err := warmSeeds(opts, rows, cols, mean)
+		if err != nil {
+			return nil, err
+		}
+		return oracleRunWarm(a, opts, exact, w, h, normA), nil
+	}
+
+	restarts := opts.Restarts
+	if opts.Init == InitNNDSVD {
+		restarts = 1
+	}
+	var best *Result
+	total := 0
+	for r := 0; r < restarts; r++ {
+		var w, h *matrix.Dense
+		if opts.Init == InitNNDSVD {
+			w, h = nndsvd(a.ToDense(), opts.K)
+		} else {
+			rng := rand.New(rand.NewSource(opts.Seed + int64(r)))
+			scale := math.Sqrt(mean / float64(opts.K))
+			w = matrix.Random(rows, opts.K, rng).Scale(scale)
+			h = matrix.Random(opts.K, cols, rng).Scale(scale)
+		}
+		res := oracleRunSparse(a, w, h, opts, normA)
+		res.Restart = r
+		total += res.Iterations
+		if best == nil || res.Err < best.Err {
+			best = res
+		}
+	}
+	best.TotalIterations = total
+	return best, nil
+}
+
+func oracleRunSparse(a *matrix.CSR, w, h *matrix.Dense, opts Options, normA float64) *Result {
+	res := &Result{}
+	prev := math.Inf(1)
+	init := 0.0
+	for it := 0; it < opts.MaxIter; it++ {
+		w, h = stepFrobeniusSparse(a, w, h, opts.Eps)
+		err := sparseRelativeError(a, w, h, normA)
+		res.Residuals = append(res.Residuals, err)
+		res.Iterations = it + 1
+		if it == 0 {
+			init = err
+		} else if prev-err <= opts.Tol*init {
+			res.Converged = true
+			break
+		}
+		prev = err
+	}
+	res.W, res.H = w, h
+	res.Err = res.Residuals[len(res.Residuals)-1]
+	return res
+}
+
+func oracleRunWarm(a *matrix.CSR, opts Options, exact bool, w, h *matrix.Dense, normA float64) *Result {
+	res := &Result{}
+	seedW, seedH := w, h
+	seedErr := sparseRelativeError(a, w, h, normA)
+	res.Residuals = append(res.Residuals, seedErr)
+	prev := seedErr
+	for it := 0; it < opts.MaxIter; it++ {
+		w, h = stepFrobeniusSparse(a, w, h, opts.Eps)
+		e := sparseRelativeError(a, w, h, normA)
+		res.Residuals = append(res.Residuals, e)
+		res.Iterations = it + 1
+		res.TotalIterations = res.Iterations
+		if it == 0 && exact && prev-e <= opts.Tol*math.Max(1, seedErr) {
+			res.W, res.H = seedW, seedH
+			res.Err = seedErr
+			res.Converged = true
+			res.SeedRetained = true
+			return res
+		}
+		if prev-e <= opts.Tol*seedErr {
+			res.Converged = true
+			break
+		}
+		prev = e
+	}
+	res.W, res.H = w, h
+	res.Err = res.Residuals[len(res.Residuals)-1]
+	return res
+}
+
+func stepFrobeniusSparse(a *matrix.CSR, w, h *matrix.Dense, eps float64) (*matrix.Dense, *matrix.Dense) {
+	wtA := a.MulAtB(w).T() // (AᵀW)ᵀ = WᵀA, k × cols
+	wtWH := w.MulAtB(w).Mul(h)
+	h = h.MulElem(wtA.DivElem(wtWH, eps))
+
+	aHt := a.MulABt(h) // rows × k
+	wHHt := w.Mul(h.MulABt(h))
+	w = w.MulElem(aHt.DivElem(wHHt, eps))
+	return w, h
+}
+
+func sparseRelativeError(a *matrix.CSR, w, h *matrix.Dense, normA float64) float64 {
+	dot := a.InnerWithProduct(w, h)
+	wtw := w.MulAtB(w)
+	hht := h.MulABt(h)
+	k := wtw.Rows()
+	trace := 0.0
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			trace += wtw.At(i, j) * hht.At(i, j)
+		}
+	}
+	errSq := normA*normA - 2*dot + trace
+	if errSq < 0 {
+		errSq = 0
+	}
+	return math.Sqrt(errSq) / normA
+}
+
+// sameBits reports the first difference between two results, comparing
+// every float by its bit pattern; "" means identical.
+func sameBits(got, want *Result) string {
+	if got.Iterations != want.Iterations || got.TotalIterations != want.TotalIterations ||
+		got.Restart != want.Restart || got.Converged != want.Converged || got.SeedRetained != want.SeedRetained {
+		return fmt.Sprintf("counters: iterations %d/%d total %d/%d restart %d/%d converged %v/%v retained %v/%v",
+			got.Iterations, want.Iterations, got.TotalIterations, want.TotalIterations,
+			got.Restart, want.Restart, got.Converged, want.Converged, got.SeedRetained, want.SeedRetained)
+	}
+	if math.Float64bits(got.Err) != math.Float64bits(want.Err) {
+		return fmt.Sprintf("Err %v vs %v", got.Err, want.Err)
+	}
+	if len(got.Residuals) != len(want.Residuals) {
+		return fmt.Sprintf("%d residuals vs %d", len(got.Residuals), len(want.Residuals))
+	}
+	for i, v := range got.Residuals {
+		if math.Float64bits(v) != math.Float64bits(want.Residuals[i]) {
+			return fmt.Sprintf("Residuals[%d] %v vs %v", i, v, want.Residuals[i])
+		}
+	}
+	for name, pair := range map[string][2]*matrix.Dense{"W": {got.W, want.W}, "H": {got.H, want.H}} {
+		g, w := pair[0], pair[1]
+		if gr, gc := g.Dims(); gr != w.Rows() || gc != w.Cols() {
+			return fmt.Sprintf("%s dims %dx%d vs %dx%d", name, gr, gc, w.Rows(), w.Cols())
+		}
+		for i := 0; i < g.Rows(); i++ {
+			wi := w.RowView(i)
+			for j, v := range g.RowView(i) {
+				if math.Float64bits(v) != math.Float64bits(wi[j]) {
+					return fmt.Sprintf("%s[%d,%d] %v vs %v", name, i, j, v, wi[j])
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// checkAgainstOracle factorizes a through FactorizeCSR and the oracle
+// and fails on any bit of difference.
+func checkAgainstOracle(t *testing.T, name string, a *matrix.CSR, opts Options) *Result {
+	t.Helper()
+	want, err := oracleFactorizeCSR(a, opts)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	got, err := FactorizeCSR(a, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if diff := sameBits(got, want); diff != "" {
+		t.Fatalf("%s: differs from the oracle: %s", name, diff)
+	}
+	return got
+}
+
+// seedGroups returns the seed corpus's course matrices for the five
+// course groups the types analysis serves.
+func seedGroups() map[string]*matrix.Dense {
+	in := map[string]func(*materials.Course) bool{
+		"all": func(*materials.Course) bool { return true },
+		"cs1": func(c *materials.Course) bool { return c.HasGroup(materials.GroupCS1) },
+		"ds":  func(c *materials.Course) bool { return c.HasGroup(materials.GroupDS) },
+		"dsalgo": func(c *materials.Course) bool {
+			return c.HasGroup(materials.GroupDS) || c.HasGroup(materials.GroupAlgo)
+		},
+		"pdc": func(c *materials.Course) bool { return c.HasGroup(materials.GroupPDC) },
+	}
+	out := map[string]*matrix.Dense{}
+	for name, member := range in {
+		var courses []*materials.Course
+		for _, c := range dataset.Courses() {
+			if member(c) {
+				courses = append(courses, c)
+			}
+		}
+		out[name], _ = materials.CourseMatrix(courses)
+	}
+	return out
+}
+
+// TestCSRMatchesOracleOnSeedGroups covers the served configuration: the
+// paper's 10-restart run on every seed-corpus group at k = 2, 3, 4,
+// then a warm start from each result (which must retain the seeds).
+func TestCSRMatchesOracleOnSeedGroups(t *testing.T) {
+	for name, a := range seedGroups() {
+		csr := matrix.FromDense(a)
+		for k := 2; k <= 4; k++ {
+			if k > a.Rows() {
+				continue
+			}
+			opts := Options{K: k, Seed: 1, Restarts: 10, MaxIter: 500}
+			label := fmt.Sprintf("%s k=%d", name, k)
+			cold := checkAgainstOracle(t, label, csr, opts)
+			warm := checkAgainstOracle(t, label+" warm", csr, warmFrom(cold, opts))
+			if !warm.SeedRetained {
+				t.Errorf("%s: warm start on the unchanged matrix did not retain its seeds", label)
+			}
+		}
+	}
+}
+
+// randomCase draws one differential case: a random shape, density, k,
+// seed, restart count, iteration budget and tolerance, with 0-1 entries
+// or (one case in four) positive weights.
+func randomCase(rng *rand.Rand) (*matrix.Dense, Options) {
+	rows, cols := 2+rng.Intn(24), 2+rng.Intn(60)
+	density := 0.05 + 0.5*rng.Float64()
+	weighted := rng.Intn(4) == 0
+	a := matrix.New(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if rng.Float64() < density {
+				v := 1.0
+				if weighted {
+					v = 0.1 + 3*rng.Float64()
+				}
+				a.Set(i, j, v)
+			}
+		}
+	}
+	a.Set(rng.Intn(rows), rng.Intn(cols), 1) // never all zero
+	kMax := rows
+	if cols < kMax {
+		kMax = cols
+	}
+	if kMax > 6 {
+		kMax = 6
+	}
+	opts := Options{
+		K:        1 + rng.Intn(kMax),
+		Seed:     rng.Int63n(1 << 40),
+		Restarts: 1 + rng.Intn(5),
+		MaxIter:  1 + rng.Intn(200),
+		Tol:      []float64{0, 1e-3, 1e-7, 1e-12}[rng.Intn(4)],
+	}
+	if rng.Intn(6) == 0 {
+		opts.Init = InitNNDSVD
+	}
+	return a, opts
+}
+
+// TestCSRMatchesOracleOnRandomMatrices is the randomized differential
+// test: 150 random problems, cold, then warm-started from exact,
+// perturbed, grown and shrunk seeds.
+func TestCSRMatchesOracleOnRandomMatrices(t *testing.T) {
+	rng := rand.New(rand.NewSource(20240615))
+	for c := 0; c < 150; c++ {
+		a, opts := randomCase(rng)
+		csr := matrix.FromDense(a)
+		label := fmt.Sprintf("case %d (%dx%d %+v)", c, a.Rows(), a.Cols(), opts)
+		cold := checkAgainstOracle(t, label, csr, opts)
+
+		warm := opts
+		warm.InitW, warm.InitH = cold.W, cold.H
+		checkAgainstOracle(t, label+" warm exact", csr, warm)
+
+		warm.InitW = cold.W.Apply(func(_, _ int, v float64) float64 { return v * (0.9 + 0.2*rng.Float64()) })
+		warm.InitH = cold.H.Apply(func(_, _ int, v float64) float64 { return v * (0.9 + 0.2*rng.Float64()) })
+		checkAgainstOracle(t, label+" warm perturbed", csr, warm)
+
+		// Re-fit a grown and a shrunk matrix from the same seeds.
+		rows, cols := a.Dims()
+		grown := matrix.New(rows+1, cols+2)
+		for i := 0; i < rows; i++ {
+			copy(grown.RowView(i), a.RowView(i))
+		}
+		grown.Set(rows, cols, 1)
+		warm.InitW, warm.InitH = cold.W, cold.H
+		checkAgainstOracle(t, label+" warm grown", matrix.FromDense(grown), warm)
+		if rows > opts.K && cols > opts.K && rows > 2 && cols > 2 {
+			shrunk := matrix.New(rows-1, cols-1)
+			for i := 0; i < rows-1; i++ {
+				copy(shrunk.RowView(i), a.RowView(i)[:cols-1])
+			}
+			if shrunk.FrobeniusNorm() > 0 {
+				checkAgainstOracle(t, label+" warm shrunk", matrix.FromDense(shrunk), warm)
+			}
+		}
+	}
+}
+
+// TestCSRIterationAllocatesNothing pins the workspace contract: one
+// steady-state iteration (update, then residual) allocates nothing.
+func TestCSRIterationAllocatesNothing(t *testing.T) {
+	a := matrix.FromDense(random01(30, 80, 0.15, 5))
+	rng := rand.New(rand.NewSource(1))
+	w, h := matrix.New(30, 4), matrix.New(4, 80)
+	randomInit(w, h, 0.15, rng)
+	kern := newCSRFrobenius(a, 4, 1e-12, a.FrobeniusNorm())
+	kern.start(w, h)
+	if n := testing.AllocsPerRun(50, func() {
+		kern.update(w, h)
+		kern.residual(w, h)
+	}); n != 0 { // lint:exact — an allocation count
+		t.Fatalf("one CSR iteration allocates %v times, want 0", n)
+	}
+}
+
+// TestCSRWorkspaceAllocatedOncePerCall: restarts reuse the losing
+// restart's factors and residual trace, so a 10-restart call allocates
+// no more than a 2-restart one.
+func TestCSRWorkspaceAllocatedOncePerCall(t *testing.T) {
+	a := matrix.FromDense(random01(30, 80, 0.15, 6))
+	allocs := func(restarts int) float64 {
+		opts := Options{K: 4, Seed: 3, Restarts: restarts, MaxIter: 40, Tol: 1e-300}
+		res, err := FactorizeCSR(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalIterations != restarts*opts.MaxIter {
+			t.Fatalf("%d restarts ran %d iterations, want every restart to run all %d", restarts, res.TotalIterations, opts.MaxIter)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := FactorizeCSR(a, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if two, ten := allocs(2), allocs(10); ten != two { // lint:exact — allocation counts
+		t.Fatalf("10 restarts allocate %v times, 2 restarts %v: restarts must reuse the workspace", ten, two)
+	}
+}

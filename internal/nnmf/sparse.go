@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"csmaterials/internal/matrix"
 )
@@ -14,7 +13,8 @@ import (
 // right representation for course × curriculum matrices, which are 0-1
 // with well under 20% density. It matches Factorize with
 // MultiplicativeFrobenius on the dense expansion of a, at a fraction of
-// the per-iteration cost (see BenchmarkSparseNNMF).
+// the per-iteration cost (see BenchmarkSparseNNMF), and allocates
+// nothing per iteration.
 //
 // Only the Frobenius multiplicative algorithm is implemented sparsely;
 // Options.Algorithm is ignored.
@@ -27,125 +27,94 @@ func FactorizeCSR(a *matrix.CSR, opts Options) (*Result, error) {
 func FactorizeCSRCtx(ctx context.Context, a *matrix.CSR, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	rows, cols := a.Dims()
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("nnmf: K must be positive, got %d", opts.K)
-	}
-	if opts.K > rows || opts.K > cols {
-		return nil, fmt.Errorf("nnmf: K=%d exceeds matrix dimensions %dx%d", opts.K, rows, cols)
+	if err := checkK(opts.K, rows, cols); err != nil {
+		return nil, err
 	}
 	if a.AnyNegative() {
 		return nil, fmt.Errorf("nnmf: input matrix has negative entries")
 	}
 	normA := a.FrobeniusNorm()
 	if normA == 0 {
-		return nil, fmt.Errorf("nnmf: input matrix is all zeros")
+		return nil, errAllZero
 	}
-	mean := normA * normA / float64(rows*cols) // mean of A for 0-1 matrices equals density; use ‖A‖²/(r·c) which matches for 0-1 entries
-
-	if opts.InitW != nil || opts.InitH != nil {
-		w, h, exact, err := warmSeeds(opts, rows, cols, mean)
-		if err != nil {
-			return nil, err
-		}
-		return runWarm(ctx, opts, exact, w, h,
-			func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
-				return stepFrobeniusSparse(a, w, h, opts.Eps)
-			},
-			func(w, h *matrix.Dense) float64 { return sparseRelativeError(a, w, h, normA) })
-	}
-
-	restarts := opts.Restarts
-	if opts.Init == InitNNDSVD {
-		restarts = 1
-	}
-	var best *Result
-	total := 0
-	for r := 0; r < restarts; r++ {
-		var w, h *matrix.Dense
-		if opts.Init == InitNNDSVD {
-			w, h = nndsvd(a.ToDense(), opts.K)
-		} else {
-			w, h = randomInit(rows, cols, opts.K, mean, opts.Seed+int64(r))
-		}
-		res, err := runSparse(ctx, a, w, h, opts, normA)
-		if err != nil {
-			return nil, err
-		}
-		res.Restart = r
-		total += res.Iterations
-		if best == nil || res.Err < best.Err {
-			best = res
-		}
-	}
-	best.TotalIterations = total
-	return best, nil
+	return factorize(ctx, problem{
+		rows: rows, cols: cols,
+		// mean(A) for 0-1 matrices, without the dense expansion.
+		mean:  normA * normA / float64(rows*cols),
+		dense: a.ToDense,
+		kern:  newCSRFrobenius(a, opts.K, opts.Eps, normA),
+	}, opts)
 }
 
-// randomInit mirrors initialize()'s scaling without requiring the dense
-// matrix: for 0-1 inputs, mean(A) = ‖A‖²/(rows·cols).
-func randomInit(rows, cols, k int, mean float64, seed int64) (*matrix.Dense, *matrix.Dense) {
-	rng := rand.New(rand.NewSource(seed))
-	scale := math.Sqrt(mean / float64(k))
-	w := matrix.Random(rows, k, rng).Scale(scale)
-	h := matrix.Random(k, cols, rng).Scale(scale)
-	return w, h
+// csrFrobenius is the served update: Lee–Seung multiplicative Frobenius
+// updates over a CSR matrix, in place, with every product written into
+// one workspace allocated per Factorize call. Each product keeps the
+// operand order, zero-skips and summation order of the allocating
+// expressions
+//
+//	H ← H ⊙ a.MulAtB(W).T() ⊘ (WᵀW·H)
+//	W ← W ⊙ a.MulABt(H) ⊘ (W·HHᵀ)
+//
+// and of the residual's trace identity, so the factors and residuals
+// are bit-identical to theirs. Two products are shared rather than
+// recomputed: residual reuses the HHᵀ the W update formed, and the WᵀW
+// it forms feeds the next update.
+type csrFrobenius struct {
+	a          *matrix.CSR
+	eps, normA float64
+
+	wtA, wtWH *matrix.Dense // k × cols
+	wtW, hHt  *matrix.Dense // k × k
+	aHt, wHHt *matrix.Dense // rows × k
+	ht        *matrix.Dense // cols × k: H, read row-contiguously by the A-products
 }
 
-func runSparse(ctx context.Context, a *matrix.CSR, w, h *matrix.Dense, opts Options, normA float64) (*Result, error) {
-	res := &Result{}
-	prev := math.Inf(1)
-	init := 0.0
-	for it := 0; it < opts.MaxIter; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		w, h = stepFrobeniusSparse(a, w, h, opts.Eps)
-		err := sparseRelativeError(a, w, h, normA)
-		res.Residuals = append(res.Residuals, err)
-		res.Iterations = it + 1
-		if it == 0 {
-			init = err
-		} else if prev-err <= opts.Tol*init {
-			res.Converged = true
-			break
-		}
-		prev = err
+func newCSRFrobenius(a *matrix.CSR, k int, eps, normA float64) *csrFrobenius {
+	rows, cols := a.Dims()
+	return &csrFrobenius{
+		a: a, eps: eps, normA: normA,
+		wtA: matrix.New(k, cols), wtWH: matrix.New(k, cols),
+		wtW: matrix.New(k, k), hHt: matrix.New(k, k),
+		aHt: matrix.New(rows, k), wHHt: matrix.New(rows, k),
+		ht: matrix.New(cols, k),
 	}
-	res.W, res.H = w, h
-	res.Err = res.Residuals[len(res.Residuals)-1]
-	return res, nil
 }
 
-// stepFrobeniusSparse is stepFrobenius with the two A-products computed
-// through the CSR structure.
-func stepFrobeniusSparse(a *matrix.CSR, w, h *matrix.Dense, eps float64) (*matrix.Dense, *matrix.Dense) {
-	wtA := a.MulAtB(w).T() // (AᵀW)ᵀ = WᵀA, k × cols
-	wtWH := w.MulAtB(w).Mul(h)
-	h = h.MulElem(wtA.DivElem(wtWH, eps))
-
-	aHt := a.MulABt(h) // rows × k
-	wHHt := w.Mul(h.MulABt(h))
-	w = w.MulElem(aHt.DivElem(wHHt, eps))
-	return w, h
+func (s *csrFrobenius) start(w, h *matrix.Dense) {
+	matrix.TransposeTo(s.ht, h)
+	matrix.MulABtTo(s.hHt, h, h)
+	matrix.MulAtBTo(s.wtW, w, w)
 }
 
-// sparseRelativeError computes ‖A − WH‖_F / normA without materializing
-// WH: ‖A−WH‖² = ‖A‖² − 2·⟨A, WH⟩ + tr((WᵀW)(HHᵀ)). The inner product
+func (s *csrFrobenius) update(w, h *matrix.Dense) {
+	s.a.MulBtATo(s.wtA, w)
+	matrix.MulTo(s.wtWH, s.wtW, h)
+	h.MulDivElem(s.wtA, s.wtWH, s.eps)
+
+	matrix.TransposeTo(s.ht, h)
+	s.a.MulTo(s.aHt, s.ht)
+	matrix.MulABtTo(s.hHt, h, h)
+	matrix.MulTo(s.wHHt, w, s.hHt)
+	w.MulDivElem(s.aHt, s.wHHt, s.eps)
+
+	matrix.MulAtBTo(s.wtW, w, w)
+}
+
+// residual computes ‖A − WH‖_F / normA without materializing WH:
+// ‖A−WH‖² = ‖A‖² − 2·⟨A, WH⟩ + tr((WᵀW)(HHᵀ)). The inner product
 // touches only the non-zeros of A; the trace term is k×k.
-func sparseRelativeError(a *matrix.CSR, w, h *matrix.Dense, normA float64) float64 {
-	dot := a.InnerWithProduct(w, h)
-	wtw := w.MulAtB(w)
-	hht := h.MulABt(h)
-	k := wtw.Rows()
+func (s *csrFrobenius) residual(w, _ *matrix.Dense) float64 {
+	dot := s.a.InnerWithProductT(w, s.ht)
 	trace := 0.0
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			trace += wtw.At(i, j) * hht.At(i, j) // both symmetric
+	for i := 0; i < s.wtW.Rows(); i++ {
+		hi := s.hHt.RowView(i)
+		for j, v := range s.wtW.RowView(i) {
+			trace += v * hi[j] // both symmetric
 		}
 	}
-	errSq := normA*normA - 2*dot + trace
+	errSq := s.normA*s.normA - 2*dot + trace
 	if errSq < 0 {
 		errSq = 0
 	}
-	return math.Sqrt(errSq) / normA
+	return math.Sqrt(errSq) / s.normA
 }

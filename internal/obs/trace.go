@@ -51,7 +51,7 @@ func (tr *Trace) startSpan(name, analysis, dataset string) *Span {
 		tr.dropped++
 		return nil
 	}
-	sp := &Span{tr: tr, name: name, analysis: analysis, dataset: dataset, start: ts}
+	sp := &Span{tr: tr, name: name, analysis: analysis, dataset: dataset, start: ts.Sub(tr.start), end: -1}
 	tr.spans = append(tr.spans, sp)
 	return sp
 }
@@ -72,7 +72,8 @@ func (tr *Trace) addSpan(name, analysis, dataset string, start time.Time) {
 		tr.dropped++
 		return
 	}
-	tr.spans = append(tr.spans, &Span{tr: tr, name: name, analysis: analysis, dataset: dataset, start: start, end: end})
+	tr.spans = append(tr.spans, &Span{tr: tr, name: name, analysis: analysis, dataset: dataset,
+		start: start.Sub(tr.start), end: end.Sub(tr.start)})
 }
 
 // finish seals the trace and returns a snapshot of its completed spans
@@ -99,16 +100,21 @@ type Span struct {
 	name     string
 	analysis string
 	dataset  string
-	start    time.Time
-	end      time.Time
+	// start and end are offsets from the trace's start, so every
+	// duration is one int64 difference; a negative end marks a span
+	// that is still open.
+	start, end time.Duration
 }
+
+// open reports whether the span has not ended yet.
+func (s *Span) open() bool { return s.end < 0 }
 
 // End completes the span.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	ts := s.tr.clock()
+	ts := s.tr.clock().Sub(s.tr.start)
 	s.tr.mu.Lock()
 	s.end = ts
 	s.tr.mu.Unlock()
@@ -121,7 +127,7 @@ func (s *Span) EndAs(name string) {
 	if s == nil {
 		return
 	}
-	ts := s.tr.clock()
+	ts := s.tr.clock().Sub(s.tr.start)
 	s.tr.mu.Lock()
 	s.name = name
 	s.end = ts
@@ -186,19 +192,19 @@ func (tr *Trace) Record() TraceRecord {
 		DroppedSpans: tr.dropped,
 	}
 	if !tr.end.IsZero() {
-		rec.DurationMS = durMS(tr.start, tr.end)
+		rec.DurationMS = ms(tr.end.Sub(tr.start))
 	}
 	for _, sp := range tr.spans {
 		sr := SpanRecord{
 			Name:     sp.name,
 			Analysis: sp.analysis,
 			Dataset:  sp.dataset,
-			OffsetMS: durMS(tr.start, sp.start),
+			OffsetMS: ms(sp.start),
 		}
-		if sp.end.IsZero() {
+		if sp.open() {
 			sr.Open = true
 		} else {
-			sr.DurationMS = durMS(sp.start, sp.end)
+			sr.DurationMS = ms(sp.end - sp.start)
 		}
 		rec.Spans = append(rec.Spans, sr)
 	}
@@ -217,6 +223,6 @@ func (tr *Trace) SpanNames() []string {
 	return out
 }
 
-func durMS(from, to time.Time) float64 {
-	return float64(to.Sub(from)) / float64(time.Millisecond)
+func ms(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
 }

@@ -43,13 +43,15 @@ type stageHist struct {
 // durations; nil means time.Now. All methods are safe for concurrent
 // use.
 type Tracer struct {
-	clock    func() time.Time
-	capacity int
+	clock func() time.Time
 
-	mu         sync.Mutex
-	seq        uint64
-	ring       []*Trace // oldest first; bounded by capacity
-	byID       map[string]*Trace
+	mu   sync.Mutex
+	seq  uint64
+	ring []*Trace // circular, len = capacity; nil slots are unused
+	// next is the ring slot the next finished trace takes, evicting
+	// (overwriting) the oldest when the ring is full.
+	next       int
+	byID       map[string]*Trace // exactly the traces in ring
 	started    uint64
 	finished   uint64
 	sampledOut uint64
@@ -69,7 +71,7 @@ func NewTracer(capacity int, clock func() time.Time) *Tracer {
 	}
 	return &Tracer{
 		clock:      clock,
-		capacity:   capacity,
+		ring:       make([]*Trace, capacity),
 		sampleRate: 1,
 		byID:       make(map[string]*Trace),
 		stages:     make(map[stageKey]*stageHist),
@@ -147,17 +149,16 @@ func (t *Tracer) Finish(tr *Trace) {
 	defer t.mu.Unlock()
 	t.finished++
 	for _, sp := range spans {
-		if sp.end.IsZero() {
-			continue // still open; nothing meaningful to aggregate
+		if sp.open() {
+			continue // nothing meaningful to aggregate
 		}
-		t.observeLocked(sp.dataset, sp.analysis, sp.name, sp.end.Sub(sp.start).Seconds())
+		t.observeLocked(sp.dataset, sp.analysis, sp.name, (sp.end - sp.start).Seconds())
 	}
-	if len(t.ring) >= t.capacity {
-		oldest := t.ring[0]
-		t.ring = t.ring[1:]
+	if oldest := t.ring[t.next]; oldest != nil {
 		delete(t.byID, oldest.id)
 	}
-	t.ring = append(t.ring, tr)
+	t.ring[t.next] = tr
+	t.next = (t.next + 1) % len(t.ring)
 	t.byID[tr.id] = tr
 }
 
@@ -192,9 +193,9 @@ func (t *Tracer) Get(id string) (TraceRecord, bool) {
 func (t *Tracer) IDs() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.ring))
-	for i := len(t.ring) - 1; i >= 0; i-- {
-		out = append(out, t.ring[i].id)
+	out := make([]string, 0, len(t.byID))
+	for i := 1; i <= len(t.byID); i++ {
+		out = append(out, t.ring[(t.next-i+len(t.ring))%len(t.ring)].id)
 	}
 	return out
 }
@@ -279,7 +280,7 @@ func (t *Tracer) Stats() TracerStats {
 		Finished:   t.finished,
 		SampledOut: t.sampledOut,
 		SampleRate: t.sampleRate,
-		RingSize:   len(t.ring),
-		Capacity:   t.capacity,
+		RingSize:   len(t.byID),
+		Capacity:   len(t.ring),
 	}
 }

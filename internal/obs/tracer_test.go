@@ -3,7 +3,9 @@ package obs
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -36,6 +38,42 @@ func TestRingBufferEviction(t *testing.T) {
 	if st.Started != 5 || st.Finished != 5 || st.RingSize != 3 || st.Capacity != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestRingBufferReleasesEvictedTraces: the ring retains exactly its
+// capacity. An evicted trace must become garbage at once, not linger in
+// the ring's storage until some later growth copies it away.
+func TestRingBufferReleasesEvictedTraces(t *testing.T) {
+	const capacity = 4
+	tr := NewTracer(capacity, newFakeClock(time.Millisecond).Now)
+	var collected atomic.Int32
+	var ids []string
+	for i := 0; i < 3*capacity; i++ {
+		_, trace := tr.Start(context.Background(), "r")
+		runtime.SetFinalizer(trace, func(*Trace) { collected.Add(1) })
+		tr.Finish(trace)
+		ids = append(ids, trace.ID())
+	}
+	const evicted = 2 * capacity
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < evicted; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d evicted traces were collected; the ring still references the rest", collected.Load(), evicted)
+		}
+		runtime.GC()
+		runtime.Gosched()
+	}
+	if got := tr.IDs(); len(got) != capacity || got[0] != ids[len(ids)-1] || got[capacity-1] != ids[evicted] {
+		t.Fatalf("IDs() = %v, want the last %d most-recent-first", got, capacity)
+	}
+	for _, id := range ids[:evicted] {
+		if _, ok := tr.Get(id); ok {
+			t.Fatalf("evicted trace %s still served", id)
+		}
+	}
+	if collected.Load() != evicted {
+		t.Fatalf("%d traces collected, want exactly the %d evicted", collected.Load(), evicted)
+	}
+	runtime.KeepAlive(tr)
 }
 
 // TestRingBufferConcurrency drives many goroutines through the full

@@ -82,7 +82,6 @@ func (e *Engine) Search(q Query) []Result {
 			continue
 		}
 		var matched []string
-		score := 0.0
 		for tag := range m.TagSet() {
 			ok := wanted[tag]
 			if !ok {
@@ -95,8 +94,14 @@ func (e *Engine) Search(q Query) []Result {
 			}
 			if ok {
 				matched = append(matched, tag)
-				score += e.IDF(tag)
 			}
+		}
+		// Sum in sorted tag order: a float sum in map order would vary in
+		// its last bits, and with it the ranking of near-ties, per call.
+		sort.Strings(matched)
+		score := 0.0
+		for _, tag := range matched {
+			score += e.IDF(tag)
 		}
 		if len(textWords) > 0 {
 			hay := strings.ToLower(m.Title + " " + m.Description)
@@ -118,7 +123,6 @@ func (e *Engine) Search(q Query) []Result {
 			}
 			score = 1 // facet-only match
 		}
-		sort.Strings(matched)
 		results = append(results, Result{Material: m, Score: score, MatchedTags: matched})
 	}
 	sort.Slice(results, func(i, j int) bool {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"testing"
 
 	"csmaterials/internal/dataset"
@@ -176,6 +177,30 @@ func TestSearchOnFullDataset(t *testing.T) {
 	for _, r := range res {
 		if !pdcAuthors[r.Material.Author] {
 			t.Errorf("result %s authored by %s, not a PDC instructor", r.Material.ID, r.Material.Author)
+		}
+	}
+}
+
+// TestSearchScoresRepeatBitForBit: a score sums the IDF of several
+// matched tags, so it must not depend on map iteration order — every
+// call returns the same score bits in the same order.
+func TestSearchScoresRepeatBitForBit(t *testing.T) {
+	e := NewEngine(dataset.Repository())
+	q := Query{TagPrefixes: []string{"AL/", "SDF/", "PD/", "PDC12/"}}
+	want := e.Search(q)
+	if len(want) < 10 {
+		t.Fatalf("only %d hits; the query should match many multi-tag materials", len(want))
+	}
+	for run := 0; run < 100; run++ {
+		got := e.Search(q)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d hits, want %d", run, len(got), len(want))
+		}
+		for i, r := range got {
+			if r.Material.ID != want[i].Material.ID || math.Float64bits(r.Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("run %d, hit %d: %s %v, first call gave %s %v",
+					run, i, r.Material.ID, r.Score, want[i].Material.ID, want[i].Score)
+			}
 		}
 	}
 }
