@@ -6,7 +6,9 @@
 // batch-scaling serial/parallel pair) are compared. Scenarios present
 // on one side only are reported but never fail the gate: a new
 // scenario has no baseline yet, and a retired one has no current
-// sample.
+// sample. Both snapshots' CPU counts are printed first: the nnmf cold
+// fit runs its restarts on every idle core, so its ns/op depends on
+// them.
 //
 // The nnmf cold/warm pair carries one additional check on the CURRENT
 // snapshot alone: a warm-started factorization (seeded with its own
@@ -40,6 +42,7 @@ type scenario struct {
 
 type snapshot struct {
 	Benchmark string     `json:"benchmark"`
+	CPUs      int        `json:"cpus"`
 	Scenarios []scenario `json:"scenarios"`
 }
 
@@ -98,6 +101,17 @@ func fleetOverheadCheck(current snapshot, maxFleetRatio float64) string {
 			ratio, forwarded.NsPerOp, local.NsPerOp, maxFleetRatio)
 	}
 	return ""
+}
+
+// cpusLine names both snapshots' CPU counts. nnmf/cold runs its
+// restarts on every idle core, so its ratio across snapshots taken on
+// different CPU counts measures the machines as well as the code.
+func cpusLine(baseline, current snapshot) string {
+	line := fmt.Sprintf("cpus: baseline %d, current %d", baseline.CPUs, current.CPUs)
+	if baseline.CPUs != current.CPUs {
+		line += " (differ: nnmf/cold scales with the CPU count)"
+	}
+	return line
 }
 
 func loadSnapshot(path string) (snapshot, error) {
@@ -184,6 +198,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "benchcheck: no usable baseline (%v); skipping gate\n", err)
 		return 0
 	}
+	fmt.Println(cpusLine(baseline, current))
 	report, regressions := compare(baseline, current, *maxRatio)
 	for _, line := range report {
 		fmt.Println(line)

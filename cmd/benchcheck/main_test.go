@@ -150,3 +150,15 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatal("missing -current must exit 2")
 	}
 }
+
+func TestCPUsLineNamesBothCounts(t *testing.T) {
+	base, cur := snap(), snap()
+	base.CPUs, cur.CPUs = 2, 2
+	if line := cpusLine(base, cur); line != "cpus: baseline 2, current 2" {
+		t.Fatalf("same counts: %q", line)
+	}
+	cur.CPUs = 8
+	if line := cpusLine(base, cur); !strings.Contains(line, "baseline 2, current 8") || !strings.Contains(line, "differ") {
+		t.Fatalf("different counts: %q", line)
+	}
+}

@@ -196,11 +196,13 @@ func BenchmarkDatasetServing(b *testing.B) {
 // BenchmarkNNMFCore measures the factorization kernel behind the types
 // analysis on the full seed-corpus matrix — the CSR path factorize.Analyze
 // serves — in the two modes the incremental pipeline distinguishes: cold
-// (the paper's 10-restart multiplicative-update run) and warm (the same
-// matrix seeded with its own fitted factors — the delta-refresh
-// warm-start path, which retains the fixed point after a single probe
-// iteration). The cold/warm ns gap is the warm start's value;
-// benchcheck gates it at -warm-ratio.
+// (the paper's 10-restart multiplicative-update run, its restarts on
+// every idle core) and warm (the same matrix seeded with its own fitted
+// factors — the delta-refresh warm-start path, which retains the fixed
+// point after a single probe iteration). The cold/warm ns gap is the
+// warm start's value; benchcheck gates it at -warm-ratio. serial is the
+// cold call at GOMAXPROCS 1, so serial/cold is the restart fan-out's
+// speedup on the snapshot's CPU count.
 func BenchmarkNNMFCore(b *testing.B) {
 	dense, _ := materials.CourseMatrix(dataset.Courses())
 	a := matrix.FromDense(dense)
@@ -219,6 +221,17 @@ func BenchmarkNNMFCore(b *testing.B) {
 		}
 		b.StopTimer()
 		recordBench("nnmf", "cold", b)
+	})
+	b.Run("nnmf/serial", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := nnmf.FactorizeCSR(a, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		recordBench("nnmf", "serial", b)
 	})
 	b.Run("nnmf/warm", func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,6 +1,8 @@
 package factorize
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"csmaterials/internal/dataset"
@@ -106,5 +108,28 @@ func TestOverfitKLessStableThanRightK(t *testing.T) {
 	}
 	if k4.Score() > k3.Score()+0.05 {
 		t.Fatalf("overfit k=4 (%.3f) markedly more stable than k=3 (%.3f)", k4.Score(), k3.Score())
+	}
+}
+
+// TestAssessStabilityIndependentOfGOMAXPROCS: the runs fan out across
+// GOMAXPROCS goroutines and each run's restarts across idle cores, yet
+// the consensus is bit-identical at any CPU count.
+func TestAssessStabilityIndependentOfGOMAXPROCS(t *testing.T) {
+	at := func(procs int) *Stability {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		st, err := AssessStability(dataset.Courses(), 4, nnmf.Options{Seed: 1, MaxIter: 200, Restarts: 4}, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	one, four := at(1), at(4)
+	n := one.Consensus.Rows()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if a, b := one.Consensus.At(i, j), four.Consensus.At(i, j); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("consensus[%d,%d] = %v at GOMAXPROCS 1, %v at 4", i, j, a, b)
+			}
+		}
 	}
 }

@@ -3,30 +3,31 @@ package nnmf
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"csmaterials/internal/matrix"
 )
 
 // cancelAfterChecks is a context that reports itself done after its
-// Err method has been consulted n times — a deterministic stand-in for
-// "the client disconnected mid-compute" that needs no goroutines or
-// sleeps.
+// Err method has been consulted n times, by any goroutine — a stand-in
+// for "the client disconnected mid-compute" that needs no sleeps.
 type cancelAfterChecks struct {
 	context.Context
-	remaining int
+	remaining atomic.Int64
 }
 
 func (c *cancelAfterChecks) Err() error {
-	if c.remaining <= 0 {
+	if c.remaining.Add(-1) < 0 {
 		return context.Canceled
 	}
-	c.remaining--
 	return nil
 }
 
 func cancelAfter(n int) *cancelAfterChecks {
-	return &cancelAfterChecks{Context: context.Background(), remaining: n}
+	c := &cancelAfterChecks{Context: context.Background()}
+	c.remaining.Store(int64(n))
+	return c
 }
 
 // hardOptions returns options that need many iterations, so a prompt

@@ -178,9 +178,9 @@ func Factorize(a *matrix.Dense, opts Options) (*Result, error) {
 // affect the numbers: a factorization that runs to completion is
 // byte-identical with or without a context.
 func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	rows, cols := a.Dims()
-	if err := checkK(opts.K, rows, cols); err != nil {
+	opts, err := prepare(opts, rows, cols)
+	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < rows; i++ {
@@ -197,23 +197,34 @@ func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, 
 	if normA == 0 {
 		return nil, errAllZero
 	}
+	// The dense kernels keep no state between steps, so every worker
+	// can share one.
+	kern := &denseKernel{a: a, normA: normA, opts: opts}
 	return factorize(ctx, problem{
 		rows: rows, cols: cols, mean: a.Mean(),
-		dense: func() *matrix.Dense { return a },
-		kern:  &denseKernel{a: a, normA: normA, opts: opts},
+		dense:  func() *matrix.Dense { return a },
+		kernel: func() kernel { return kern },
 	}, opts)
 }
 
 var errAllZero = fmt.Errorf("nnmf: input matrix is all zeros")
 
-func checkK(k, rows, cols int) error {
-	if k <= 0 {
-		return fmt.Errorf("nnmf: K must be positive, got %d", k)
+// prepare applies the defaults and rejects the options no entry point
+// can run: K outside [1, min(rows, cols)] and a negative Restarts or
+// MaxIter.
+func prepare(opts Options, rows, cols int) (Options, error) {
+	opts = opts.withDefaults()
+	switch {
+	case opts.K <= 0:
+		return opts, fmt.Errorf("nnmf: K must be positive, got %d", opts.K)
+	case opts.K > rows || opts.K > cols:
+		return opts, fmt.Errorf("nnmf: K=%d exceeds matrix dimensions %dx%d", opts.K, rows, cols)
+	case opts.Restarts < 0:
+		return opts, fmt.Errorf("nnmf: Restarts must not be negative, got %d", opts.Restarts)
+	case opts.MaxIter < 0:
+		return opts, fmt.Errorf("nnmf: MaxIter must not be negative, got %d", opts.MaxIter)
 	}
-	if k > rows || k > cols {
-		return fmt.Errorf("nnmf: K=%d exceeds matrix dimensions %dx%d", k, rows, cols)
-	}
-	return nil
+	return opts, nil
 }
 
 // kernel is one update rule over one matrix format — all that differs
@@ -238,61 +249,9 @@ type problem struct {
 	mean float64
 	// dense returns A densely, for NNDSVD initialization.
 	dense func() *matrix.Dense
-	kern  kernel
-}
-
-// factorize is the one restart loop behind every entry point. A warm
-// start (Options.InitW/InitH) is a single run from the reconciled seeds.
-// Otherwise each restart initializes into the factor buffers of a losing
-// restart, so a call allocates at most two factor pairs however many
-// restarts it runs, and the winner's factors are never overwritten.
-func factorize(ctx context.Context, p problem, opts Options) (*Result, error) {
-	if opts.InitW != nil || opts.InitH != nil {
-		w, h, exact, err := warmSeeds(opts, p.rows, p.cols, p.mean)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{W: w, H: h}
-		if err := run(ctx, p.kern, res, opts, exact); err != nil {
-			return nil, err
-		}
-		res.TotalIterations = res.Iterations
-		return res, nil
-	}
-
-	restarts := opts.Restarts
-	if opts.Init == InitNNDSVD {
-		restarts = 1
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	var best *Result
-	cur := &Result{}
-	total := 0
-	for r := 0; r < restarts; r++ {
-		w, h := cur.W, cur.H
-		if opts.Init == InitNNDSVD {
-			w, h = nndsvd(p.dense(), opts.K)
-		} else {
-			if w == nil {
-				w, h = matrix.New(p.rows, opts.K), matrix.New(opts.K, p.cols)
-			}
-			rng.Seed(opts.Seed + int64(r))
-			randomInit(w, h, p.mean, rng)
-		}
-		*cur = Result{W: w, H: h, Residuals: cur.Residuals[:0], Restart: r}
-		if err := run(ctx, p.kern, cur, opts, false); err != nil {
-			return nil, err
-		}
-		total += cur.Iterations
-		if best == nil || cur.Err < best.Err {
-			best, cur = cur, best
-			if cur == nil {
-				cur = &Result{}
-			}
-		}
-	}
-	best.TotalIterations = total
-	return best, nil
+	// kernel returns the kernel one restart worker runs; a kernel with a
+	// workspace is never shared between goroutines.
+	kernel func() kernel
 }
 
 // randomInit fills w and h with uniform draws, W then H in row-major

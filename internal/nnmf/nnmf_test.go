@@ -66,6 +66,35 @@ func TestFactorizeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestEntryPointsRejectBadOptions: options no loop can run are an error
+// from every entry point, cold or warm, never a panic.
+func TestEntryPointsRejectBadOptions(t *testing.T) {
+	a := lowRankMatrix(6, 8, 2, 1)
+	seed := factorizeOrDie(t, a, Options{K: 2, Seed: 1})
+	entries := map[string]func(Options) (*Result, error){
+		"Factorize":    func(o Options) (*Result, error) { return Factorize(a, o) },
+		"FactorizeCSR": func(o Options) (*Result, error) { return FactorizeCSR(matrix.FromDense(a), o) },
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"negative Restarts", Options{K: 2, Restarts: -1}},
+		{"negative MaxIter", Options{K: 2, MaxIter: -1}},
+		{"negative MaxIter, warm", Options{K: 2, MaxIter: -1, InitW: seed.W, InitH: seed.H}},
+		{"negative Restarts, NNDSVD", Options{K: 2, Restarts: -3, Init: InitNNDSVD}},
+		{"zero K", Options{K: 0}},
+		{"K above the dimensions", Options{K: 7}},
+	} {
+		for name, factorize := range entries {
+			res, err := factorize(tc.opts)
+			if err == nil || res != nil {
+				t.Errorf("%s with %s: got %v, %v; want an error and no result", name, tc.name, res, err)
+			}
+		}
+	}
+}
+
 func TestFactorizeShapes(t *testing.T) {
 	a := lowRankMatrix(10, 15, 3, 2)
 	res := factorizeOrDie(t, a, Options{K: 3, Seed: 1})

@@ -337,9 +337,11 @@ func TestCSRIterationAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCSRWorkspaceAllocatedOncePerCall: restarts reuse the losing
-// restart's factors and residual trace, so a 10-restart call allocates
-// no more than a 2-restart one.
+// TestCSRWorkspaceAllocatedOncePerCall: a worker's restarts reuse its
+// losing restart's factors and residual trace, so on one worker (as
+// AllocsPerRun pins GOMAXPROCS to 1) a 10-restart call allocates no
+// more than a 2-restart one. TestParallelRestartsAllocatePerWorker
+// bounds the parallel path.
 func TestCSRWorkspaceAllocatedOncePerCall(t *testing.T) {
 	a := matrix.FromDense(random01(30, 80, 0.15, 6))
 	allocs := func(restarts int) float64 {

@@ -25,30 +25,40 @@ func FactorizeCSR(a *matrix.CSR, opts Options) (*Result, error) {
 // FactorizeCSRCtx is FactorizeCSR with cooperative cancellation; see
 // FactorizeCtx for the contract.
 func FactorizeCSRCtx(ctx context.Context, a *matrix.CSR, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	rows, cols := a.Dims()
-	if err := checkK(opts.K, rows, cols); err != nil {
+	p, opts, err := csrProblem(a, opts)
+	if err != nil {
 		return nil, err
 	}
+	return factorize(ctx, p, opts)
+}
+
+// csrProblem validates a sparse input and its options; each restart
+// worker gets its own csrFrobenius workspace.
+func csrProblem(a *matrix.CSR, opts Options) (problem, Options, error) {
+	rows, cols := a.Dims()
+	opts, err := prepare(opts, rows, cols)
+	if err != nil {
+		return problem{}, opts, err
+	}
 	if a.AnyNegative() {
-		return nil, fmt.Errorf("nnmf: input matrix has negative entries")
+		return problem{}, opts, fmt.Errorf("nnmf: input matrix has negative entries")
 	}
 	normA := a.FrobeniusNorm()
 	if normA == 0 {
-		return nil, errAllZero
+		return problem{}, opts, errAllZero
 	}
-	return factorize(ctx, problem{
+	return problem{
 		rows: rows, cols: cols,
 		// mean(A) for 0-1 matrices, without the dense expansion.
-		mean:  normA * normA / float64(rows*cols),
-		dense: a.ToDense,
-		kern:  newCSRFrobenius(a, opts.K, opts.Eps, normA),
-	}, opts)
+		mean:   normA * normA / float64(rows*cols),
+		dense:  a.ToDense,
+		kernel: func() kernel { return newCSRFrobenius(a, opts.K, opts.Eps, normA) },
+	}, opts, nil
 }
 
 // csrFrobenius is the served update: Lee–Seung multiplicative Frobenius
 // updates over a CSR matrix, in place, with every product written into
-// one workspace allocated per Factorize call. Each product keeps the
+// one workspace allocated per restart worker. Each product keeps the
 // operand order, zero-skips and summation order of the allocating
 // expressions
 //

@@ -1,10 +1,13 @@
 package robustness
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"csmaterials/internal/dataset"
 	"csmaterials/internal/factorize"
+	"csmaterials/internal/nnmf"
 	"csmaterials/internal/ontology"
 )
 
@@ -165,5 +168,25 @@ func TestSweepMonotoneTrend(t *testing.T) {
 func TestSweepValidation(t *testing.T) {
 	if _, err := Sweep(dataset.Courses(), 4, factorize.PaperOptions(), []float64{0.1}, 0); err == nil {
 		t.Fatal("zero trials accepted")
+	}
+}
+
+// TestSweepIndependentOfGOMAXPROCS: the (rate, trial) cells fan out
+// across GOMAXPROCS goroutines and each fit's restarts across idle
+// cores, yet the sweep is bit-identical at any CPU count.
+func TestSweepIndependentOfGOMAXPROCS(t *testing.T) {
+	at := func(procs int) []SweepResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := Sweep(dataset.Courses(), 4, nnmf.Options{Seed: 1, MaxIter: 200, Restarts: 4}, []float64{0.1, 0.3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one, four := at(1), at(4)
+	for i := range one {
+		if math.Float64bits(one[i].Typing) != math.Float64bits(four[i].Typing) {
+			t.Fatalf("drop rate %v: typing %v at GOMAXPROCS 1, %v at 4", one[i].DropRate, one[i].Typing, four[i].Typing)
+		}
 	}
 }
