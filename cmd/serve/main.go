@@ -246,13 +246,12 @@ func debugHandler(main http.Handler) http.Handler {
 	return mux
 }
 
-// newHTTPServer wraps the handler with the per-request timeout and the
+// newHTTPServer wraps the handler with the per-request deadline and the
 // hardening timeouts around it.
 func newHTTPServer(cfg config, handler http.Handler, logger *log.Logger) *http.Server {
-	const timeoutBody = `{"error":{"code":"timeout","message":"request timed out"}}`
 	return &http.Server{
 		Addr:              cfg.addr,
-		Handler:           http.TimeoutHandler(handler, cfg.requestTimeout, timeoutBody),
+		Handler:           withDeadline(handler, cfg.requestTimeout),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		// The handler deadline fires first; leave headroom to flush.

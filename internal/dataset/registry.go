@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"time"
@@ -23,12 +22,23 @@ const DefaultID = "default"
 // MaxIDLength bounds dataset IDs; longer IDs are rejected at ingest.
 const MaxIDLength = 64
 
-// idPattern admits lowercase letters, digits, '.', '_', and '-', with
-// an alphanumeric first byte. The excluded characters are load-bearing:
+// validID admits lowercase letters, digits, '.', '_', and '-', with an
+// alphanumeric first byte. The excluded characters are load-bearing:
 // '|' separates cache-key fields, '@' separates the dataset generation
 // prefix, and '/' separates the dataset from the analysis in breaker
 // and stats scope names.
-var idPattern = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
+func validID(id string) bool {
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		switch {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case i > 0 && (c == '.' || c == '_' || c == '-'):
+		default:
+			return false
+		}
+	}
+	return id != ""
+}
 
 // Sentinel errors the API layer maps onto its taxonomy (404 / 409).
 var (
@@ -47,7 +57,7 @@ func ValidateID(id string) error {
 	if len(id) > MaxIDLength {
 		return fmt.Errorf("dataset: dataset ID %q exceeds %d characters", id, MaxIDLength)
 	}
-	if !idPattern.MatchString(id) {
+	if !validID(id) {
 		return fmt.Errorf("dataset: invalid dataset ID %q: want lowercase letters, digits, '.', '_', '-', starting with a letter or digit", id)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,29 @@ func TestValidateID(t *testing.T) {
 			t.Errorf("ValidateID(%q) = nil, want error", bad)
 		}
 	}
+}
+
+// refIDPattern is the regexp ValidateID used before its byte check; it
+// stays here as the reference FuzzValidateID holds the check to.
+var refIDPattern = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
+
+// FuzzValidateID: ValidateID accepts exactly the IDs the reference
+// regexp accepts within the length bound.
+func FuzzValidateID(f *testing.F) {
+	for _, seed := range []string{
+		"default", "a", "pdc-2024", "x_y.z", "0abc",
+		"", "UPPER", "has space", "a/b", "a|b", "a@b", "-lead", ".lead", "_lead",
+		"|", "@", "/", "aB", "a.", "a\n", "a\x00", "caf\u00e9", "\xff", "a\xc3",
+		strings.Repeat("a", MaxIDLength), strings.Repeat("a", MaxIDLength+1),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, id string) {
+		want := id != "" && len(id) <= MaxIDLength && refIDPattern.MatchString(id)
+		if got := ValidateID(id) == nil; got != want {
+			t.Fatalf("ValidateID(%q) accepts = %v, reference regexp = %v", id, got, want)
+		}
+	})
 }
 
 func TestRegistrySeedsDefault(t *testing.T) {

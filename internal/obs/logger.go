@@ -8,7 +8,8 @@ import (
 )
 
 // Logger emits structured wide events: one JSON object per line, keys
-// sorted (encoding/json map ordering), suitable for machine ingestion.
+// sorted (encoding/json map ordering, or a struct's fields declared in
+// that order), suitable for machine ingestion.
 // Unlike fmt.Fprintf to a file, write and encode errors are not
 // dropped: they are counted and exposed via Drops (and from there the
 // /metrics surface), so a broken log pipe under a daemon is visible
@@ -54,17 +55,33 @@ func (l *Logger) Event(event string, fields map[string]interface{}) {
 		line[k] = v
 	}
 	line["event"] = event
+	l.encode(line, func(now string) { line["ts"] = now })
+}
 
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	line["ts"] = l.clock().UTC().Format(time.RFC3339Nano)
-	b, err := json.Marshal(line)
-	if err != nil {
-		l.drops++
+// Encode emits one wide-event line from v, a struct (or pointer to one)
+// that declares its fields in the sorted-key order Event's map encoding
+// produces, "event" and "ts" among them, so it encodes to the bytes
+// Event would write for the same keys without building or sorting a
+// map. ts points at v's "ts" field; Encode sets it to the clock's
+// RFC3339Nano now. Failures count as drops, as for Event.
+func (l *Logger) Encode(v interface{}, ts *string) {
+	if l == nil {
 		return
 	}
-	b = append(b, '\n')
-	if _, err := l.w.Write(b); err != nil {
+	l.encode(v, func(now string) { *ts = now })
+}
+
+// encode stamps the line with the clock's now and writes it, under the
+// lock so timestamps ascend in write order.
+func (l *Logger) encode(v interface{}, stamp func(now string)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	stamp(l.clock().UTC().Format(time.RFC3339Nano))
+	// One encoder per line: an Encoder keeps its first write error and
+	// refuses every later line, and the log must retry. Encode writes
+	// the line and its newline in one Write, or nothing if v does not
+	// encode.
+	if err := json.NewEncoder(l.w).Encode(v); err != nil {
 		l.drops++
 	}
 }

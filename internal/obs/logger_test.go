@@ -94,3 +94,44 @@ func TestLoggerConcurrentEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestLoggerEncodeMatchesEvent: a struct declaring its keys in sorted
+// order, "event" and "ts" among them, encodes to the line Event writes
+// for the same keys, and a failed write counts as a drop.
+func TestLoggerEncodeMatchesEvent(t *testing.T) {
+	type line struct {
+		Bytes int64   `json:"bytes"`
+		DurMS float64 `json:"dur_ms"`
+		Event string  `json:"event"`
+		Query string  `json:"query,omitempty"`
+		TS    string  `json:"ts"`
+	}
+	var mapped, encoded bytes.Buffer
+	for _, buf := range []*bytes.Buffer{&mapped, &encoded} {
+		l := NewLogger(buf)
+		l.SetClock(newFakeClock(time.Second).Now)
+		if buf == &mapped {
+			l.Event("request", map[string]interface{}{"bytes": int64(3), "dur_ms": 0.25, "query": "a&b< "})
+			l.Event("request", map[string]interface{}{"bytes": int64(0), "dur_ms": 1e-7})
+			continue
+		}
+		v := line{Bytes: 3, DurMS: 0.25, Event: "request", Query: "a&b< "}
+		l.Encode(&v, &v.TS)
+		v = line{DurMS: 1e-7, Event: "request"}
+		l.Encode(&v, &v.TS)
+	}
+	if encoded.String() != mapped.String() {
+		t.Fatalf("Encode wrote\n%s\nEvent wrote\n%s", encoded.String(), mapped.String())
+	}
+
+	w := &failingWriter{}
+	l := NewLogger(w)
+	var v line
+	l.Encode(&v, &v.TS)
+	l.Encode(&v, &v.TS)
+	if l.Drops() != 2 || w.failures != 2 {
+		t.Fatalf("drops = %d after %d failed writes, want 2 and 2", l.Drops(), w.failures)
+	}
+	var nilLogger *Logger
+	nilLogger.Encode(&v, &v.TS)
+}

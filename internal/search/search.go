@@ -6,8 +6,9 @@
 package search
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"csmaterials/internal/materials"
@@ -44,16 +45,19 @@ type Result struct {
 // Engine indexes a repository's materials for search.
 type Engine struct {
 	repo *materials.Repository
+	// byID is the repository's materials in ID order, the order every
+	// search scans them in.
+	byID []*materials.Material
 	// docFreq counts materials per tag for the IDF weighting.
 	docFreq map[string]int
-	numDocs int
 }
 
-// NewEngine indexes the repository.
+// NewEngine indexes the repository. The engine reads the repository's
+// materials once, here, so the repository must not change afterwards:
+// index a new revision with a new engine.
 func NewEngine(repo *materials.Repository) *Engine {
-	e := &Engine{repo: repo, docFreq: map[string]int{}}
-	for _, m := range repo.Materials() {
-		e.numDocs++
+	e := &Engine{repo: repo, byID: repo.Materials(), docFreq: map[string]int{}}
+	for _, m := range e.byID {
 		for tag := range m.TagSet() {
 			e.docFreq[tag]++
 		}
@@ -65,40 +69,41 @@ func NewEngine(repo *materials.Repository) *Engine {
 // discriminate more. Unknown tags get the maximum weight.
 func (e *Engine) IDF(tag string) float64 {
 	df := e.docFreq[tag]
-	return math.Log(float64(e.numDocs+1) / float64(df+1))
+	return math.Log(float64(len(e.byID)+1) / float64(df+1))
 }
 
 // Search scores every material against the query and returns matches in
 // descending score order (ties broken by material ID for determinism).
 func (e *Engine) Search(q Query) []Result {
-	wanted := map[string]bool{}
+	wanted := make(map[string]bool, len(q.Tags))
 	for _, t := range q.Tags {
 		wanted[t] = true
 	}
 	var results []Result
+	// Every result's MatchedTags is a capped window of one backing
+	// slice, so a search allocates per growth, not per result.
+	var tagBuf []string
 	textWords := strings.Fields(strings.ToLower(q.Text))
-	for _, m := range e.repo.Materials() {
+	for _, m := range e.byID {
 		if !matchFacets(m, q) {
 			continue
 		}
-		var matched []string
-		for tag := range m.TagSet() {
-			ok := wanted[tag]
-			if !ok {
-				for _, p := range q.TagPrefixes {
-					if strings.HasPrefix(tag, p) {
-						ok = true
-						break
-					}
-				}
-			}
-			if ok {
-				matched = append(matched, tag)
+		start := len(tagBuf)
+		for _, tag := range m.Tags {
+			if wanted[tag] || hasAnyPrefix(tag, q.TagPrefixes) {
+				tagBuf = append(tagBuf, tag)
 			}
 		}
-		// Sum in sorted tag order: a float sum in map order would vary in
-		// its last bits, and with it the ranking of near-ties, per call.
-		sort.Strings(matched)
+		// Sum each distinct tag once, in sorted order: a float sum in
+		// the material's own tag order would vary in its last bits, and
+		// with it the ranking of near-ties.
+		var matched []string
+		if len(tagBuf) > start {
+			slices.Sort(tagBuf[start:])
+			end := start + len(slices.Compact(tagBuf[start:]))
+			tagBuf = tagBuf[:end]
+			matched = tagBuf[start:end:end]
+		}
 		score := 0.0
 		for _, tag := range matched {
 			score += e.IDF(tag)
@@ -125,16 +130,22 @@ func (e *Engine) Search(q Query) []Result {
 		}
 		results = append(results, Result{Material: m, Score: score, MatchedTags: matched})
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Material.ID < results[j].Material.ID
+	slices.SortFunc(results, func(a, b Result) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.Material.ID, b.Material.ID))
 	})
 	if q.Limit > 0 && len(results) > q.Limit {
 		results = results[:q.Limit]
 	}
 	return results
+}
+
+func hasAnyPrefix(tag string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(tag, p) {
+			return true
+		}
+	}
+	return false
 }
 
 func matchFacets(m *materials.Material, q Query) bool {

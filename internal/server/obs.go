@@ -35,6 +35,49 @@ func (s *Server) traced(route string, next http.Handler) http.Handler {
 	})
 }
 
+// requestEvent is the sampled request's wide event. Its fields are in
+// sorted key order and omitempty marks exactly the keys that appear only
+// sometimes, so it encodes to the bytes of the same event as a map
+// (TestWideEventGolden pins them).
+type requestEvent struct {
+	Breaker string      `json:"breaker,omitempty"`
+	Bytes   int64       `json:"bytes"`
+	Cache   string      `json:"cache,omitempty"`
+	Dataset string      `json:"dataset,omitempty"`
+	DurMS   float64     `json:"dur_ms"`
+	Event   string      `json:"event"`
+	Method  string      `json:"method"`
+	Path    string      `json:"path"`
+	Query   string      `json:"query,omitempty"`
+	Route   string      `json:"route"`
+	Spans   []eventSpan `json:"spans"`
+	Stale   bool        `json:"stale,omitempty"`
+	Status  int         `json:"status"`
+	Trace   string      `json:"trace"`
+	TS      string      `json:"ts"`
+}
+
+// eventSpan is one stage timing of a requestEvent.
+type eventSpan struct {
+	Analysis string  `json:"analysis,omitempty"`
+	Dataset  string  `json:"dataset,omitempty"`
+	MS       float64 `json:"ms"`
+	Name     string  `json:"name"`
+}
+
+// unsampledEvent is the wide event of a request the tracer sampled out.
+type unsampledEvent struct {
+	Bytes   int64  `json:"bytes"`
+	Event   string `json:"event"`
+	Method  string `json:"method"`
+	Path    string `json:"path"`
+	Query   string `json:"query,omitempty"`
+	Route   string `json:"route"`
+	Sampled bool   `json:"sampled"`
+	Status  int    `json:"status"`
+	TS      string `json:"ts"`
+}
+
 // logWideEvent emits the one-line-per-request access event: route,
 // status, duration, trace ID, per-stage timings, and the serving
 // outcome derived from the span record.
@@ -49,62 +92,26 @@ func (s *Server) logWideEvent(route string, r *http.Request, sw *serving.StatusW
 	if tr == nil {
 		// Sampled-out request: no spans or stage timings, but the access
 		// log stays complete — every request still emits one line.
-		fields := map[string]interface{}{
-			"route":   route,
-			"method":  r.Method,
-			"path":    r.URL.Path,
-			"status":  status,
-			"bytes":   sw.Bytes,
-			"sampled": false,
-		}
-		if r.URL.RawQuery != "" {
-			fields["query"] = r.URL.RawQuery
-		}
-		s.events.Event("request", fields)
+		ev := unsampledEvent{Bytes: sw.Bytes, Event: "request", Method: r.Method, Path: r.URL.Path,
+			Query: r.URL.RawQuery, Route: route, Status: status}
+		s.events.Encode(&ev, &ev.TS)
 		return
 	}
 	rec := tr.Record()
-	spans := make([]map[string]interface{}, 0, len(rec.Spans))
-	var eventDataset string
-	for _, sp := range rec.Spans {
-		m := map[string]interface{}{"name": sp.Name, "ms": sp.DurationMS}
-		if sp.Analysis != "" {
-			m["analysis"] = sp.Analysis
+	ev := requestEvent{Bytes: sw.Bytes, Cache: traceOutcome(rec), DurMS: rec.DurationMS, Event: "request",
+		Method: r.Method, Path: r.URL.Path, Query: r.URL.RawQuery, Route: route,
+		Spans: make([]eventSpan, len(rec.Spans)), Status: status, Trace: rec.ID}
+	for i, sp := range rec.Spans {
+		ev.Spans[i] = eventSpan{Analysis: sp.Analysis, Dataset: sp.Dataset, MS: sp.DurationMS, Name: sp.Name}
+		if ev.Dataset == "" {
+			ev.Dataset = sp.Dataset
 		}
-		if sp.Dataset != "" {
-			m["dataset"] = sp.Dataset
-			if eventDataset == "" {
-				eventDataset = sp.Dataset
-			}
-		}
-		spans = append(spans, m)
-	}
-	fields := map[string]interface{}{
-		"trace":  rec.ID,
-		"route":  route,
-		"method": r.Method,
-		"path":   r.URL.Path,
-		"status": status,
-		"bytes":  sw.Bytes,
-		"dur_ms": rec.DurationMS,
-		"spans":  spans,
-	}
-	if eventDataset != "" {
-		fields["dataset"] = eventDataset
-	}
-	if r.URL.RawQuery != "" {
-		fields["query"] = r.URL.RawQuery
-	}
-	if outcome := traceOutcome(rec); outcome != "" {
-		fields["cache"] = outcome
 	}
 	if hasSpan(rec, "breaker-open") {
-		fields["breaker"] = "open"
+		ev.Breaker = "open"
 	}
-	if hasSpan(rec, "stale-serve") {
-		fields["stale"] = true
-	}
-	s.events.Event("request", fields)
+	ev.Stale = hasSpan(rec, "stale-serve")
+	s.events.Encode(&ev, &ev.TS)
 }
 
 // traceOutcome classifies how the ladder answered: "stale" dominates,

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"csmaterials/internal/obs"
 )
@@ -288,5 +290,88 @@ func TestBatchTracedEndToEnd(t *testing.T) {
 	}
 	if items != 2 {
 		t.Fatalf("batch-item spans = %d, want 2\nspans: %v", items, spanNames(rec))
+	}
+}
+
+// TestWideEventGolden pins the exact bytes of request wide events, so a
+// change of key order, omitted keys, number format or string escaping
+// fails here even when every line still parses. The clocks are fake:
+// the tracer's advances only where the handler says, the logger's is
+// fixed. The query carries the characters encoding/json escapes (&, <,
+// ", \ and U+2028).
+func TestWideEventGolden(t *testing.T) {
+	const query = "group=cs1&q=<b>\"x\"\\y\u2028z"
+	clk := newFakeClock()
+	tracer := obs.NewTracer(4, clk.Now)
+	var buf bytes.Buffer
+	logger := obs.NewLogger(&buf)
+	logger.SetClock(func() time.Time { return time.Date(2026, 10, 17, 12, 0, 0, 123456789, time.UTC) })
+	s := newObsServer(t, Options{Tracer: tracer, Events: logger})
+
+	serve := func(route, path, rawQuery string, h http.HandlerFunc) {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.URL.RawQuery = rawQuery
+		s.traced(route, h).ServeHTTP(httptest.NewRecorder(), r)
+	}
+	step := func(ctx context.Context, name string, d time.Duration) {
+		sp := obs.StartSpan(ctx, name)
+		clk.Advance(d)
+		sp.End()
+	}
+
+	// Sampled, with every conditional key present: a dataset, a query,
+	// and a stale serve behind an open breaker.
+	serve("GET /api/v1/datasets/{id}/agreement", "/api/v1/datasets/pdc-2024/agreement", query,
+		func(w http.ResponseWriter, r *http.Request) {
+			an := obs.WithAnalysis(r.Context(), "agreement")
+			ds := obs.WithDataset(an, "pdc-2024")
+			step(r.Context(), "parse", 125*time.Microsecond)
+			step(ds, "cache-hit", 2*time.Microsecond)
+			obs.AddSpan(an, "breaker-open", time.Time{})
+			step(ds, "stale-serve", 1250*time.Microsecond)
+			clk.Advance(333 * time.Microsecond)
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write([]byte(`{"data":1}`))
+		})
+	// Sampled, with every conditional key absent and no spans.
+	serve("GET /healthz", "/healthz", "", func(w http.ResponseWriter, r *http.Request) {
+		clk.Advance(time.Millisecond)
+		w.WriteHeader(http.StatusNoContent)
+	})
+	// Sampled out: the access line without trace, spans or timings.
+	tracer.SetSampleRate(0)
+	serve("GET /api/v1/search", "/api/v1/search", query, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadRequest)
+		_, _ = w.Write([]byte("bad"))
+	})
+
+	want := `{"breaker":"open","bytes":10,"cache":"stale","dataset":"pdc-2024","dur_ms":1.71,"event":"request","method":"GET","path":"/api/v1/datasets/pdc-2024/agreement","query":"group=cs1\u0026q=\u003cb\u003e\"x\"\\y\u2028z","route":"GET /api/v1/datasets/{id}/agreement","spans":[{"ms":0.125,"name":"parse"},{"analysis":"agreement","dataset":"pdc-2024","ms":0.002,"name":"cache-hit"},{"analysis":"agreement","ms":0,"name":"breaker-open"},{"analysis":"agreement","dataset":"pdc-2024","ms":1.25,"name":"stale-serve"}],"stale":true,"status":200,"trace":"00000001","ts":"2026-10-17T12:00:00.123456789Z"}
+{"bytes":0,"dur_ms":1,"event":"request","method":"GET","path":"/healthz","route":"GET /healthz","spans":[],"status":204,"trace":"00000002","ts":"2026-10-17T12:00:00.123456789Z"}
+{"bytes":3,"event":"request","method":"GET","path":"/api/v1/search","query":"group=cs1\u0026q=\u003cb\u003e\"x\"\\y\u2028z","route":"GET /api/v1/search","sampled":false,"status":400,"ts":"2026-10-17T12:00:00.123456789Z"}
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("wide events differ\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if logger.Drops() != 0 {
+		t.Fatalf("logger drops = %d", logger.Drops())
+	}
+}
+
+// TestWideEventUnsampledBareGolden pins a sampled-out line without a
+// query, the optional key TestWideEventGolden always sets on that line,
+// from a handler that writes nothing.
+func TestWideEventUnsampledBareGolden(t *testing.T) {
+	tracer := obs.NewTracer(4, newFakeClock().Now)
+	tracer.SetSampleRate(0)
+	var buf bytes.Buffer
+	logger := obs.NewLogger(&buf)
+	logger.SetClock(func() time.Time { return time.Date(2026, 10, 17, 12, 0, 0, 0, time.UTC) })
+	s := newObsServer(t, Options{Tracer: tracer, Events: logger})
+	s.traced("GET /healthz", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})).
+		ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	want := `{"bytes":0,"event":"request","method":"GET","path":"/healthz","route":"GET /healthz","sampled":false,"status":200,"ts":"2026-10-17T12:00:00Z"}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("got  %s\nwant %s", got, want)
 	}
 }
