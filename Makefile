@@ -40,7 +40,7 @@ bench-batch:
 	$(GO) test -bench=BenchmarkBatchParallel -benchmem ./internal/engine/
 
 # Dataset-scoped cold/warm serving latencies, the NNMF core (cold vs
-# warm-seeded factorize), batch worker scaling, and fleet local vs
+# serial factorize), batch worker scaling, and fleet local vs
 # forwarded serving, snapshotted to BENCH_datasets.json at the repo
 # root so the perf trajectory accumulates across commits (ROADMAP
 # item 4). Order matters: the engine run rewrites the snapshot
@@ -51,9 +51,8 @@ bench-datasets:
 
 # Perf regression gate (CI): re-run the dataset benchmarks into a
 # scratch snapshot and compare the compute-bound scenarios against the
-# committed BENCH_datasets.json, failing past 3x — plus the two
-# current-snapshot ratio gates: warm-start convergence (nnmf warm <=
-# 10% of cold) and fleet forwarding overhead (forwarded <= 8x local).
+# committed BENCH_datasets.json, failing past 3x — plus the
+# current-snapshot fleet forwarding gate (forwarded <= 8x local).
 # The committed baseline is only rewritten by an explicit
 # `make bench-datasets`.
 bench-check:

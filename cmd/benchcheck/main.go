@@ -10,19 +10,13 @@
 // fit runs its restarts on every idle core, so its ns/op depends on
 // them.
 //
-// The nnmf cold/warm pair carries one additional check on the CURRENT
-// snapshot alone: a warm-started factorization (seeded with its own
-// fitted factors) must cost at most -warm-ratio of the cold 10-restart
-// run. That is the incremental pipeline's convergence contract — if
-// warm-start stops short-circuiting, the ratio collapses toward 1 and
-// the gate fails even though nothing "regressed" against the baseline.
-//
-// The fleet local/forwarded pair works the same way: a request
-// forwarded one hop to its owner must cost at most -fleet-ratio of the
-// same request served by the owner directly. Absolute loopback
-// latencies drift with the runner, but the ratio only moves when the
-// forwarding path itself regresses (lost keep-alives, double body
-// reads, extra round trips), which is exactly what the gate is for.
+// The fleet local/forwarded pair carries one additional check on the
+// CURRENT snapshot alone: a request forwarded one hop to its owner must
+// cost at most -fleet-ratio of the same request served by the owner
+// directly. Absolute loopback latencies drift with the runner, but the
+// ratio only moves when the forwarding path itself regresses (lost
+// keep-alives, double body reads, extra round trips), which is exactly
+// what the gate is for.
 package main
 
 import (
@@ -47,36 +41,10 @@ type snapshot struct {
 }
 
 // gatedModes are the compute-bound modes stable enough to gate on.
-// Warm cache hits stay ungated; the nnmf warm factorize is gated
-// separately against its cold sibling (see warmStartCheck), and the
-// fleet local/forwarded pair against each other (see fleetOverheadCheck)
-// — loopback HTTP latencies are runner-dependent, but their ratio holds.
+// Warm cache hits stay ungated; the fleet local/forwarded pair is gated
+// against each other (see fleetOverheadCheck) — loopback HTTP latencies
+// are runner-dependent, but their ratio holds.
 var gatedModes = map[string]bool{"cold": true, "contended": true, "serial": true, "parallel": true}
-
-// warmStartCheck verifies the nnmf cold/warm convergence contract on
-// the current snapshot: warm ns/op must not exceed maxWarmRatio of the
-// cold run. Returns "" when the pair is absent (older snapshots) or
-// the contract holds.
-func warmStartCheck(current snapshot, maxWarmRatio float64) string {
-	var cold, warm scenario
-	for _, sc := range current.Scenarios {
-		if sc.Dataset == "nnmf" && sc.Mode == "cold" {
-			cold = sc
-		}
-		if sc.Dataset == "nnmf" && sc.Mode == "warm" {
-			warm = sc
-		}
-	}
-	if cold.NsPerOp <= 0 || warm.NsPerOp <= 0 {
-		return ""
-	}
-	ratio := float64(warm.NsPerOp) / float64(cold.NsPerOp)
-	if ratio > maxWarmRatio {
-		return fmt.Sprintf("nnmf warm factorize costs %.1f%% of cold (%d vs %d ns/op), want <= %.1f%%",
-			ratio*100, warm.NsPerOp, cold.NsPerOp, maxWarmRatio*100)
-	}
-	return ""
-}
 
 // fleetOverheadCheck verifies the fleet routing tax on the current
 // snapshot: a forwarded warm hit (origin -> owner -> origin) must not
@@ -169,7 +137,6 @@ func run(args []string) int {
 	baselinePath := fs.String("baseline", "BENCH_datasets.json", "committed benchmark snapshot")
 	currentPath := fs.String("current", "", "freshly generated benchmark snapshot")
 	maxRatio := fs.Float64("max-ratio", 3, "fail when current/baseline ns/op exceeds this")
-	warmRatio := fs.Float64("warm-ratio", 0.1, "fail when the nnmf warm factorize exceeds this fraction of its cold run")
 	fleetRatio := fs.Float64("fleet-ratio", 8, "fail when a forwarded fleet serve exceeds this multiple of a local one")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -182,10 +149,6 @@ func run(args []string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 		return 2
-	}
-	if msg := warmStartCheck(current, *warmRatio); msg != "" {
-		fmt.Fprintln(os.Stderr, "benchcheck: "+msg)
-		return 1
 	}
 	if msg := fleetOverheadCheck(current, *fleetRatio); msg != "" {
 		fmt.Fprintln(os.Stderr, "benchcheck: "+msg)

@@ -70,27 +70,6 @@ func TestCompareGatesBatchScaling(t *testing.T) {
 	}
 }
 
-func TestWarmStartCheck(t *testing.T) {
-	// Pair absent (older snapshots): no verdict.
-	if msg := warmStartCheck(snap(scenario{Dataset: "default", Mode: "cold", NsPerOp: 1000}), 0.1); msg != "" {
-		t.Fatalf("snapshot without nnmf pair: %q", msg)
-	}
-	healthy := snap(
-		scenario{Dataset: "nnmf", Mode: "cold", NsPerOp: 100_000},
-		scenario{Dataset: "nnmf", Mode: "warm", NsPerOp: 5_000},
-	)
-	if msg := warmStartCheck(healthy, 0.1); msg != "" {
-		t.Fatalf("5%% warm ratio flagged: %q", msg)
-	}
-	broken := snap(
-		scenario{Dataset: "nnmf", Mode: "cold", NsPerOp: 100_000},
-		scenario{Dataset: "nnmf", Mode: "warm", NsPerOp: 60_000},
-	)
-	if msg := warmStartCheck(broken, 0.1); msg == "" {
-		t.Fatal("60% warm ratio must fail the convergence gate")
-	}
-}
-
 func TestFleetOverheadCheck(t *testing.T) {
 	// Pair absent (single-process snapshots): no verdict.
 	if msg := fleetOverheadCheck(snap(scenario{Dataset: "fleet", Mode: "local", NsPerOp: 50_000}), 8); msg != "" {

@@ -17,8 +17,10 @@ import (
 
 // Analysis holds the per-tag course counts for a group of courses.
 type Analysis struct {
-	// Courses are the analyzed courses.
-	Courses []*materials.Course
+	// Courses are the IDs of the analyzed courses, in order. The
+	// analysis keeps IDs, not the courses, so a retained analysis does
+	// not hold a superseded corpus revision alive.
+	Courses []string
 	// Counts maps each curriculum tag to the number of courses whose
 	// materials reference it.
 	Counts map[string]int
@@ -43,15 +45,17 @@ func AnalyzeCtx(ctx context.Context, courses []*materials.Course, guidelines ...
 		return nil, fmt.Errorf("agreement: no guidelines")
 	}
 	counts := map[string]int{}
-	for _, c := range courses {
+	ids := make([]string, len(courses))
+	for i, c := range courses {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		ids[i] = c.ID
 		for tag := range c.TagSet() {
 			counts[tag]++
 		}
 	}
-	return &Analysis{Courses: courses, Counts: counts, guidelines: guidelines}, nil
+	return &Analysis{Courses: ids, Counts: counts, guidelines: guidelines}, nil
 }
 
 // TagChange describes one course's tag-set difference between two
@@ -77,8 +81,8 @@ func (a *Analysis) Rebase(courses []*materials.Course, changes map[string]TagCha
 	}
 	in := make(map[string]bool, len(courses))
 	for i, c := range courses {
-		if a.Courses[i].ID != c.ID {
-			return nil, fmt.Errorf("agreement: rebase course %d changed %q -> %q", i, a.Courses[i].ID, c.ID)
+		if a.Courses[i] != c.ID {
+			return nil, fmt.Errorf("agreement: rebase course %d changed %q -> %q", i, a.Courses[i], c.ID)
 		}
 		in[c.ID] = true
 	}
@@ -111,7 +115,7 @@ func (a *Analysis) Rebase(courses []*materials.Course, changes map[string]TagCha
 			}
 		}
 	}
-	return &Analysis{Courses: courses, Counts: counts, guidelines: a.guidelines}, nil
+	return &Analysis{Courses: a.Courses, Counts: counts, guidelines: a.guidelines}, nil
 }
 
 // NumTags returns the number of distinct tags across the group.

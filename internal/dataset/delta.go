@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -78,27 +79,26 @@ type Delta struct {
 	// It is carried in memory for incremental recompute, not exported
 	// in API summaries.
 	TagChanges map[string]TagChange `json:"-"`
+	// ChangedGroups is the sorted, lowercased union of the group labels
+	// of the courses whose tag set changed — the subset of Groups an
+	// analysis that reads courses only through their tag sets can
+	// observe. Events never change which courses exist, their order,
+	// IDs or group labels, so a delta with no tag-set change reaches no
+	// such analysis. In memory only, like TagChanges.
+	ChangedGroups []string `json:"-"`
 }
 
-// TouchesCourse reports whether the delta touched the given course.
-func (d *Delta) TouchesCourse(id string) bool {
-	for _, c := range d.Courses {
-		if c == id {
-			return true
-		}
-	}
-	return false
+// ChangesTagSet reports whether the delta changed the given course's
+// tag set.
+func (d *Delta) ChangesTagSet(course string) bool {
+	_, ok := d.TagChanges[course]
+	return ok
 }
 
-// TouchesGroup reports whether any touched course carries the given
-// lowercased group label.
-func (d *Delta) TouchesGroup(group string) bool {
-	for _, g := range d.Groups {
-		if g == group {
-			return true
-		}
-	}
-	return false
+// ChangesGroup reports whether a course carrying the given lowercased
+// group label changed its tag set.
+func (d *Delta) ChangesGroup(group string) bool {
+	return slices.Contains(d.ChangedGroups, group)
 }
 
 // validateEvent checks an event's shape before application.
@@ -229,23 +229,28 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 	}
 
 	// Summarize: touched courses, their group labels, the tag union,
-	// and the per-course tag-set differences old → new.
-	groups := map[string]bool{}
+	// the per-course tag-set differences old → new, and the group
+	// labels of the courses whose tag set changed.
+	groups, changed := map[string]bool{}, map[string]bool{}
 	for id, mod := range touched {
 		delta.Courses = append(delta.Courses, id)
-		if g := strings.ToLower(string(mod.Group)); g != "" {
-			groups[g] = true
-		}
-		if g := strings.ToLower(string(mod.SecondaryGroup)); g != "" {
-			groups[g] = true
-		}
-		if tc := diffTagSets(base.Course(id).TagSet(), mod.TagSet()); !tc.Empty() {
+		tc := diffTagSets(base.Course(id).TagSet(), mod.TagSet())
+		if !tc.Empty() {
 			delta.TagChanges[id] = tc
+		}
+		for _, label := range []materials.CourseGroup{mod.Group, mod.SecondaryGroup} {
+			if g := strings.ToLower(string(label)); g != "" {
+				groups[g] = true
+				if !tc.Empty() {
+					changed[g] = true
+				}
+			}
 		}
 	}
 	sort.Strings(delta.Courses)
 	delta.Tags = sortedKeys(tags)
 	delta.Groups = sortedKeys(groups)
+	delta.ChangedGroups = sortedKeys(changed)
 	return repo, delta, nil
 }
 

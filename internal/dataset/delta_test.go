@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,11 +100,8 @@ func TestApplyRetagProducesDelta(t *testing.T) {
 	if len(d.Courses) != 1 || d.Courses[0] != course.ID {
 		t.Errorf("delta.Courses = %v, want [%s]", d.Courses, course.ID)
 	}
-	if !d.TouchesCourse(course.ID) || d.TouchesCourse("nope") {
-		t.Error("TouchesCourse misreports")
-	}
 	wantGroup := strings.ToLower(string(course.Group))
-	if !d.TouchesGroup(wantGroup) {
+	if !slices.Contains(d.Groups, wantGroup) {
 		t.Errorf("delta.Groups = %v, want to include %q", d.Groups, wantGroup)
 	}
 	// The tag union must cover both the old and the new tags.
@@ -156,7 +154,7 @@ func TestApplyTagSetPreservingRetag(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	d := snap.Delta()
-	if !d.TouchesCourse(course.ID) {
+	if !slices.Contains(d.Courses, course.ID) {
 		t.Error("course must still count as touched")
 	}
 	if tc, ok := d.TagChanges[course.ID]; ok {

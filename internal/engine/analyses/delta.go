@@ -4,22 +4,23 @@ package analyses
 // whether a classification delta can reach its cached results
 // (engine.DeltaAware), and how the iterative analyses recompute from
 // their previous result instead of from scratch (engine.WarmStarter).
-// Both contracts are conservative — AffectedBy errs toward true, and
-// ComputeWarm returns engine.ErrColdCompute unless it can prove the
-// warm result is byte-identical to a cold recompute.
+//
+// Every analysis here reads a course only through its ID, its group
+// labels, its position in the repository and its TagSet(); events
+// change none of those but the tag set. So a result is affected
+// exactly when a course it reads changed its tag set: AffectedBy reads
+// Delta.ChangedGroups and Delta.TagChanges, never the touched-course
+// summary. The delta oracle (internal/engine/oracle_test.go) holds
+// every migrated entry to a cold recompute.
 
 import (
 	"context"
-	"errors"
 	"strings"
 
 	"csmaterials/internal/agreement"
 	"csmaterials/internal/dataset"
 	"csmaterials/internal/engine"
-	"csmaterials/internal/factorize"
 	"csmaterials/internal/materials"
-	"csmaterials/internal/matrix"
-	"csmaterials/internal/ontology"
 )
 
 // paramGroup extracts the group component of a "<group>|..." cache
@@ -31,41 +32,26 @@ func paramGroup(paramKey string) string {
 	return paramKey
 }
 
-// groupAffected reports whether a delta touching d.Groups can reach
-// the course set selected by the normalized group name. Unknown names
-// and the all-course groups answer true: a false negative would let a
-// stale result serve under the new revision.
+// groupAffected reports whether a delta changed the tag set of a
+// course in the group selected by the normalized group name; "all"
+// (and any other name) is reached by any course's change. A nil delta
+// (no summary available) affects everything.
 func groupAffected(group string, d *dataset.Delta) bool {
-	if d == nil {
+	switch {
+	case d == nil:
 		return true
-	}
-	if len(d.Courses) == 0 {
-		return false
-	}
-	switch group {
-	case "cs1":
-		return d.TouchesGroup("cs1")
-	case "ds":
-		return d.TouchesGroup("ds")
-	case "dsalgo":
-		return d.TouchesGroup("ds") || d.TouchesGroup("algo")
-	case "pdc":
-		return d.TouchesGroup("pdc")
+	case group == "dsalgo":
+		return d.ChangesGroup("ds") || d.ChangesGroup("algo")
+	case group == "cs1" || group == "ds" || group == "pdc":
+		return d.ChangesGroup(group)
 	default: // "all", "", unrecognized
-		return true
+		return len(d.TagChanges) > 0
 	}
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// courseAffected reports whether a delta changed the course's tag set.
+func courseAffected(course string, d *dataset.Delta) bool {
+	return d == nil || d.ChangesTagSet(course)
 }
 
 // AffectedBy scopes types results to their course group.
@@ -73,51 +59,20 @@ func (Types) AffectedBy(paramKey string, d *dataset.Delta) bool {
 	return groupAffected(paramGroup(paramKey), d)
 }
 
-// ComputeWarm re-fits the course-type model seeded with the prior
-// factors. It only succeeds when the group's course matrix is
-// byte-identical to the prior's (the delta touched the group's label
-// but not its tag sets, or a same-revision stale refresh): the seeded
-// factorization then verifies the seeds are still a fixed point in a
-// single probe iteration and returns them unchanged, so the response
-// matches a cold 10-restart run exactly. Any drift declines to cold.
-func (t Types) ComputeWarm(ctx context.Context, repo *materials.Repository, p engine.Params, prior interface{}, d *dataset.Delta) (interface{}, error) {
-	tp := p.(TypesParams)
+// ComputeWarm adopts the prior of a same-revision stale refresh (d nil):
+// the repository is the prior's, so a cold fit would return the prior's
+// bytes. The adopted copy reports no iterations — it ran none. With a
+// delta it declines: AffectedBy dropped the prior only because a course
+// in the group changed its tag set, so the matrix changed and the fit
+// runs cold.
+func (Types) ComputeWarm(_ context.Context, _ *materials.Repository, _ engine.Params, prior interface{}, d *dataset.Delta) (interface{}, error) {
 	pr, ok := prior.(*TypesResponse)
-	if !ok || pr.model == nil || pr.model.K != tp.K {
+	if !ok || d != nil {
 		return nil, engine.ErrColdCompute
 	}
-	ids, err := groupCourseIDs(repo, tp.Group)
-	if err != nil {
-		return nil, engine.ErrColdCompute
-	}
-	courses := coursesByID(repo, ids)
-	if len(courses) != len(pr.model.Courses) {
-		return nil, engine.ErrColdCompute
-	}
-	for i, c := range courses {
-		if pr.model.Courses[i].ID != c.ID {
-			return nil, engine.ErrColdCompute
-		}
-	}
-	a, tags := materials.CourseMatrix(courses)
-	if !equalStrings(tags, pr.model.Tags) || !matrix.FromDense(a).Equal(pr.model.A) {
-		return nil, engine.ErrColdCompute
-	}
-	opts := factorize.PaperOptions()
-	opts.InitW, opts.InitH = pr.model.W, pr.model.H
-	model, err := factorize.AnalyzeCtx(ctx, courses, tp.K, opts, ontology.CS2013(), ontology.PDC12())
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		return nil, engine.ErrColdCompute
-	}
-	if !model.Fit.SeedRetained {
-		// The seeds moved under multiplicative updates: the matrix check
-		// above should have prevented this, but byte-identity beats speed.
-		return nil, engine.ErrColdCompute
-	}
-	return typesResponse(tp, model), nil
+	adopted := *pr
+	adopted.iterations = 0
+	return &adopted, nil
 }
 
 // AffectedBy scopes agreement results to their course group.
@@ -161,18 +116,18 @@ func (Cluster) AffectedBy(paramKey string, d *dataset.Delta) bool {
 // AffectedBy scopes anchor recommendations to their course: the
 // recommender reads one course's tag set against static rule tables.
 func (Anchors) AffectedBy(paramKey string, d *dataset.Delta) bool {
-	return d == nil || d.TouchesCourse(paramKey)
+	return courseAffected(paramKey, d)
 }
 
 // AffectedBy scopes audits to their course.
 func (Audit) AffectedBy(paramKey string, d *dataset.Delta) bool {
-	return d == nil || d.TouchesCourse(paramKey)
+	return courseAffected(paramKey, d)
 }
 
 // AffectedBy scopes catalog recommendations to their course (the key
 // is "<course>|<limit>"; the public catalog itself is static).
 func (PDCMaterials) AffectedBy(paramKey string, d *dataset.Delta) bool {
-	return d == nil || d.TouchesCourse(paramGroup(paramKey))
+	return courseAffected(paramGroup(paramKey), d)
 }
 
 // AffectedBy: figures render the built-in seed corpus, not the

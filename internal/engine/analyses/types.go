@@ -34,20 +34,15 @@ type TypesResponse struct {
 	Types      []TypeSummary `json:"types"`
 	Redundancy float64       `json:"redundancy"`
 
-	// model retains the fitted factorization so a later delta refresh
-	// can warm-start from it; unexported, so it never serializes.
-	model *factorize.Model
+	// iterations is the NNMF work behind this response, summed over
+	// every restart; unexported, so it never serializes.
+	iterations int
 }
 
 // ConvergenceIterations reports the NNMF work behind this response:
-// the summed iterations of every restart for cold runs, the single
-// probe iteration for retained warm starts.
-func (r *TypesResponse) ConvergenceIterations() int {
-	if r.model == nil || r.model.Fit == nil {
-		return 0
-	}
-	return r.model.Fit.TotalIterations
-}
+// the summed iterations of every restart of its fit, 0 for an adopted
+// prior.
+func (r *TypesResponse) ConvergenceIterations() int { return r.iterations }
 
 // TypesParams selects a course group and the number of types k.
 type TypesParams struct {
@@ -101,9 +96,8 @@ func (Types) Compute(ctx context.Context, repo *materials.Repository, p engine.P
 	return typesResponse(tp, model), nil
 }
 
-// typesResponse derives the API payload from a fitted model. Cold and
-// warm computes share it so a warm start that retained the prior's
-// factors reproduces the cold response byte for byte.
+// typesResponse derives the API payload from a fitted model; it keeps
+// the fit's iteration count, not the model.
 func typesResponse(tp TypesParams, model *factorize.Model) *TypesResponse {
 	courses := make([]CourseType, 0, len(model.Courses))
 	for i, c := range model.Courses {
@@ -121,5 +115,5 @@ func typesResponse(tp TypesParams, model *factorize.Model) *TypesResponse {
 		}
 		types[t] = TypeSummary{Label: model.TypeLabel(t), KAShare: model.KAShare(t), TopTags: topTags}
 	}
-	return &TypesResponse{K: tp.K, Courses: courses, Types: types, Redundancy: model.Redundancy(), model: model}
+	return &TypesResponse{K: tp.K, Courses: courses, Types: types, Redundancy: model.Redundancy(), iterations: model.Fit.TotalIterations}
 }

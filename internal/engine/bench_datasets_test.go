@@ -195,23 +195,15 @@ func BenchmarkDatasetServing(b *testing.B) {
 
 // BenchmarkNNMFCore measures the factorization kernel behind the types
 // analysis on the full seed-corpus matrix — the CSR path factorize.Analyze
-// serves — in the two modes the incremental pipeline distinguishes: cold
-// (the paper's 10-restart multiplicative-update run, its restarts on
-// every idle core) and warm (the same matrix seeded with its own fitted
-// factors — the delta-refresh warm-start path, which retains the fixed
-// point after a single probe iteration). The cold/warm ns gap is the
-// warm start's value; benchcheck gates it at -warm-ratio. serial is the
-// cold call at GOMAXPROCS 1, so serial/cold is the restart fan-out's
-// speedup on the snapshot's CPU count.
+// serves: cold is the paper's 10-restart multiplicative-update run, its
+// restarts on every idle core; serial is the same call at GOMAXPROCS 1,
+// so serial/cold is the restart fan-out's speedup on the snapshot's CPU
+// count.
 func BenchmarkNNMFCore(b *testing.B) {
 	dense, _ := materials.CourseMatrix(dataset.Courses())
 	a := matrix.FromDense(dense)
 	opts := factorize.PaperOptions()
 	opts.K = 4
-	seed, err := nnmf.FactorizeCSR(a, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.Run("nnmf/cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -232,22 +224,6 @@ func BenchmarkNNMFCore(b *testing.B) {
 		}
 		b.StopTimer()
 		recordBench("nnmf", "serial", b)
-	})
-	b.Run("nnmf/warm", func(b *testing.B) {
-		b.ReportAllocs()
-		warm := opts
-		warm.InitW, warm.InitH = seed.W, seed.H
-		for i := 0; i < b.N; i++ {
-			res, err := nnmf.FactorizeCSR(a, warm)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.SeedRetained {
-				b.Fatal("warm factorize did not retain the converged seed")
-			}
-		}
-		b.StopTimer()
-		recordBench("nnmf", "warm", b)
 	})
 }
 

@@ -279,10 +279,16 @@ func (e *Executor) dropPriors(ds string) {
 // warm start (ErrColdCompute, or any non-context error) falls back to
 // a cold Compute; context errors pass through so cancellation is not
 // masked by a doomed cold retry. The boolean reports whether the warm
-// result was adopted.
-func (e *Executor) computeWithPrior(ctx context.Context, ds string, a Analysis, repo *materials.Repository, p Params, key string) (interface{}, bool, error) {
+// result was adopted. It counts a compute for scope unless a
+// same-revision prior (delta nil) answered: adopting it starts none.
+func (e *Executor) computeWithPrior(ctx context.Context, ds, scope string, a Analysis, repo *materials.Repository, p Params, key string) (interface{}, bool, error) {
+	counted := false
 	if ws, warmable := a.(WarmStarter); warmable {
 		if pr, ok := e.takePrior(key); ok {
+			if pr.delta != nil {
+				e.countCompute(scope)
+				counted = true
+			}
 			v, err := ws.ComputeWarm(ctx, repo, p, pr.val, pr.delta)
 			switch {
 			case err == nil:
@@ -294,6 +300,9 @@ func (e *Executor) computeWithPrior(ctx context.Context, ds string, a Analysis, 
 				e.countWarm(ds, false)
 			}
 		}
+	}
+	if !counted {
+		e.countCompute(scope)
 	}
 	v, err := a.Compute(ctx, repo, p)
 	return v, false, err

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"net/url"
 	"testing"
+	"time"
 
 	"csmaterials/internal/dataset"
 	"csmaterials/internal/engine"
 	"csmaterials/internal/engine/analyses"
 	"csmaterials/internal/materials"
+	"csmaterials/internal/resilience/faultinject"
 	"csmaterials/internal/serving"
 )
 
@@ -56,9 +58,8 @@ func cs1OnlyCourse(t *testing.T, snap *dataset.Snapshot) *materials.Course {
 }
 
 // sameTagsRetag builds the smallest possible delta: retag one material
-// with its current tags. The course is touched (its results must not
-// be trusted blindly) but no tag set changes, so warm recomputes can
-// prove byte-identity.
+// with its current tags. The course is touched but its tag set does
+// not change, so no analysis can observe the delta.
 func sameTagsRetag(c *materials.Course) []dataset.Event {
 	m := c.Materials[0]
 	return []dataset.Event{{
@@ -67,10 +68,28 @@ func sameTagsRetag(c *materials.Course) []dataset.Event {
 	}}
 }
 
+// missingTag returns a curriculum tag some other course of snap has
+// and c lacks, so retagging one of c's materials to it changes c's tag
+// set.
+func missingTag(t *testing.T, snap *dataset.Snapshot, c *materials.Course) string {
+	t.Helper()
+	have := c.TagSet()
+	for _, other := range snap.Repo().Courses() {
+		for _, tag := range other.SortedTags() {
+			if !have[tag] {
+				return tag
+			}
+		}
+	}
+	t.Fatal("no tag outside the course")
+	return ""
+}
+
 // TestApplyDeltaPrecision is the acceptance gate for invalidation
-// precision: a single-material retag must drop exactly the cache
-// entries its delta can reach and migrate every other entry to the new
-// revision's keys.
+// precision. A retag that keeps its course's tag set migrates every
+// entry, the touched course's own anchors included; a retag that
+// changes it drops exactly the entries the change can reach and
+// migrates every other one to the new revision's keys.
 func TestApplyDeltaPrecision(t *testing.T) {
 	exec, datasets := newDeltaExecutor(t)
 	base := datasets.Default()
@@ -84,10 +103,18 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	}
 
 	// Populate two group-scoped and two course-scoped results.
-	mustRunOn(t, exec, "agreement", url.Values{"group": {"all"}})     // reachable: every group
-	mustRunOn(t, exec, "agreement", url.Values{"group": {"pdc"}})     // unreachable: touched course is not pdc
-	mustRunOn(t, exec, "anchors", url.Values{"course": {touched.ID}}) // reachable: the touched course
-	mustRunOn(t, exec, "anchors", url.Values{"course": {other.ID}})   // unreachable: another course
+	reads := []struct {
+		name   string
+		values url.Values
+	}{
+		{"agreement", url.Values{"group": {"all"}}},     // reached by any course's tag-set change
+		{"agreement", url.Values{"group": {"pdc"}}},     // unreachable: the touched course is not pdc
+		{"anchors", url.Values{"course": {touched.ID}}}, // reached when the touched course's set changes
+		{"anchors", url.Values{"course": {other.ID}}},   // unreachable: another course
+	}
+	for _, r := range reads {
+		mustRunOn(t, exec, r.name, r.values)
+	}
 
 	snap, err := datasets.Apply(dataset.DefaultID, sameTagsRetag(touched))
 	if err != nil {
@@ -99,7 +126,25 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	}
 	// Each computed result has a fresh and a stale last-known-good copy;
 	// both migrate or drop together. Only the fresh copies count as
-	// migrated, and only agreement (a WarmStarter) seeds a prior.
+	// migrated.
+	if out.Migrated != 4 || out.Invalidated() != 0 || out.Seeded != 0 {
+		t.Errorf("same-tag-set retag: %+v, want all 4 entries migrated and nothing dropped or seeded", out)
+	}
+	for _, r := range reads {
+		if _, o := mustRunOn(t, exec, r.name, r.values); o.Cache != "hit" || o.Revision != snap.Revision() {
+			t.Errorf("%s %v after a same-tag-set retag = %q@rev%d, want hit@rev%d", r.name, r.values, o.Cache, o.Revision, snap.Revision())
+		}
+	}
+
+	snap, err = datasets.Apply(dataset.DefaultID, []dataset.Event{{
+		Op: dataset.OpRetag, Course: touched.ID,
+		MaterialID: touched.Materials[0].ID, Tags: []string{missingTag(t, snap, touched)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
+	// Only agreement (a WarmStarter) seeds a prior.
 	if out.Migrated != 2 {
 		t.Errorf("migrated = %d, want 2 (agreement|pdc, anchors|%s)", out.Migrated, other.ID)
 	}
@@ -112,21 +157,15 @@ func TestApplyDeltaPrecision(t *testing.T) {
 
 	// Migrated entries serve as hits under the new revision; dropped
 	// entries recompute.
-	if _, o := mustRunOn(t, exec, "agreement", url.Values{"group": {"pdc"}}); o.Cache != "hit" || o.Revision != snap.Revision() {
-		t.Errorf("unaffected agreement = %q@rev%d, want hit@rev%d", o.Cache, o.Revision, snap.Revision())
-	}
-	if _, o := mustRunOn(t, exec, "anchors", url.Values{"course": {other.ID}}); o.Cache != "hit" {
-		t.Errorf("unaffected anchors = %q, want hit", o.Cache)
-	}
-	if _, o := mustRunOn(t, exec, "anchors", url.Values{"course": {touched.ID}}); o.Cache != "miss" {
-		t.Errorf("touched anchors = %q, want miss", o.Cache)
-	}
-	if _, o := mustRunOn(t, exec, "agreement", url.Values{"group": {"all"}}); o.Cache != "miss" {
-		t.Errorf("touched agreement = %q, want miss", o.Cache)
+	for i, want := range []string{"miss", "hit", "miss", "hit"} {
+		r := reads[i]
+		if _, o := mustRunOn(t, exec, r.name, r.values); o.Cache != want || o.Revision != snap.Revision() {
+			t.Errorf("%s %v after a tag-set change = %q@rev%d, want %s@rev%d", r.name, r.values, o.Cache, o.Revision, want, snap.Revision())
+		}
 	}
 	st := exec.Stats().Refresh[dataset.DefaultID]
-	if st.Delta != 1 || st.Full != 0 {
-		t.Errorf("refresh counts = (%d delta, %d full), want (1, 0)", st.Delta, st.Full)
+	if st.Delta != 2 || st.Full != 0 {
+		t.Errorf("refresh counts = (%d delta, %d full), want (2, 0)", st.Delta, st.Full)
 	}
 	if st.WarmStarts != 1 || st.WarmFallbacks != 0 {
 		t.Errorf("warm = (%d starts, %d fallbacks), want (1, 0)", st.WarmStarts, st.WarmFallbacks)
@@ -144,65 +183,129 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaWarmTypes is the acceptance gate for warm-start
-// recompute: after a tag-set-preserving retag, the NNMF types analysis
-// must recompute warm in at most 10% of the cold iteration budget and
-// produce a value byte-identical to a cold compute of the same
-// revision.
-func TestApplyDeltaWarmTypes(t *testing.T) {
-	exec, datasets := newDeltaExecutor(t)
-	touched := cs1OnlyCourse(t, datasets.Default())
-
-	coldVal, o := mustRunOn(t, exec, "types", url.Values{"group": {"all"}})
-	if o.Cache != "miss" {
-		t.Fatalf("first types = %q, want miss", o.Cache)
-	}
-
-	snap, err := datasets.Apply(dataset.DefaultID, sameTagsRetag(touched))
+// TestUnchangedTagSetsComputeNothing: a refresh whose input cannot
+// change an answer reuses it, with no compute and no NNMF iteration.
+// It covers a PATCH that keeps every course's tag set and a
+// same-revision stale refresh (the fault injector holds the refresh
+// past its caller's deadline). Across each, the counters behind
+// csm_analysis_computes_total and both modes of
+// csm_refresh_iterations_total stay put, and afterwards every types,
+// agreement and cluster read is a hit equal to a cold executor's.
+func TestUnchangedTagSetsComputeNothing(t *testing.T) {
+	reg, err := analyses.Default()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-	if out.Seeded != 1 {
-		t.Fatalf("seeded = %d, want 1 (types|all)", out.Seeded)
+	datasets := dataset.NewRegistry(nil)
+	cache := serving.NewCache(64)
+	faults := faultinject.New(1)
+	exec := engine.NewExecutor(reg, engine.ExecutorOptions{
+		Datasets: datasets, Cache: cache, Faults: faults, StaleServe: true,
+	})
+	type read struct {
+		name   string
+		values url.Values
 	}
-
-	warmVal, o := mustRunOn(t, exec, "types", url.Values{"group": {"all"}})
-	if o.Cache != "miss" || o.Revision != snap.Revision() {
-		t.Fatalf("post-delta types = %q@rev%d, want miss@rev%d", o.Cache, o.Revision, snap.Revision())
+	var reads []read
+	for _, name := range []string{"types", "agreement", "cluster"} {
+		for _, g := range []string{"all", "cs1", "ds", "dsalgo", "pdc"} {
+			v := url.Values{"group": {g}}
+			if name == "cluster" {
+				v.Set("k", "2") // the default 4 exceeds the smaller groups
+			}
+			reads = append(reads, read{name, v})
+		}
 	}
-	st := exec.Stats().Refresh[dataset.DefaultID]
-	if st.WarmStarts != 1 || st.WarmFallbacks != 0 {
-		t.Fatalf("warm = (%d starts, %d fallbacks), want (1, 0)", st.WarmStarts, st.WarmFallbacks)
+	work := func() (computes, iterations uint64) {
+		st := exec.Stats()
+		for _, a := range st.Analyses {
+			computes += a.Computes
+		}
+		rf := st.Refresh[dataset.DefaultID]
+		return computes, rf.WarmIterations + rf.ColdIterations
 	}
-	if st.WarmIterations == 0 || st.ColdIterations == 0 {
-		t.Fatalf("iterations not recorded: warm=%d cold=%d", st.WarmIterations, st.ColdIterations)
-	}
-	if st.WarmIterations*10 > st.ColdIterations {
-		t.Errorf("warm start took %d iterations vs %d cold: not within 10%%", st.WarmIterations, st.ColdIterations)
-	}
-
-	// Byte-identity, twice over: against the pre-delta value (the tag
-	// sets did not change, so the model must not either) and against a
-	// cold executor computing the new revision from scratch.
-	warmJSON := mustJSON(t, warmVal)
-	if got := mustJSON(t, coldVal); got != warmJSON {
-		t.Error("warm value diverges from the prior revision's value despite unchanged tag sets")
-	}
-	coldExec, _ := func() (*engine.Executor, *dataset.Registry) {
-		reg, err := analyses.Default()
+	checkHitsEqualCold := func(phase string) {
+		t.Helper()
+		coldReg, err := analyses.Default()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return engine.NewExecutor(reg, engine.ExecutorOptions{
-			Datasets: datasets,
-			Cache:    serving.NewCache(64),
-		}), datasets
-	}()
-	freshVal, _ := mustRunOn(t, coldExec, "types", url.Values{"group": {"all"}})
-	if got := mustJSON(t, freshVal); got != warmJSON {
-		t.Error("warm value diverges from a cold recompute of the same revision")
+		cold := engine.NewExecutor(coldReg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(64)})
+		for _, r := range reads {
+			got, o := mustRunOn(t, exec, r.name, r.values)
+			if o.Cache != "hit" {
+				t.Errorf("%s: %s %v = %q, want hit", phase, r.name, r.values, o.Cache)
+			}
+			want, _ := mustRunOn(t, cold, r.name, r.values)
+			if mustJSON(t, got) != mustJSON(t, want) {
+				t.Errorf("%s: %s %v differs from a cold executor's", phase, r.name, r.values)
+			}
+		}
 	}
+	for _, r := range reads {
+		mustRunOn(t, exec, r.name, r.values)
+	}
+
+	computes, iterations := work()
+	if iterations == 0 {
+		t.Fatal("the cold types computes recorded no iterations")
+	}
+	snap, err := datasets.Apply(dataset.DefaultID, sameTagsRetag(cs1OnlyCourse(t, datasets.Default())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap); out.Migrated != len(reads) || out.Invalidated() != 0 {
+		t.Fatalf("same-tag-set PATCH: %+v, want all %d entries migrated", out, len(reads))
+	}
+	checkHitsEqualCold("after the PATCH")
+	if c, i := work(); c != computes || i != iterations {
+		t.Fatalf("same-tag-set PATCH: computes %d -> %d, iterations %d -> %d; want both unchanged", computes, c, iterations, i)
+	}
+
+	// Drop every fresh entry; the stale store keeps the last-known-good
+	// copies. The cluster entries are recomputed first, outside the
+	// measured window: clustering has no warm path.
+	cache.Reset()
+	for _, r := range reads {
+		if r.name == "cluster" {
+			mustRunOn(t, exec, r.name, r.values)
+		}
+	}
+	computes, iterations = work()
+	hold := make(chan struct{})
+	faults.SetRules(
+		faultinject.Rule{Match: "compute/types", Probability: 1, Hold: hold},
+		faultinject.Rule{Match: "compute/agreement", Probability: 1, Hold: hold},
+	)
+	refreshed := 0
+	for _, r := range reads {
+		if r.name == "cluster" {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		_, o, err := exec.RunOn(ctx, dataset.DefaultID, r.name, r.values)
+		cancel()
+		if err != nil || o.Cache != "stale" {
+			t.Fatalf("held %s %v = %+v, %v; want a stale serve", r.name, r.values, o, err)
+		}
+		refreshed++
+	}
+	close(hold)
+	faults.SetRules()
+	deadline := time.Now().Add(10 * time.Second)
+	for cache.Stats().Size < len(reads) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stale refreshes did not land: %d of %d entries", cache.Stats().Size, len(reads))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if c, i := work(); c != computes || i != iterations {
+		t.Fatalf("stale refresh: computes %d -> %d, iterations %d -> %d; want both unchanged", computes, c, iterations, i)
+	}
+	if st := exec.Stats().Refresh[dataset.DefaultID]; st.WarmStarts != uint64(refreshed) || st.WarmFallbacks != 0 {
+		t.Errorf("warm = (%d starts, %d fallbacks), want (%d, 0)", st.WarmStarts, st.WarmFallbacks, refreshed)
+	}
+	checkHitsEqualCold("after the stale refresh")
 }
 
 // TestApplyDeltaWarmAgreementRebase drives a delta that genuinely

@@ -403,9 +403,8 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 			var v interface{}
 			if err == nil {
 				csp := obs.StartSpan(tctx, "compute")
-				e.countCompute(scope)
 				var warm bool
-				v, warm, err = e.computeWithPrior(fctx, ds, a, repo, p, key)
+				v, warm, err = e.computeWithPrior(fctx, ds, scope, a, repo, p, key)
 				switch {
 				case err == nil && warm:
 					e.recordIterations(ds, true, v)
@@ -454,9 +453,9 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 			obs.AddSpan(ctx, "stale-refresh", time.Time{}) // detached refresh launched
 			// Seed the refresh with the value being served: the key is
 			// revision-scoped, so the repository is unchanged and a
-			// warm-startable analysis can converge from the last-known-good
-			// result in a probe iteration instead of a cold solve (delta
-			// nil: same revision). Non-warmable analyses ignore the seed.
+			// warm-startable analysis can adopt or rebase the
+			// last-known-good result instead of solving cold (delta nil:
+			// same revision). Non-warmable analyses ignore the seed.
 			e.seedPrior(key, sv, nil, true)
 			refresh := guardedWith(context.Background()) // lint:detach DESIGN §9: the stale refresh must outlive the request that tripped it
 			go func() {

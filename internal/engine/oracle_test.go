@@ -1,0 +1,504 @@
+package engine_test
+
+// The delta oracle: a randomized differential test of the incremental
+// refresh. A seeded generator draws batches of classification events;
+// after each Registry.Apply + Executor.ApplyDelta every registered
+// analysis is read over a parameter grid and compared, byte for byte
+// and error for error, with a cold executor over the same snapshot (a
+// fresh cache and no warm-start priors). The whole grid is read before
+// each delta too, so the entries a delta migrates are the ones checked.
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/url"
+	"sort"
+	"testing"
+
+	"csmaterials/internal/dataset"
+	"csmaterials/internal/engine"
+	"csmaterials/internal/engine/analyses"
+	"csmaterials/internal/materials"
+	"csmaterials/internal/serving"
+)
+
+// oracleDataset is the dataset the oracle ingests its corpus as; a
+// non-default ID so the scoped cache keys are exercised too.
+const oracleDataset = "oracle"
+
+// smallCorpus returns seed courses covering every group label the
+// group-scoped analyses select on, including the two dual-labelled
+// courses: CS1, CS1+DS, DS, DS+OOP, Algo, PDC, OOP and Other.
+func smallCorpus(t testing.TB) []*materials.Course {
+	t.Helper()
+	ids := []string{
+		"tulane-cmps1100-kurdia", "washu-cse131-singh", "ucf-cop3502-ahmed",
+		"uncc-2214-saule", "vcu-cmsc256-duke", "hanover-cs225-wahl",
+		"knox-cs309-bunde", "lsu-csc1350-kundu", "uncc-3112-krs", "utsa-bopana",
+	}
+	byID := map[string]*materials.Course{}
+	for _, c := range dataset.Courses() {
+		byID[c.ID] = c
+	}
+	out := make([]*materials.Course, 0, len(ids))
+	for _, id := range ids {
+		c, ok := byID[id]
+		if !ok {
+			t.Fatalf("seed corpus has no course %q", id)
+		}
+		out = append(out, c.Clone())
+	}
+	return out
+}
+
+// gridRead is one read of the oracle's parameter grid.
+type gridRead struct {
+	name   string
+	values url.Values
+}
+
+func (r gridRead) String() string { return r.name + "?" + r.values.Encode() }
+
+// oracleGrid lists the reads for every registered analysis: each group
+// with two k or threshold values, each course (and one unknown course)
+// for the per-course analyses, and two figures plus an unknown one. An
+// analysis the grid does not know fails the test, so a newly
+// registered analysis cannot escape the oracle.
+func oracleGrid(t testing.TB, reg *engine.Registry, courses []string) []gridRead {
+	t.Helper()
+	groups := []string{"all", "cs1", "ds", "dsalgo", "pdc"}
+	courses = append(append([]string(nil), courses...), "no-such-course")
+	var out []gridRead
+	add := func(name string, kv ...string) {
+		v := url.Values{}
+		for i := 0; i < len(kv); i += 2 {
+			v.Set(kv[i], kv[i+1])
+		}
+		out = append(out, gridRead{name, v})
+	}
+	for _, name := range reg.Names() {
+		switch name {
+		case "agreement":
+			for _, g := range groups {
+				add(name, "group", g, "threshold", "2")
+				add(name, "group", g, "threshold", "3")
+			}
+		case "types":
+			for _, g := range groups {
+				add(name, "group", g, "k", "2")
+				add(name, "group", g, "k", "3")
+			}
+		case "cluster":
+			for _, g := range groups {
+				add(name, "group", g, "k", "2")
+				add(name, "group", g, "k", "4")
+			}
+		case "anchors", "audit":
+			for _, c := range courses {
+				add(name, "course", c)
+			}
+		case "pdcmaterials":
+			for _, c := range courses {
+				add(name, "course", c)
+				add(name, "course", c, "limit", "3")
+			}
+		case "figures":
+			add(name, "id", "1")
+			add(name, "id", "3a")
+			add(name, "id", "no-such-figure")
+		default:
+			t.Fatalf("the delta oracle has no parameter grid for analysis %q", name)
+		}
+	}
+	return out
+}
+
+// readAnswer renders one read as comparable text: the value's JSON, or
+// the error's status, code and message.
+func readAnswer(exec *engine.Executor, r gridRead) string {
+	v, _, err := exec.RunOn(context.Background(), oracleDataset, r.name, r.values)
+	if err != nil {
+		var ee *engine.Error
+		if errors.As(err, &ee) {
+			return fmt.Sprintf("error %d %s: %s", ee.Status, ee.Code, ee.Message)
+		}
+		return "error: " + err.Error()
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return "marshal error: " + err.Error()
+	}
+	return string(b)
+}
+
+// eventGen draws batches of classification events against the current
+// corpus. Each batch is simulated on a working copy of the touched
+// courses' material lists, so every batch it returns applies.
+type eventGen struct {
+	rng   *rand.Rand
+	vocab []string // every tag of the starting corpus, sorted
+	added int      // materials added so far, for fresh IDs
+	// kinds counts the events and special batches generated, by kind.
+	kinds map[string]int
+	// work is the batch being drawn: course ID → material list.
+	work map[string][]*materials.Material
+	ids  []string // course IDs in repository order
+}
+
+func newEventGen(seed int64, courses []*materials.Course) *eventGen {
+	set := map[string]bool{}
+	ids := make([]string, 0, len(courses))
+	for _, c := range courses {
+		ids = append(ids, c.ID)
+		for t := range c.TagSet() {
+			set[t] = true
+		}
+	}
+	vocab := make([]string, 0, len(set))
+	for t := range set {
+		vocab = append(vocab, t)
+	}
+	sort.Strings(vocab)
+	return &eventGen{rng: rand.New(rand.NewSource(seed)), vocab: vocab, kinds: map[string]int{}, ids: ids}
+}
+
+// mats returns course id's working material list.
+func (g *eventGen) mats(repo *materials.Repository, id string) []*materials.Material {
+	if m, ok := g.work[id]; ok {
+		return m
+	}
+	m := append([]*materials.Material(nil), repo.Course(id).Materials...)
+	g.work[id] = m
+	return m
+}
+
+// tagsOf is the union of the tags of ms, skipping index skip.
+func tagsOf(ms []*materials.Material, skip int) map[string]bool {
+	s := map[string]bool{}
+	for i, m := range ms {
+		if i == skip {
+			continue
+		}
+		for _, t := range m.Tags {
+			s[t] = true
+		}
+	}
+	return s
+}
+
+func sortedTags(s map[string]bool) []string {
+	out := make([]string, 0, len(s))
+	for t := range s {
+		out = append(out, t)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// retagEvent records a retag of course id's material i in the working
+// copy and returns the event.
+func (g *eventGen) retagEvent(id string, i int, tags []string) dataset.Event {
+	ms := g.work[id]
+	m := ms[i].Clone()
+	m.Tags = append([]string(nil), tags...)
+	ms[i] = m
+	return dataset.Event{Op: dataset.OpRetag, Course: id, MaterialID: m.ID, Tags: append([]string(nil), tags...)}
+}
+
+// keepTags draws new tags for material i that leave the course's tag
+// set unchanged: the tags only it covers, plus some the course has.
+func (g *eventGen) keepTags(ms []*materials.Material, i int) []string {
+	others := tagsOf(ms, i)
+	next := map[string]bool{}
+	pool := map[string]bool{}
+	for t := range others {
+		pool[t] = true
+	}
+	for _, t := range ms[i].Tags {
+		pool[t] = true
+		if !others[t] {
+			next[t] = true
+		}
+	}
+	sorted := sortedTags(pool)
+	for n := g.rng.Intn(4); n > 0; n-- {
+		next[sorted[g.rng.Intn(len(sorted))]] = true
+	}
+	if len(next) == 0 {
+		next[sorted[g.rng.Intn(len(sorted))]] = true
+	}
+	return sortedTags(next)
+}
+
+// changeTags draws new tags for material i that change the course's
+// tag set: one tag the course lacks is added, or (when the material
+// has one) a tag only it covers is dropped.
+func (g *eventGen) changeTags(ms []*materials.Material, i int) ([]string, bool) {
+	all := tagsOf(ms, -1)
+	others := tagsOf(ms, i)
+	own := ms[i].TagSet()
+	var only []string
+	for _, t := range sortedTags(own) {
+		if !others[t] {
+			only = append(only, t)
+		}
+	}
+	if len(only) > 0 && len(own) > 1 && g.rng.Intn(2) == 0 {
+		delete(own, only[g.rng.Intn(len(only))])
+		return sortedTags(own), true
+	}
+	var missing []string
+	for _, t := range g.vocab {
+		if !all[t] {
+			missing = append(missing, t)
+		}
+	}
+	if len(missing) == 0 {
+		return nil, false
+	}
+	own[missing[g.rng.Intn(len(missing))]] = true
+	return sortedTags(own), true
+}
+
+// randomTags draws 1-3 tags from the vocabulary.
+func (g *eventGen) randomTags() []string {
+	s := map[string]bool{}
+	for n := 1 + g.rng.Intn(3); n > 0; n-- {
+		s[g.vocab[g.rng.Intn(len(g.vocab))]] = true
+	}
+	return sortedTags(s)
+}
+
+// event draws one event of a random kind against the working copy.
+func (g *eventGen) event(repo *materials.Repository) dataset.Event {
+	for {
+		id := g.ids[g.rng.Intn(len(g.ids))]
+		ms := g.mats(repo, id)
+		switch r := g.rng.Intn(100); {
+		case r < 35 && len(ms) > 0:
+			g.kinds["retag-keep"]++
+			i := g.rng.Intn(len(ms))
+			return g.retagEvent(id, i, g.keepTags(ms, i))
+		case r < 65 && len(ms) > 0:
+			i := g.rng.Intn(len(ms))
+			tags, ok := g.changeTags(ms, i)
+			if !ok {
+				continue
+			}
+			g.kinds["retag-change"]++
+			return g.retagEvent(id, i, tags)
+		case r < 85:
+			g.kinds["add"]++
+			g.added++
+			tags := g.randomTags()
+			if len(ms) > 0 && g.rng.Intn(2) == 0 {
+				tags = g.keepTags(append(ms, &materials.Material{}), len(ms))
+			}
+			m := &materials.Material{
+				ID: fmt.Sprintf("%s/oracle-%d", id, g.added), Title: "oracle material",
+				Type: materials.Lecture, Tags: tags,
+			}
+			g.work[id] = append(ms, m)
+			return dataset.Event{Op: dataset.OpAdd, Course: id, Material: m.Clone()}
+		case len(ms) > 2:
+			g.kinds["remove"]++
+			i := g.rng.Intn(len(ms))
+			ev := dataset.Event{Op: dataset.OpRemove, Course: id, MaterialID: ms[i].ID}
+			g.work[id] = append(ms[:i:i], ms[i+1:]...)
+			return ev
+		}
+	}
+}
+
+// batch draws the next batch against repo: usually 1-3 random events,
+// sometimes a retag and its exact undo (the course is touched but its
+// tag set cancels out), sometimes a remove and an add of the same
+// material ID (moved within or across courses, or re-added as is).
+func (g *eventGen) batch(repo *materials.Repository) []dataset.Event {
+	g.work = map[string][]*materials.Material{}
+	var evs []dataset.Event
+	switch r := g.rng.Intn(100); {
+	case r < 15:
+		g.kinds["cancelling-retags"]++
+		id := g.ids[g.rng.Intn(len(g.ids))]
+		ms := g.mats(repo, id)
+		i := g.rng.Intn(len(ms))
+		orig := append([]string(nil), ms[i].Tags...)
+		evs = append(evs, g.retagEvent(id, i, g.randomTags()), g.retagEvent(id, i, orig))
+	case r < 30:
+		g.kinds["remove-add-same-id"]++
+		from := g.ids[g.rng.Intn(len(g.ids))]
+		to := g.ids[g.rng.Intn(len(g.ids))]
+		ms := g.mats(repo, from)
+		i := g.rng.Intn(len(ms))
+		m := ms[i].Clone()
+		evs = append(evs, dataset.Event{Op: dataset.OpRemove, Course: from, MaterialID: m.ID})
+		g.work[from] = append(ms[:i:i], ms[i+1:]...)
+		if g.rng.Intn(2) == 0 {
+			m.Tags = g.randomTags()
+		}
+		g.work[to] = append(g.mats(repo, to), m)
+		evs = append(evs, dataset.Event{Op: dataset.OpAdd, Course: to, Material: m.Clone()})
+	case r < 40:
+		g.kinds["add-remove-same-id"]++
+		id := g.ids[g.rng.Intn(len(g.ids))]
+		g.added++
+		m := &materials.Material{
+			ID: fmt.Sprintf("%s/oracle-%d", id, g.added), Title: "oracle material",
+			Type: materials.Lab, Tags: g.randomTags(),
+		}
+		evs = append(evs,
+			dataset.Event{Op: dataset.OpAdd, Course: id, Material: m},
+			dataset.Event{Op: dataset.OpRemove, Course: id, MaterialID: m.ID})
+	}
+	for n := 1 + g.rng.Intn(3); n > 0 || len(evs) == 0; n-- {
+		evs = append(evs, g.event(repo))
+	}
+	return evs
+}
+
+// oracleRun summarizes what one oracle run exercised.
+type oracleRun struct {
+	steps, reads        int
+	migrated, dropped   int
+	warmStarts, changed int
+}
+
+// runDeltaOracle ingests courses, then applies steps generated batches,
+// comparing the executor built over reg with a cold executor after
+// each. It returns the first mismatch.
+func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Course, seed int64, steps int) (oracleRun, error) {
+	t.Helper()
+	var run oracleRun
+	datasets := dataset.NewRegistry(nil)
+	snap, err := datasets.Put(oracleDataset, courses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := engine.NewExecutor(reg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(1024)})
+	coldReg, err := analyses.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 0, len(courses))
+	for _, c := range courses {
+		ids = append(ids, c.ID)
+	}
+	grid := oracleGrid(t, reg, ids)
+	gen := newEventGen(seed, courses)
+
+	for step := 0; step <= steps; step++ {
+		if step > 0 {
+			events := gen.batch(snap.Repo())
+			next, err := datasets.Apply(oracleDataset, events)
+			if err != nil {
+				t.Fatalf("step %d: generated batch does not apply: %v", step, err)
+			}
+			snap = next
+			out := exec.ApplyDelta(context.Background(), oracleDataset, snap)
+			if out.Full {
+				return run, fmt.Errorf("step %d: a delta snapshot refreshed in full", step)
+			}
+			run.migrated += out.Migrated
+			run.dropped += out.InvalidatedFresh
+			run.changed += len(snap.Delta().TagChanges)
+			run.steps++
+		}
+		cold := engine.NewExecutor(coldReg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(1024)})
+		for _, r := range grid {
+			got, want := readAnswer(exec, r), readAnswer(cold, r)
+			run.reads++
+			if got != want {
+				return run, fmt.Errorf("step %d (revision %d), %s:\n got  %.300s\n want %.300s",
+					step, snap.Revision(), r, got, want)
+			}
+		}
+	}
+	run.warmStarts = int(exec.Stats().Refresh[oracleDataset].WarmStarts)
+	return run, nil
+}
+
+// TestDeltaOracle runs the oracle over generated batches: many steps
+// on a small corpus that covers every group, a few on the seed corpus.
+func TestDeltaOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		courses []*materials.Course
+		seed    int64
+		steps   int
+	}{
+		{"small corpus", smallCorpus(t), 1801, 40},
+		{"seed corpus", dataset.Courses(), 1802, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg, err := analyses.Default()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := runDeltaOracle(t, reg, tc.courses, tc.seed, tc.steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d steps, %d reads: %d entries migrated, %d dropped, %d warm starts, %d tag-set changes",
+				run.steps, run.reads, run.migrated, run.dropped, run.warmStarts, run.changed)
+			// The oracle proves nothing unless deltas both migrated and
+			// dropped entries, and some course's tag set changed.
+			if run.migrated == 0 || run.dropped == 0 || run.changed == 0 {
+				t.Fatalf("vacuous run: %+v", run)
+			}
+		})
+	}
+}
+
+// TestDeltaOracleGeneratorCoverage: the small-corpus run draws every
+// event kind and both special batches.
+func TestDeltaOracleGeneratorCoverage(t *testing.T) {
+	courses := smallCorpus(t)
+	datasets := dataset.NewRegistry(nil)
+	snap, err := datasets.Put(oracleDataset, courses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := newEventGen(1801, courses)
+	for step := 0; step < 40; step++ {
+		if snap, err = datasets.Apply(oracleDataset, gen.batch(snap.Repo())); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	for _, kind := range []string{"retag-keep", "retag-change", "add", "remove",
+		"cancelling-retags", "remove-add-same-id", "add-remove-same-id"} {
+		if gen.kinds[kind] == 0 {
+			t.Errorf("40 steps drew no %s", kind)
+		}
+	}
+}
+
+// underReporting wraps a real analysis with an AffectedBy that claims
+// no delta reaches it, so every one of its entries migrates.
+type underReporting struct{ engine.Analysis }
+
+func (underReporting) AffectedBy(string, *dataset.Delta) bool { return false }
+
+// TestDeltaOracleCatchesUnderReporting is the oracle's mutation check:
+// with any one delta-aware analysis swapped for an under-reporting
+// copy, the small-corpus run must fail.
+func TestDeltaOracleCatchesUnderReporting(t *testing.T) {
+	for _, name := range []string{"agreement", "types", "cluster", "anchors", "audit", "pdcmaterials"} {
+		t.Run(name, func(t *testing.T) {
+			reg, err := analyses.Default()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := reg.Get(name)
+			reg.Replace(underReporting{a})
+			if _, err := runDeltaOracle(t, reg, smallCorpus(t), 1801, 40); err == nil {
+				t.Fatalf("the oracle passed with %s under-reporting", name)
+			} else {
+				t.Logf("caught: %v", err)
+			}
+		})
+	}
+}

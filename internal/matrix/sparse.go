@@ -207,25 +207,6 @@ func (c *CSR) InnerWithProductT(w, ht *Dense) float64 {
 	return s
 }
 
-// Equal reports whether c and d have the same shape and the same stored
-// entries in the same positions.
-func (c *CSR) Equal(d *CSR) bool {
-	if c.rows != d.rows || c.cols != d.cols || len(c.vals) != len(d.vals) {
-		return false
-	}
-	for i, p := range c.rowPtr {
-		if d.rowPtr[i] != p {
-			return false
-		}
-	}
-	for p, j := range c.colIdx {
-		if d.colIdx[p] != j || c.vals[p] != d.vals[p] { // lint:exact — identity, not closeness
-			return false
-		}
-	}
-	return true
-}
-
 // AnyNegative reports whether any stored entry is negative.
 func (c *CSR) AnyNegative() bool {
 	for _, v := range c.vals {

@@ -100,30 +100,6 @@ func TestCSRDestinationKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestCSREqual(t *testing.T) {
-	a := randomSparse01(6, 9, 0.3, 13)
-	a.Set(0, 0, 1)
-	c := FromDense(a)
-	if !c.Equal(FromDense(a.Clone())) {
-		t.Fatal("CSR differs from its own copy")
-	}
-	moved := a.Clone()
-	moved.Set(0, 0, 0)
-	moved.Set(0, 1, 1)
-	weighted := a.Clone()
-	weighted.Set(0, 0, 2)
-	for name, d := range map[string]*Dense{
-		"moved entry": moved,
-		"other value": weighted,
-		"other shape": New(6, 10),
-		"empty":       New(6, 9),
-	} {
-		if c.Equal(FromDense(d)) {
-			t.Errorf("%s: Equal reported true", name)
-		}
-	}
-}
-
 func TestCSRMulAtBMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randomSparse01(11, 23, 0.2, 7)

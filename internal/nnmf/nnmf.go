@@ -106,18 +106,6 @@ type Options struct {
 	L1H float64
 	// L1W is the corresponding penalty on W.
 	L1W float64
-	// InitW and InitH, when both set, warm-start the factorization from
-	// prior factors instead of random or NNDSVD initialization: a single
-	// run is seeded from them (Init, Seed and Restarts are ignored) and
-	// iterated from there. Dimensions are reconciled positionally —
-	// overlapping cells are copied, cells introduced by grown dimensions
-	// are filled with the random-init scale sqrt(mean(A)/K). Near a
-	// fixed point the run converges in a handful of iterations; on an
-	// unchanged matrix whose seeds are already converged factors, the
-	// output is the seeds themselves, byte-stable (see
-	// Result.SeedRetained). Setting only one of the two is an error.
-	InitW *matrix.Dense
-	InitH *matrix.Dense
 }
 
 func (o Options) withDefaults() Options {
@@ -142,9 +130,7 @@ type Result struct {
 	// Iterations actually performed (of the winning restart).
 	Iterations int
 	// TotalIterations is the work actually done: the sum of iterations
-	// across every restart (equal to Iterations for warm-started runs,
-	// which perform exactly one). Warm-vs-cold speedups are measured
-	// against this, not the winning restart's count.
+	// across every restart.
 	TotalIterations int
 	// Converged reports whether the tolerance was reached before MaxIter.
 	Converged bool
@@ -155,15 +141,6 @@ type Result struct {
 	Err float64
 	// Restart is the index of the winning restart.
 	Restart int
-	// SeedRetained reports that a warm-started run (Options.InitW/InitH)
-	// found the seeds already at a fixed point — one full update round
-	// improved the reconstruction error by no more than the tolerance —
-	// and returned copies of the seed factors unchanged. When true, W
-	// and H are byte-identical to the seeds, so any result derived from
-	// them is byte-identical to the result derived from the prior
-	// factorization. Consumers use this flag (not a float comparison) to
-	// decide whether a warm recompute can stand in for a cold one.
-	SeedRetained bool
 }
 
 // Factorize computes an NNMF of a with the given options.
@@ -244,8 +221,7 @@ type kernel interface {
 // problem is one validated factorization input.
 type problem struct {
 	rows, cols int
-	// mean is the mean of A: it scales random initialization and the
-	// cells a warm start grows.
+	// mean is the mean of A: it scales random initialization.
 	mean float64
 	// dense returns A densely, for NNDSVD initialization.
 	dense func() *matrix.Dense
@@ -271,24 +247,12 @@ func randomInit(w, h *matrix.Dense, mean float64, rng *rand.Rand) {
 
 // run is the one iteration loop: it updates res.W and res.H in place
 // until the residual stalls or MaxIter is reached, recording every
-// residual in res. A cold run measures the stall against its first
-// residual (scikit-learn's criterion). A warm run (Options.InitW/InitH)
-// records the seeds' own residual as Residuals[0] and measures against
-// it; when the seeds matched the dimensions exactly and one full update
-// round cannot improve on them by more than the tolerance, it returns
-// copies of the seeds unchanged — rather than the infinitesimally
-// different stepped factors — which is the byte-stability guarantee the
-// delta-refresh path relies on.
-func run(ctx context.Context, kern kernel, res *Result, opts Options, exact bool) error {
+// residual in res. The stall is measured against the first residual
+// (scikit-learn's criterion).
+func run(ctx context.Context, kern kernel, res *Result, opts Options) error {
 	w, h := res.W, res.H
-	warm := opts.InitW != nil
 	kern.start(w, h)
 	prev, base := math.Inf(1), 0.0
-	if warm {
-		base = kern.residual(w, h)
-		prev = base
-		res.Residuals = append(res.Residuals, base)
-	}
 	for it := 0; it < opts.MaxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -297,21 +261,9 @@ func run(ctx context.Context, kern kernel, res *Result, opts Options, exact bool
 		e := kern.residual(w, h)
 		res.Residuals = append(res.Residuals, e)
 		res.Iterations = it + 1
-		if it == 0 && !warm {
+		if it == 0 {
 			base, prev = e, e
 			continue
-		}
-		// The retention threshold is absolute in relative-error units
-		// (floored at Tol·seedErr for badly-fit seeds): converged seeds
-		// came from a run that stopped once a round improved less than
-		// Tol·init with init up to ~1 for normalized inputs, so one more
-		// round improves at most on that order.
-		if it == 0 && exact && prev-e <= opts.Tol*math.Max(1, base) {
-			res.W, res.H = opts.InitW.Clone(), opts.InitH.Clone()
-			res.Err = base
-			res.Converged = true
-			res.SeedRetained = true
-			return nil
 		}
 		// The <= matters: once the residual bottoms out exactly (prev ==
 		// e, possibly 0), a strict inequality would never trigger.
@@ -323,71 +275,6 @@ func run(ctx context.Context, kern kernel, res *Result, opts Options, exact bool
 	}
 	res.Err = res.Residuals[len(res.Residuals)-1]
 	return nil
-}
-
-// warmSeeds validates the warm-start options and reconciles the seed
-// factors to the current matrix dimensions. It reports whether the
-// seeds matched the target dimensions exactly — the precondition for
-// the byte-stable SeedRetained short-circuit.
-func warmSeeds(opts Options, rows, cols int, mean float64) (w, h *matrix.Dense, exact bool, err error) {
-	if opts.InitW == nil || opts.InitH == nil {
-		return nil, nil, false, fmt.Errorf("nnmf: warm start requires both InitW and InitH")
-	}
-	if err := checkSeed("InitW", opts.InitW); err != nil {
-		return nil, nil, false, err
-	}
-	if err := checkSeed("InitH", opts.InitH); err != nil {
-		return nil, nil, false, err
-	}
-	fill := math.Sqrt(mean / float64(opts.K))
-	w, h, exact = reconcileFactors(opts.InitW, opts.InitH, rows, cols, opts.K, fill)
-	return w, h, exact, nil
-}
-
-func checkSeed(name string, m *matrix.Dense) error {
-	rows := m.Rows()
-	for i := 0; i < rows; i++ {
-		for _, v := range m.RowView(i) {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("nnmf: %s seed has invalid entry %v", name, v)
-			}
-		}
-	}
-	return nil
-}
-
-// reconcileFactors adapts prior factors to the target dimensions. A
-// matching-dimension seed is cloned as-is; otherwise overlapping cells
-// are copied positionally and cells introduced by grown dimensions are
-// filled with fill, so the seed still steers the search even when a
-// course (row) or curriculum tag (column) appeared or disappeared.
-func reconcileFactors(initW, initH *matrix.Dense, rows, cols, k int, fill float64) (w, h *matrix.Dense, exact bool) {
-	wr, wk := initW.Dims()
-	hk, hc := initH.Dims()
-	if wr == rows && wk == k && hk == k && hc == cols {
-		return initW.Clone(), initH.Clone(), true
-	}
-	w = matrix.New(rows, k)
-	h = matrix.New(k, cols)
-	for i := 0; i < rows; i++ {
-		for t := 0; t < k; t++ {
-			if i < wr && t < wk {
-				w.Set(i, t, initW.At(i, t))
-			} else {
-				w.Set(i, t, fill)
-			}
-		}
-	}
-	for t := 0; t < k; t++ {
-		for j := 0; j < cols; j++ {
-			if t < hk && j < hc {
-				h.Set(t, j, initH.At(t, j))
-			} else {
-				h.Set(t, j, fill)
-			}
-		}
-	}
-	return w, h, false
 }
 
 // denseKernel runs an update rule over a dense A: the KL and HALS

@@ -67,10 +67,9 @@ func TestFactorizeRejectsBadInput(t *testing.T) {
 }
 
 // TestEntryPointsRejectBadOptions: options no loop can run are an error
-// from every entry point, cold or warm, never a panic.
+// from every entry point, never a panic.
 func TestEntryPointsRejectBadOptions(t *testing.T) {
 	a := lowRankMatrix(6, 8, 2, 1)
-	seed := factorizeOrDie(t, a, Options{K: 2, Seed: 1})
 	entries := map[string]func(Options) (*Result, error){
 		"Factorize":    func(o Options) (*Result, error) { return Factorize(a, o) },
 		"FactorizeCSR": func(o Options) (*Result, error) { return FactorizeCSR(matrix.FromDense(a), o) },
@@ -81,7 +80,6 @@ func TestEntryPointsRejectBadOptions(t *testing.T) {
 	}{
 		{"negative Restarts", Options{K: 2, Restarts: -1}},
 		{"negative MaxIter", Options{K: 2, MaxIter: -1}},
-		{"negative MaxIter, warm", Options{K: 2, MaxIter: -1, InitW: seed.W, InitH: seed.H}},
 		{"negative Restarts, NNDSVD", Options{K: 2, Restarts: -3, Init: InitNNDSVD}},
 		{"zero K", Options{K: 0}},
 		{"K above the dimensions", Options{K: 7}},

@@ -13,23 +13,14 @@ import (
 
 // This file keeps the allocating CSR factorization exactly as it stood
 // before the shared loops and their workspace — its own restart loop,
-// cold and warm iteration loops, and a fresh matrix for every product —
-// as the oracle the differential tests hold FactorizeCSR to, bit for
-// bit.
+// iteration loop, and a fresh matrix for every product — as the oracle
+// the differential tests hold FactorizeCSR to, bit for bit.
 
 func oracleFactorizeCSR(a *matrix.CSR, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	rows, cols := a.Dims()
 	normA := a.FrobeniusNorm()
 	mean := normA * normA / float64(rows*cols)
-
-	if opts.InitW != nil || opts.InitH != nil {
-		w, h, exact, err := warmSeeds(opts, rows, cols, mean)
-		if err != nil {
-			return nil, err
-		}
-		return oracleRunWarm(a, opts, exact, w, h, normA), nil
-	}
 
 	restarts := opts.Restarts
 	if opts.Init == InitNNDSVD {
@@ -80,36 +71,6 @@ func oracleRunSparse(a *matrix.CSR, w, h *matrix.Dense, opts Options, normA floa
 	return res
 }
 
-func oracleRunWarm(a *matrix.CSR, opts Options, exact bool, w, h *matrix.Dense, normA float64) *Result {
-	res := &Result{}
-	seedW, seedH := w, h
-	seedErr := sparseRelativeError(a, w, h, normA)
-	res.Residuals = append(res.Residuals, seedErr)
-	prev := seedErr
-	for it := 0; it < opts.MaxIter; it++ {
-		w, h = stepFrobeniusSparse(a, w, h, opts.Eps)
-		e := sparseRelativeError(a, w, h, normA)
-		res.Residuals = append(res.Residuals, e)
-		res.Iterations = it + 1
-		res.TotalIterations = res.Iterations
-		if it == 0 && exact && prev-e <= opts.Tol*math.Max(1, seedErr) {
-			res.W, res.H = seedW, seedH
-			res.Err = seedErr
-			res.Converged = true
-			res.SeedRetained = true
-			return res
-		}
-		if prev-e <= opts.Tol*seedErr {
-			res.Converged = true
-			break
-		}
-		prev = e
-	}
-	res.W, res.H = w, h
-	res.Err = res.Residuals[len(res.Residuals)-1]
-	return res
-}
-
 func stepFrobeniusSparse(a *matrix.CSR, w, h *matrix.Dense, eps float64) (*matrix.Dense, *matrix.Dense) {
 	wtA := a.MulAtB(w).T() // (AᵀW)ᵀ = WᵀA, k × cols
 	wtWH := w.MulAtB(w).Mul(h)
@@ -143,10 +104,10 @@ func sparseRelativeError(a *matrix.CSR, w, h *matrix.Dense, normA float64) float
 // every float by its bit pattern; "" means identical.
 func sameBits(got, want *Result) string {
 	if got.Iterations != want.Iterations || got.TotalIterations != want.TotalIterations ||
-		got.Restart != want.Restart || got.Converged != want.Converged || got.SeedRetained != want.SeedRetained {
-		return fmt.Sprintf("counters: iterations %d/%d total %d/%d restart %d/%d converged %v/%v retained %v/%v",
+		got.Restart != want.Restart || got.Converged != want.Converged {
+		return fmt.Sprintf("counters: iterations %d/%d total %d/%d restart %d/%d converged %v/%v",
 			got.Iterations, want.Iterations, got.TotalIterations, want.TotalIterations,
-			got.Restart, want.Restart, got.Converged, want.Converged, got.SeedRetained, want.SeedRetained)
+			got.Restart, want.Restart, got.Converged, want.Converged)
 	}
 	if math.Float64bits(got.Err) != math.Float64bits(want.Err) {
 		return fmt.Sprintf("Err %v vs %v", got.Err, want.Err)
@@ -220,8 +181,7 @@ func seedGroups() map[string]*matrix.Dense {
 }
 
 // TestCSRMatchesOracleOnSeedGroups covers the served configuration: the
-// paper's 10-restart run on every seed-corpus group at k = 2, 3, 4,
-// then a warm start from each result (which must retain the seeds).
+// paper's 10-restart run on every seed-corpus group at k = 2, 3, 4.
 func TestCSRMatchesOracleOnSeedGroups(t *testing.T) {
 	for name, a := range seedGroups() {
 		csr := matrix.FromDense(a)
@@ -230,12 +190,7 @@ func TestCSRMatchesOracleOnSeedGroups(t *testing.T) {
 				continue
 			}
 			opts := Options{K: k, Seed: 1, Restarts: 10, MaxIter: 500}
-			label := fmt.Sprintf("%s k=%d", name, k)
-			cold := checkAgainstOracle(t, label, csr, opts)
-			warm := checkAgainstOracle(t, label+" warm", csr, warmFrom(cold, opts))
-			if !warm.SeedRetained {
-				t.Errorf("%s: warm start on the unchanged matrix did not retain its seeds", label)
-			}
+			checkAgainstOracle(t, fmt.Sprintf("%s k=%d", name, k), csr, opts)
 		}
 	}
 }
@@ -281,42 +236,13 @@ func randomCase(rng *rand.Rand) (*matrix.Dense, Options) {
 }
 
 // TestCSRMatchesOracleOnRandomMatrices is the randomized differential
-// test: 150 random problems, cold, then warm-started from exact,
-// perturbed, grown and shrunk seeds.
+// test: 150 random problems.
 func TestCSRMatchesOracleOnRandomMatrices(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240615))
 	for c := 0; c < 150; c++ {
 		a, opts := randomCase(rng)
-		csr := matrix.FromDense(a)
 		label := fmt.Sprintf("case %d (%dx%d %+v)", c, a.Rows(), a.Cols(), opts)
-		cold := checkAgainstOracle(t, label, csr, opts)
-
-		warm := opts
-		warm.InitW, warm.InitH = cold.W, cold.H
-		checkAgainstOracle(t, label+" warm exact", csr, warm)
-
-		warm.InitW = cold.W.Apply(func(_, _ int, v float64) float64 { return v * (0.9 + 0.2*rng.Float64()) })
-		warm.InitH = cold.H.Apply(func(_, _ int, v float64) float64 { return v * (0.9 + 0.2*rng.Float64()) })
-		checkAgainstOracle(t, label+" warm perturbed", csr, warm)
-
-		// Re-fit a grown and a shrunk matrix from the same seeds.
-		rows, cols := a.Dims()
-		grown := matrix.New(rows+1, cols+2)
-		for i := 0; i < rows; i++ {
-			copy(grown.RowView(i), a.RowView(i))
-		}
-		grown.Set(rows, cols, 1)
-		warm.InitW, warm.InitH = cold.W, cold.H
-		checkAgainstOracle(t, label+" warm grown", matrix.FromDense(grown), warm)
-		if rows > opts.K && cols > opts.K && rows > 2 && cols > 2 {
-			shrunk := matrix.New(rows-1, cols-1)
-			for i := 0; i < rows-1; i++ {
-				copy(shrunk.RowView(i), a.RowView(i)[:cols-1])
-			}
-			if shrunk.FrobeniusNorm() > 0 {
-				checkAgainstOracle(t, label+" warm shrunk", matrix.FromDense(shrunk), warm)
-			}
-		}
+		checkAgainstOracle(t, label, matrix.FromDense(a), opts)
 	}
 }
 

@@ -18,26 +18,13 @@ import (
 // start no helpers until some of them finish.
 var running atomic.Int64
 
-// factorize is the one restart loop behind every entry point. A warm
-// start (Options.InitW/InitH) is a single run from the reconciled
-// seeds. Otherwise the calling goroutine and the helpers it starts
-// claim restart indices from a shared counter (see pool); the result
-// is bit-identical to running the restarts one after another.
+// factorize is the one restart loop behind every entry point: the
+// calling goroutine and the helpers it starts claim restart indices
+// from a shared counter (see pool); the result is bit-identical to
+// running the restarts one after another.
 func factorize(ctx context.Context, p problem, opts Options) (*Result, error) {
 	running.Add(1)
 	defer running.Add(-1)
-	if opts.InitW != nil || opts.InitH != nil {
-		w, h, exact, err := warmSeeds(opts, p.rows, p.cols, p.mean)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{W: w, H: h}
-		if err := run(ctx, p.kernel(), res, opts, exact); err != nil {
-			return nil, err
-		}
-		res.TotalIterations = res.Iterations
-		return res, nil
-	}
 	n := opts.Restarts
 	if opts.Init == InitNNDSVD {
 		n = 1
@@ -123,7 +110,7 @@ func (f *pool) work() (best *Result, total int, err error) {
 			randomInit(w, h, f.p.mean, rng)
 		}
 		*cur = Result{W: w, H: h, Residuals: cur.Residuals[:0], Restart: int(r)}
-		if err := run(f.ctx, kern, cur, f.opts, false); err != nil {
+		if err := run(f.ctx, kern, cur, f.opts); err != nil {
 			return nil, 0, err // every other worker sees ctx done at its next check
 		}
 		total += cur.Iterations

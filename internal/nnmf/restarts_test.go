@@ -76,28 +76,19 @@ func TestBusyProcessStartsNoHelper(t *testing.T) {
 	}
 }
 
-// TestSingleRunsStartNoHelper: NNDSVD and warm starts make exactly one
-// run, on the calling goroutine.
+// TestSingleRunsStartNoHelper: an NNDSVD fit makes exactly one run, on
+// the calling goroutine.
 func TestSingleRunsStartNoHelper(t *testing.T) {
 	setProcs(t, 4)
 	p, opts := csrFit(t, 10)
-	cold, err := factorize(context.Background(), p, opts)
+	opts.Init = InitNNDSVD
+	workers := countWorkers(&p)
+	res, err := factorize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nndsvd, warm := opts, opts
-	nndsvd.Init = InitNNDSVD
-	warm.InitW, warm.InitH = cold.W, cold.H
-	for name, o := range map[string]Options{"nndsvd": nndsvd, "warm": warm} {
-		q := p
-		workers := countWorkers(&q)
-		res, err := factorize(context.Background(), q, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := workers.Load(); n != 1 || res.TotalIterations != res.Iterations {
-			t.Errorf("%s: %d workers, %d of %d iterations in the winner; want one run", name, n, res.Iterations, res.TotalIterations)
-		}
+	if n := workers.Load(); n != 1 || res.TotalIterations != res.Iterations {
+		t.Errorf("nndsvd: %d workers, %d of %d iterations in the winner; want one run", n, res.Iterations, res.TotalIterations)
 	}
 }
 

@@ -143,11 +143,11 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 // handleDatasetPatch applies a delta — an ordered event list — on top
 // of the dataset's current revision, behind the same auth/ownership
 // gates as PUT. Unlike PUT, the serving layer is reconciled
-// incrementally: cache entries whose analyses prove themselves
-// unaffected by the delta migrate to the new revision (staying warm),
-// affected entries drop, and droppable results of warm-startable
-// analyses are retained as priors so the recompute converges in a
-// fraction of the cold iteration budget. Concurrent PATCHes race on
+// incrementally: cache entries no changed course tag set can reach
+// migrate to the new revision (staying warm), affected entries drop,
+// and dropped agreement results are retained as priors so the
+// recompute rebases their counts instead of rescanning. Concurrent
+// PATCHes race on
 // the revision; the loser retries inside Registry.Apply and, if the
 // dataset keeps moving, answers 409 dataset_conflict.
 func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {

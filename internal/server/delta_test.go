@@ -298,3 +298,63 @@ func TestConcurrentPatchVsReadersVsRefresh(t *testing.T) {
 		t.Errorf("delta refreshes = %d, want %d", st.Delta, patches)
 	}
 }
+
+// TestDatasetPatchDeltaBytes pins the meta.delta block of a PATCH
+// response byte for byte: one batch that adds, removes, retags a
+// material to a new tag set and retags one to its own tags, across
+// courses of four groups.
+func TestDatasetPatchDeltaBytes(t *testing.T) {
+	s := newObsServer(t, Options{})
+	body := `{"events":[
+		{"op":"retag","course":"hanover-cs225-wahl","material_id":"hanover-cs225-wahl/m000",
+		 "tags":["AL/basic-analysis/time-and-space-trade-offs-in-algorithms"]},
+		{"op":"retag","course":"ccc-csci40-kerney","material_id":"ccc-csci40-kerney/m001",
+		 "tags":["SDF/fundamental-programming-concepts/variables-and-primitive-data-types"]},
+		{"op":"add","course":"ucf-cop3502-ahmed","material":{"id":"ucf-cop3502-ahmed/new",
+		 "title":"New lab","type":"lab","tags":["PD/parallelism-fundamentals/multiple-simultaneous-computations"]}},
+		{"op":"remove","course":"knox-cs309-bunde","material_id":"knox-cs309-bunde/m002"}]}`
+	w := do(t, s, http.MethodPatch, "/api/v1/datasets/default", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("PATCH: status %d\n%s", w.Code, w.Body.Bytes())
+	}
+	var env struct {
+		Meta struct {
+			Delta json.RawMessage `json:"delta"`
+		} `json:"meta"`
+	}
+	decode(t, w.Body.Bytes(), &env)
+	const want = `{
+      "events": 4,
+      "added": 1,
+      "removed": 1,
+      "retagged": 2,
+      "courses": [
+        "ccc-csci40-kerney",
+        "hanover-cs225-wahl",
+        "knox-cs309-bunde",
+        "ucf-cop3502-ahmed"
+      ],
+      "tags": [
+        "AL/algorithmic-strategies/use-dynamic-programming-to-solve-an-appropriate-problem",
+        "AL/basic-analysis/time-and-space-trade-offs-in-algorithms",
+        "AL/fundamental-data-structures-and-algorithms/implement-common-quadratic-and-o-n-log-n-sorting-algorithms",
+        "AR/digital-logic-and-digital-systems/explain-the-progression-from-transistors-to-gates-to-components",
+        "PD/parallel-performance/load-balancing-and-scheduling-overheads",
+        "PD/parallelism-fundamentals/multiple-simultaneous-computations",
+        "PL/formal-semantics/hoare-logic-and-axiomatic-semantics",
+        "PROG/parallel-programming-paradigms/client-server-and-distributed-object-paradigms",
+        "SDF/algorithms-and-design/apply-the-techniques-of-decomposition-to-break-a-program-into-smaller-pieces",
+        "SDF/fundamental-programming-concepts/functions-and-parameter-passing",
+        "SDF/fundamental-programming-concepts/variables-and-primitive-data-types"
+      ],
+      "groups": [
+        "algo",
+        "cs1",
+        "ds",
+        "pdc"
+      ]
+    }`
+	if got := string(env.Meta.Delta); got != want {
+		t.Errorf("meta.delta =\n%s\nwant\n%s", got, want)
+	}
+}
