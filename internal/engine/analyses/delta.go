@@ -75,6 +75,11 @@ func (Types) ComputeWarm(_ context.Context, _ *materials.Repository, _ engine.Pa
 	return &adopted, nil
 }
 
+// WarmsWithinRevisionOnly marks Types as an engine.RevisionWarmer:
+// ComputeWarm declines every prior that carries a delta, so ApplyDelta
+// seeds none.
+func (Types) WarmsWithinRevisionOnly() {}
+
 // AffectedBy scopes agreement results to their course group.
 func (Agreement) AffectedBy(paramKey string, d *dataset.Delta) bool {
 	return groupAffected(paramGroup(paramKey), d)

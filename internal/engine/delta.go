@@ -46,6 +46,16 @@ type WarmStarter interface {
 	ComputeWarm(ctx context.Context, repo *materials.Repository, p Params, prior interface{}, d *dataset.Delta) (interface{}, error)
 }
 
+// RevisionWarmer is implemented by a WarmStarter that warms only
+// within one revision: its ComputeWarm adopts a same-revision prior (a
+// stale refresh's, delta nil) and declines every prior that carries a
+// delta. ApplyDelta seeds it no prior, since each one it could seed
+// would be held, then declined and counted as a fallback.
+type RevisionWarmer interface {
+	WarmStarter
+	WarmsWithinRevisionOnly()
+}
+
 // ConvergenceReporter is implemented by analysis RESULTS whose compute
 // is iterative (the NNMF factorizations); the executor reads it after
 // a successful compute to export iterations-to-converge, split warm
@@ -131,10 +141,11 @@ func (o DeltaOutcome) Invalidated() int { return o.InvalidatedFresh + o.Invalida
 // the dataset's previous revisions is classified by its analysis —
 // provably unaffected results are MIGRATED to the new revision's keys
 // (keeping their LRU positions; no recompute, no cold cache), affected
-// results are dropped, and dropped values of warm-startable analyses
-// are retained as warm-start priors for the recompute that will
-// replace them. Snapshots without a delta (full PUT re-ingest,
-// LoadDir) degrade to RefreshFull. No-op in single-repo mode.
+// results are dropped, and dropped values of analyses that can warm
+// across a delta (WarmStarters but not RevisionWarmers) are retained
+// as warm-start priors for the recompute that will replace them.
+// Snapshots without a delta (full PUT re-ingest, LoadDir) degrade to
+// RefreshFull. No-op in single-repo mode.
 func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snapshot) DeltaOutcome {
 	if e.datasets == nil || e.cache == nil {
 		return DeltaOutcome{}
@@ -184,6 +195,9 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 			continue
 		}
 		if _, warmable := a.(WarmStarter); !warmable {
+			continue
+		}
+		if _, withinRevision := a.(RevisionWarmer); withinRevision {
 			continue
 		}
 		if e.seedPrior(newPrefix+name+joinParam(paramKey), de.Val, d, de.Stale) {

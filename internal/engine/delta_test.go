@@ -308,6 +308,36 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 	checkHitsEqualCold("after the stale refresh")
 }
 
+// TestApplyDeltaSeedsNoTypesPrior: types warms only within one
+// revision, so a retag that changes a course's tag set, and so drops
+// types|all, seeds it no prior; its recompute runs cold without a
+// declined warm start.
+func TestApplyDeltaSeedsNoTypesPrior(t *testing.T) {
+	exec, datasets := newDeltaExecutor(t)
+	base := datasets.Default()
+	touched := cs1OnlyCourse(t, base)
+	all := url.Values{"group": {"all"}}
+	mustRunOn(t, exec, "types", all)
+	snap, err := datasets.Apply(dataset.DefaultID, []dataset.Event{{
+		Op: dataset.OpRetag, Course: touched.ID,
+		MaterialID: touched.Materials[0].ID, Tags: []string{missingTag(t, base, touched)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
+	if out.InvalidatedFresh != 1 || out.Seeded != 0 {
+		t.Errorf("tag-set change: %+v, want types|all dropped and no prior seeded", out)
+	}
+	if _, o := mustRunOn(t, exec, "types", all); o.Cache != "miss" || o.Revision != snap.Revision() {
+		t.Errorf("types|all after the change = %q@rev%d, want miss@rev%d", o.Cache, o.Revision, snap.Revision())
+	}
+	st := exec.Stats().Refresh[dataset.DefaultID]
+	if st.Seeded != 0 || st.WarmStarts != 0 || st.WarmFallbacks != 0 {
+		t.Errorf("refresh: %d seeded, warm = (%d starts, %d fallbacks), want all 0", st.Seeded, st.WarmStarts, st.WarmFallbacks)
+	}
+}
+
 // TestApplyDeltaWarmAgreementRebase drives a delta that genuinely
 // changes a course's tag set: the agreement analysis must rebase the
 // prior counts (warm) and still match a cold recompute byte for byte.

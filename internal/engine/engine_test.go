@@ -121,6 +121,20 @@ func TestFakeAnalysisFullLadder(t *testing.T) {
 			t.Fatalf("degraded run %d: v=%v out=%+v err=%v", i, v, out, err)
 		}
 	}
+	// Each degraded run launched a detached refresh of the same key.
+	// Wait until all six calls have settled — each one either led a
+	// flight, and so left one breaker decision (a failure or a
+	// rejection), or shared a flight — so that no refresh is left to
+	// take the half-open probe the post-recovery run below needs.
+	settled := func() uint64 {
+		bs := breakers.Get("fake").Stats()
+		return bs.Failures + bs.Rejected + cache.Stats().Shared
+	}
+	for deadline := time.Now().Add(10 * time.Second); settled() < 6; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stale refreshes did not settle: %d of 6 calls", settled())
+		}
+	}
 
 	// Three consecutive failures opened the breaker; an uncached key now
 	// fails fast with ErrOpen without touching Compute.

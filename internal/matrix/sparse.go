@@ -47,6 +47,14 @@ func (c *CSR) Dims() (int, int) { return c.rows, c.cols }
 // NNZ returns the number of stored non-zeros.
 func (c *CSR) NNZ() int { return len(c.vals) }
 
+// Arrays returns the matrix's storage: row i holds vals[rowPtr[i]:rowPtr[i+1]]
+// in columns colIdx[rowPtr[i]:rowPtr[i+1]], ascending. The slices alias
+// the matrix and must not be modified. The NNMF kernel walks them
+// directly, so that one sweep over A forms every product it needs.
+func (c *CSR) Arrays() (rowPtr, colIdx []int, vals []float64) {
+	return c.rowPtr, c.colIdx, c.vals
+}
+
 // Density returns NNZ / (rows·cols).
 func (c *CSR) Density() float64 {
 	return float64(c.NNZ()) / float64(c.rows*c.cols)
@@ -64,8 +72,8 @@ func (c *CSR) ToDense() *Dense {
 }
 
 // MulAtB returns Aᵀ × B where A is this sparse matrix and B is dense.
-// A.rows must equal B.rows. The NNMF H update forms its transpose with
-// MulBtATo; this allocating form is the reference that path is tested
+// A.rows must equal B.rows. The NNMF kernel forms its WᵀA inside its
+// row sweep; this allocating form is the reference it is tested
 // against.
 func (c *CSR) MulAtB(b *Dense) *Dense {
 	if c.rows != b.Rows() {
@@ -85,53 +93,9 @@ func (c *CSR) MulAtB(b *Dense) *Dense {
 	return out
 }
 
-// MulBtATo writes Bᵀ × A into dst, which must be B.Cols() × A.cols, and
-// returns dst: the WᵀA of the NNMF H update, summed over A's rows in the
-// same order as MulAtB, so it equals MulAtB(b).T() bit for bit.
-func (c *CSR) MulBtATo(dst, b *Dense) *Dense {
-	if c.rows != b.rows || dst.rows != b.cols || dst.cols != c.cols {
-		panic(fmt.Sprintf("matrix: CSR MulBtATo shape mismatch %dx%d vs %dx%d into %dx%d",
-			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
-	}
-	clear(dst.data)
-	for i := 0; i < c.rows; i++ {
-		bi := b.data[i*b.cols : (i+1)*b.cols]
-		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			col := dst.data[c.colIdx[p]:]
-			v := c.vals[p]
-			for t, bit := range bi {
-				col[t*dst.cols] += v * bit
-			}
-		}
-	}
-	return dst
-}
-
-// MulTo writes A × B into dst, which must be A.rows × B.Cols(), and
-// returns dst. With B = Hᵀ it is the AHᵀ of the NNMF W update, equal bit
-// for bit to MulABt(H) but reading each Hᵀ row contiguously.
-func (c *CSR) MulTo(dst, b *Dense) *Dense {
-	if c.cols != b.rows || dst.rows != c.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("matrix: CSR MulTo shape mismatch %dx%d × %dx%d into %dx%d",
-			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
-	}
-	clear(dst.data)
-	for i := 0; i < c.rows; i++ {
-		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			bk := b.data[c.colIdx[p]*b.cols : (c.colIdx[p]+1)*b.cols]
-			v := c.vals[p]
-			for j, bkj := range bk {
-				oi[j] += v * bkj
-			}
-		}
-	}
-	return dst
-}
-
-// MulABt returns A × Bᵀ with A sparse and B dense. The NNMF W update
-// forms it as MulTo(Bᵀ); this allocating form is the reference that path
-// is tested against.
+// MulABt returns A × Bᵀ with A sparse and B dense. The NNMF kernel
+// forms its AHᵀ inside its row sweep; this allocating form is the
+// reference it is tested against.
 func (c *CSR) MulABt(b *Dense) *Dense {
 	if c.cols != b.Cols() {
 		panic(fmt.Sprintf("matrix: CSR MulABt shape mismatch %dx%d vs %dx%d", c.rows, c.cols, b.Rows(), b.Cols()))
@@ -161,7 +125,8 @@ func (c *CSR) FrobeniusNorm() float64 {
 
 // InnerWithProduct returns ⟨A, W·H⟩ = Σ over the non-zeros of A of
 // a_ij · (W_i · H_:j), without forming W·H. W must be rows×k and H k×cols.
-// The NNMF residual uses InnerWithProductT; this form is its reference.
+// The NNMF kernel forms it inside its row sweep; this form is its
+// reference.
 func (c *CSR) InnerWithProduct(w, h *Dense) float64 {
 	if w.Rows() != c.rows || h.Cols() != c.cols || w.Cols() != h.Rows() {
 		panic(fmt.Sprintf("matrix: InnerWithProduct shape mismatch A %dx%d, W %dx%d, H %dx%d",
@@ -176,30 +141,6 @@ func (c *CSR) InnerWithProduct(w, h *Dense) float64 {
 			dot := 0.0
 			for t := 0; t < k; t++ {
 				dot += wi[t] * h.At(t, j)
-			}
-			s += c.vals[p] * dot
-		}
-	}
-	return s
-}
-
-// InnerWithProductT is InnerWithProduct with H given as its transpose
-// ht (cols × k), so each non-zero reads one contiguous row; the sum is
-// the same, bit for bit.
-func (c *CSR) InnerWithProductT(w, ht *Dense) float64 {
-	if w.rows != c.rows || ht.rows != c.cols || w.cols != ht.cols {
-		panic(fmt.Sprintf("matrix: InnerWithProductT shape mismatch A %dx%d, W %dx%d, Hᵀ %dx%d",
-			c.rows, c.cols, w.rows, w.cols, ht.rows, ht.cols))
-	}
-	k := w.cols
-	s := 0.0
-	for i := 0; i < c.rows; i++ {
-		wi := w.data[i*k : (i+1)*k]
-		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			hj := ht.data[c.colIdx[p]*k : (c.colIdx[p]+1)*k]
-			dot := 0.0
-			for t, v := range wi {
-				dot += v * hj[t]
 			}
 			s += c.vals[p] * dot
 		}

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,41 +64,6 @@ func TestCSRAnyNegative(t *testing.T) {
 	}
 }
 
-func TestCSRMulMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomSparse01(11, 23, 0.2, 5)
-	c := FromDense(a)
-	b := Random(23, 6, rng)
-	if !c.MulTo(dirty(11, 6), b).EqualTol(a.Mul(b), 1e-10) {
-		t.Fatal("CSR MulTo differs from dense")
-	}
-}
-
-// TestCSRDestinationKernelsBitIdentical pins the NNMF workspace kernels
-// to the allocating products they replace, bit for bit, on weighted
-// (not just 0-1) entries and destinations holding stale values.
-func TestCSRDestinationKernelsBitIdentical(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols, k := 2+rng.Intn(15), 2+rng.Intn(40), 1+rng.Intn(5)
-		a := randomSparse01(rows, cols, 0.1+0.4*rng.Float64(), seed).Apply(func(_, _ int, v float64) float64 {
-			return v * (0.5 + rng.Float64())
-		})
-		c := FromDense(a)
-		w, h := Random(rows, k, rng), Random(k, cols, rng)
-		ht := h.T()
-		if got := c.MulBtATo(dirty(k, cols), w); !bitsEqual(got, c.MulAtB(w).T()) {
-			t.Fatalf("seed %d: MulBtATo differs from MulAtB(w).T()", seed)
-		}
-		if got := c.MulTo(dirty(rows, k), ht); !bitsEqual(got, c.MulABt(h)) {
-			t.Fatalf("seed %d: MulTo(Hᵀ) differs from MulABt(H)", seed)
-		}
-		if got, want := c.InnerWithProductT(w, ht), c.InnerWithProduct(w, h); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("seed %d: InnerWithProductT = %v, InnerWithProduct = %v", seed, got, want)
-		}
-	}
-}
-
 func TestCSRMulAtBMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randomSparse01(11, 23, 0.2, 7)
@@ -136,14 +100,9 @@ func TestCSRInnerWithProductMatchesDense(t *testing.T) {
 func TestCSRShapePanics(t *testing.T) {
 	a := FromDense(randomSparse01(3, 4, 0.5, 12))
 	for name, f := range map[string]func(){
-		"MulTo":             func() { a.MulTo(New(3, 2), New(3, 2)) },
-		"MulTo dst":         func() { a.MulTo(New(2, 2), New(4, 2)) },
-		"MulBtATo":          func() { a.MulBtATo(New(2, 4), New(4, 2)) },
-		"MulBtATo dst":      func() { a.MulBtATo(New(2, 3), New(3, 2)) },
-		"MulAtB":            func() { a.MulAtB(New(4, 2)) },
-		"MulABt":            func() { a.MulABt(New(2, 3)) },
-		"InnerWithProduct":  func() { a.InnerWithProduct(New(3, 2), New(3, 4)) },
-		"InnerWithProductT": func() { a.InnerWithProductT(New(3, 2), New(2, 4)) },
+		"MulAtB":           func() { a.MulAtB(New(4, 2)) },
+		"MulABt":           func() { a.MulABt(New(2, 3)) },
+		"InnerWithProduct": func() { a.InnerWithProduct(New(3, 2), New(3, 4)) },
 	} {
 		func() {
 			defer func() {

@@ -174,13 +174,10 @@ func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, 
 	if normA == 0 {
 		return nil, errAllZero
 	}
-	// The dense kernels keep no state between steps, so every worker
-	// can share one.
-	kern := &denseKernel{a: a, normA: normA, opts: opts}
 	return factorize(ctx, problem{
 		rows: rows, cols: cols, mean: a.Mean(),
 		dense:  func() *matrix.Dense { return a },
-		kernel: func() kernel { return kern },
+		kernel: func() kernel { return &denseKernel{a: a, normA: normA, opts: opts} },
 	}, opts)
 }
 
@@ -205,17 +202,18 @@ func prepare(opts Options, rows, cols int) (Options, error) {
 }
 
 // kernel is one update rule over one matrix format — all that differs
-// between the entry points. The loop owns W and H; a kernel updates
-// them in place and may carry products from one call to the next, so a
-// run calls start once and then alternates update and residual.
+// between the entry points. A run hands the kernel its factors once,
+// steps it, and takes the factors back once; in between the kernel may
+// hold them in its own layout and carry products from one step to the
+// next.
 type kernel interface {
-	// start prepares a run from the factors w, h.
+	// start begins a run from the factors w, h.
 	start(w, h *matrix.Dense)
-	// update applies one update round to w and h in place.
-	update(w, h *matrix.Dense)
-	// residual returns ‖A − W·H‖_F / ‖A‖_F for the factors last passed
-	// to start or produced by update.
-	residual(w, h *matrix.Dense) float64
+	// step applies one update round and returns ‖A − W·H‖_F / ‖A‖_F of
+	// the updated factors.
+	step() float64
+	// finish writes the run's factors back into the w, h given to start.
+	finish()
 }
 
 // problem is one validated factorization input.
@@ -225,8 +223,8 @@ type problem struct {
 	mean float64
 	// dense returns A densely, for NNDSVD initialization.
 	dense func() *matrix.Dense
-	// kernel returns the kernel one restart worker runs; a kernel with a
-	// workspace is never shared between goroutines.
+	// kernel returns the kernel one restart worker runs; a kernel is
+	// never shared between goroutines.
 	kernel func() kernel
 }
 
@@ -245,20 +243,19 @@ func randomInit(w, h *matrix.Dense, mean float64, rng *rand.Rand) {
 	}
 }
 
-// run is the one iteration loop: it updates res.W and res.H in place
-// until the residual stalls or MaxIter is reached, recording every
-// residual in res. The stall is measured against the first residual
+// run is the one iteration loop: it steps the kernel from res.W and
+// res.H until the residual stalls or MaxIter is reached, recording every
+// residual in res, and has the kernel write the final factors back into
+// res.W and res.H. The stall is measured against the first residual
 // (scikit-learn's criterion).
 func run(ctx context.Context, kern kernel, res *Result, opts Options) error {
-	w, h := res.W, res.H
-	kern.start(w, h)
+	kern.start(res.W, res.H)
 	prev, base := math.Inf(1), 0.0
 	for it := 0; it < opts.MaxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		kern.update(w, h)
-		e := kern.residual(w, h)
+		e := kern.step()
 		res.Residuals = append(res.Residuals, e)
 		res.Iterations = it + 1
 		if it == 0 {
@@ -273,35 +270,37 @@ func run(ctx context.Context, kern kernel, res *Result, opts Options) error {
 		}
 		prev = e
 	}
+	kern.finish()
 	res.Err = res.Residuals[len(res.Residuals)-1]
 	return nil
 }
 
 // denseKernel runs an update rule over a dense A: the KL and HALS
-// ablations and the dense Frobenius reference path. Each step allocates
-// its products; only the served CSR path (csrFrobenius) is tuned.
+// ablations and the dense Frobenius reference path. It updates the
+// run's factors in place and each step allocates its products; only the
+// served CSR path (csrKernel) is tuned.
 type denseKernel struct {
 	a     *matrix.Dense
 	normA float64
 	opts  Options
+	w, h  *matrix.Dense
 }
 
-func (k *denseKernel) start(_, _ *matrix.Dense) {}
+func (k *denseKernel) start(w, h *matrix.Dense) { k.w, k.h = w, h }
 
-func (k *denseKernel) update(w, h *matrix.Dense) {
+func (k *denseKernel) step() float64 {
 	switch k.opts.Algorithm {
 	case MultiplicativeKL:
-		stepKL(k.a, w, h, k.opts.Eps)
+		stepKL(k.a, k.w, k.h, k.opts.Eps)
 	case HALS:
-		stepHALS(k.a, w, h, k.opts.Eps, k.opts.L1W, k.opts.L1H)
+		stepHALS(k.a, k.w, k.h, k.opts.Eps, k.opts.L1W, k.opts.L1H)
 	default:
-		stepFrobenius(k.a, w, h, k.opts.Eps)
+		stepFrobenius(k.a, k.w, k.h, k.opts.Eps)
 	}
+	return RelativeError(k.a, k.w, k.h, k.normA)
 }
 
-func (k *denseKernel) residual(w, h *matrix.Dense) float64 {
-	return RelativeError(k.a, w, h, k.normA)
-}
+func (k *denseKernel) finish() {}
 
 // RelativeError returns ‖A − W·H‖_F / normA. Pass a.FrobeniusNorm() (or
 // any positive normalizer) as normA.

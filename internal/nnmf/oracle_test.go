@@ -246,20 +246,73 @@ func TestCSRMatchesOracleOnRandomMatrices(t *testing.T) {
 	}
 }
 
+// TestCSRMatchesOracleAtEveryTileLayout holds the kernel's 4-wide
+// tiles to the oracle at every k from 1 to 9: one padded tile (k < 4),
+// one full tile, and two and three tiles, padded or full. Each k runs
+// on the seed all-courses matrix and on five random matrices of at
+// least 9 × 9: two 0-1 and two weighted, one of each pair
+// NNDSVD-initialized, and one whose entries' squares overflow, so
+// that H goes non-finite and the H update keeps its zero-skips. That
+// case runs one restart: its residuals are all NaN, and the restarts'
+// order of merging must not pick its winner.
+func TestCSRMatchesOracleAtEveryTileLayout(t *testing.T) {
+	all := matrix.FromDense(seedGroups()["all"])
+	rng := rand.New(rand.NewSource(20261018))
+	for k := 1; k <= 9; k++ {
+		checkAgainstOracle(t, fmt.Sprintf("all k=%d", k), all,
+			Options{K: k, Seed: int64(k), Restarts: 2, MaxIter: 60, Tol: 1e-12})
+		for c := 0; c < 5; c++ {
+			rows, cols := 9+rng.Intn(16), 9+rng.Intn(52)
+			density := 0.05 + 0.5*rng.Float64()
+			a := matrix.New(rows, cols)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					if rng.Float64() < density {
+						v := 1.0
+						if c%2 == 1 {
+							v = 0.1 + 3*rng.Float64()
+						}
+						if c == 4 {
+							v = 1e160
+						}
+						a.Set(i, j, v)
+					}
+				}
+			}
+			a.Set(rng.Intn(rows), rng.Intn(cols), 1) // never all zero
+			opts := Options{
+				K:        k,
+				Seed:     rng.Int63n(1 << 40),
+				Restarts: 1 + rng.Intn(3),
+				MaxIter:  1 + rng.Intn(60),
+				Tol:      []float64{0, 1e-3, 1e-7, 1e-12}[rng.Intn(4)],
+			}
+			switch c {
+			case 2, 3:
+				opts.Init = InitNNDSVD
+			case 4:
+				opts.Restarts = 1
+			}
+			label := fmt.Sprintf("k=%d case %d (%dx%d %+v)", k, c, rows, cols, opts)
+			checkAgainstOracle(t, label, matrix.FromDense(a), opts)
+		}
+	}
+}
+
 // TestCSRIterationAllocatesNothing pins the workspace contract: one
-// steady-state iteration (update, then residual) allocates nothing.
+// steady-state step allocates nothing, for one padded tile (k = 1, 3),
+// one full tile (k = 4) and two tiles (k = 6).
 func TestCSRIterationAllocatesNothing(t *testing.T) {
 	a := matrix.FromDense(random01(30, 80, 0.15, 5))
-	rng := rand.New(rand.NewSource(1))
-	w, h := matrix.New(30, 4), matrix.New(4, 80)
-	randomInit(w, h, 0.15, rng)
-	kern := newCSRFrobenius(a, 4, 1e-12, a.FrobeniusNorm())
-	kern.start(w, h)
-	if n := testing.AllocsPerRun(50, func() {
-		kern.update(w, h)
-		kern.residual(w, h)
-	}); n != 0 { // lint:exact — an allocation count
-		t.Fatalf("one CSR iteration allocates %v times, want 0", n)
+	for _, k := range []int{1, 3, 4, 6} {
+		rng := rand.New(rand.NewSource(1))
+		w, h := matrix.New(30, k), matrix.New(k, 80)
+		randomInit(w, h, 0.15, rng)
+		kern := newCSRKernel(a, k, 1e-12, a.FrobeniusNorm())
+		kern.start(w, h)
+		if n := testing.AllocsPerRun(50, func() { kern.step() }); n != 0 { // lint:exact — an allocation count
+			t.Fatalf("k=%d: one CSR step allocates %v times, want 0", k, n)
+		}
 	}
 }
 

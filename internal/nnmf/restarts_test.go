@@ -93,13 +93,16 @@ func TestSingleRunsStartNoHelper(t *testing.T) {
 }
 
 // flatKernel reports the same residual for any factors, so every
-// restart ties. Its update sleeps so helpers claim restarts while the
+// restart ties. Its step sleeps so helpers claim restarts while the
 // caller is still running its own.
 type flatKernel struct{}
 
-func (flatKernel) start(_, _ *matrix.Dense)            {}
-func (flatKernel) update(_, _ *matrix.Dense)           { time.Sleep(200 * time.Microsecond) }
-func (flatKernel) residual(_, _ *matrix.Dense) float64 { return 0.5 }
+func (flatKernel) start(_, _ *matrix.Dense) {}
+func (flatKernel) finish()                  {}
+func (flatKernel) step() float64 {
+	time.Sleep(200 * time.Microsecond)
+	return 0.5
+}
 
 // TestTiedRestartsGoToTheLowestIndex: whichever worker ran it, the
 // winner of a tie is restart 0, as in a sequential loop.
@@ -146,12 +149,12 @@ func TestCancelStopsEveryWorker(t *testing.T) {
 
 var errHelperPanic = errors.New("kernel panic on a helper")
 
-// panicKernel panics on its first update.
+// panicKernel panics on its first step.
 type panicKernel struct{}
 
-func (panicKernel) start(_, _ *matrix.Dense)            {}
-func (panicKernel) update(_, _ *matrix.Dense)           { panic(errHelperPanic) }
-func (panicKernel) residual(_, _ *matrix.Dense) float64 { return 1 }
+func (panicKernel) start(_, _ *matrix.Dense) {}
+func (panicKernel) step() float64            { panic(errHelperPanic) }
+func (panicKernel) finish()                  {}
 
 // goroutineID returns the running goroutine's number from its stack
 // header ("goroutine 7 [running]:").

@@ -64,6 +64,18 @@ func TestFactorizeCSRValidation(t *testing.T) {
 	}
 }
 
+// TestFactorizeCSRRejectsNonFinite: a NaN or infinite entry is
+// refused, as Factorize refuses it, rather than fitted.
+func TestFactorizeCSRRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		a := random01(5, 6, 0.3, 1)
+		a.Set(2, 3, v)
+		if _, err := FactorizeCSR(matrix.FromDense(a), Options{K: 2}); err == nil {
+			t.Errorf("entry %v accepted", v)
+		}
+	}
+}
+
 func TestFactorizeCSRRestartsAndNNDSVD(t *testing.T) {
 	a := random01(12, 25, 0.2, 77)
 	c := matrix.FromDense(a)
