@@ -101,6 +101,7 @@ import (
 
 	"csmaterials/internal/engine"
 	"csmaterials/internal/fleet"
+	"csmaterials/internal/nnmf"
 	"csmaterials/internal/obs"
 	"csmaterials/internal/resilience"
 	"csmaterials/internal/server"
@@ -261,6 +262,27 @@ func newHTTPServer(cfg config, handler http.Handler, logger *log.Logger) *http.S
 	}
 }
 
+// listeningEvent returns the startup event's fields: the serving
+// limits, the NNMF tile kernel this CPU runs ("avx" or "go"; the same
+// factors, the Go kernel slower), and in fleet mode the replica's
+// place in the ring.
+func listeningEvent(cfg config, fl *fleet.Fleet) map[string]interface{} {
+	listening := map[string]interface{}{
+		"addr":            cfg.addr,
+		"cache_entries":   cfg.cacheSize,
+		"request_timeout": cfg.requestTimeout.String(),
+		"max_in_flight":   cfg.maxInFlight,
+		"trace_buffer":    cfg.traceBuffer,
+		"nnmf_kernel":     nnmf.Kernel(),
+	}
+	if fl != nil {
+		listening["node_id"] = fl.Self()
+		listening["ring_version"] = fl.RingVersion()
+		listening["peers"] = len(fl.Peers())
+	}
+	return listening
+}
+
 func main() {
 	cfg, err := parseConfig(os.Args[1:])
 	if err != nil {
@@ -354,19 +376,7 @@ func main() {
 		}
 	}()
 
-	listening := map[string]interface{}{
-		"addr":            cfg.addr,
-		"cache_entries":   cfg.cacheSize,
-		"request_timeout": cfg.requestTimeout.String(),
-		"max_in_flight":   cfg.maxInFlight,
-		"trace_buffer":    cfg.traceBuffer,
-	}
-	if fl := s.Fleet(); fl != nil {
-		listening["node_id"] = fl.Self()
-		listening["ring_version"] = fl.RingVersion()
-		listening["peers"] = len(fl.Peers())
-	}
-	events.Event("listening", listening)
+	events.Event("listening", listeningEvent(cfg, s.Fleet()))
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fail("serve-failed", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"csmaterials/internal/engine"
+	"csmaterials/internal/nnmf"
 	"csmaterials/internal/obs"
 	"csmaterials/internal/resilience"
 	"csmaterials/internal/server"
@@ -163,6 +164,29 @@ func TestServerOptionsFleet(t *testing.T) {
 	}
 	if opts.Fleet != nil {
 		t.Error("Fleet must stay nil without -peers")
+	}
+}
+
+// TestListeningEventNamesKernel: the startup event names the NNMF tile
+// kernel this process runs, and the fleet fields appear only with a
+// fleet.
+func TestListeningEventNamesKernel(t *testing.T) {
+	cfg := config{addr: ":0", traceSample: 1}
+	ev := listeningEvent(cfg, nil)
+	if got := ev["nnmf_kernel"]; got != nnmf.Kernel() || (got != "avx" && got != "go") {
+		t.Fatalf("nnmf_kernel = %v, want %q (avx or go)", got, nnmf.Kernel())
+	}
+	if _, ok := ev["node_id"]; ok {
+		t.Fatal("node_id reported without a fleet")
+	}
+	cfg.nodeID, cfg.peers = "a", "a=127.0.0.1:8080,b=127.0.0.1:8081"
+	opts, err := cfg.serverOptions(log.New(io.Discard, "", 0), obs.NewLogger(io.Discard))
+	if err != nil {
+		t.Fatalf("serverOptions: %v", err)
+	}
+	ev = listeningEvent(cfg, opts.Fleet)
+	if ev["node_id"] != "a" || ev["peers"] != 2 {
+		t.Fatalf("fleet fields node_id=%v peers=%v, want a and 2", ev["node_id"], ev["peers"])
 	}
 }
 

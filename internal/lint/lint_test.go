@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -183,6 +184,38 @@ func TestLoaderResolvesModuleImports(t *testing.T) {
 		if pkg.Types == nil || pkg.Info == nil {
 			t.Fatalf("package %s missing type information", pkg.Path)
 		}
+	}
+}
+
+// TestLoaderHonoursBuildConstraints loads a package as the go tool
+// builds it: of a per-arch pair declaring one function (an _amd64.go
+// file and a //go:build !amd64 twin) only this GOARCH's file, and no
+// //go:build ignore file, so the package type-checks.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	pkgs, err := loader.LoadDirAs(filepath.Join("testdata", "buildtags"), "csmaterials/internal/lint/testdata/buildtags")
+	if err != nil {
+		t.Fatalf("loading the fixture: %v", err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	for _, terr := range pkgs[0].TypeErrors {
+		t.Errorf("type error: %v", terr)
+	}
+	var got []string
+	for _, f := range pkgs[0].Files {
+		got = append(got, filepath.Base(pkgs[0].Fset.Position(f.Pos()).Filename))
+	}
+	want := "arch_other.go buildtags.go"
+	if runtime.GOARCH == "amd64" {
+		want = "arch_amd64.go buildtags.go"
+	}
+	if strings.Join(got, " ") != want {
+		t.Fatalf("loaded files %v, want %s", got, want)
 	}
 }
 

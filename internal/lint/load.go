@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -125,8 +126,11 @@ func (l *Loader) importModulePkg(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses every .go file in dir, split into package files,
-// in-package test files, and external (package foo_test) test files.
+// parseDir parses the .go files in dir that the go tool would build
+// for this GOOS and GOARCH, split into package files, in-package test
+// files, and external (package foo_test) test files. A file whose
+// _GOOS/_GOARCH suffix or //go:build line excludes it is skipped, so
+// per-platform twins of one declaration never meet.
 func (l *Loader) parseDir(dir string) (pkgFiles, testFiles, xtestFiles []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -134,7 +138,14 @@ func (l *Loader) parseDir(dir string) (pkgFiles, testFiles, xtestFiles []*ast.Fi
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("lint: %w", err)
+		}
+		if match {
 			names = append(names, e.Name())
 		}
 	}

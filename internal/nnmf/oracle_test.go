@@ -183,16 +183,18 @@ func seedGroups() map[string]*matrix.Dense {
 // TestCSRMatchesOracleOnSeedGroups covers the served configuration: the
 // paper's 10-restart run on every seed-corpus group at k = 2, 3, 4.
 func TestCSRMatchesOracleOnSeedGroups(t *testing.T) {
-	for name, a := range seedGroups() {
-		csr := matrix.FromDense(a)
-		for k := 2; k <= 4; k++ {
-			if k > a.Rows() {
-				continue
+	forEachKernel(t, func(t *testing.T) {
+		for name, a := range seedGroups() {
+			csr := matrix.FromDense(a)
+			for k := 2; k <= 4; k++ {
+				if k > a.Rows() {
+					continue
+				}
+				opts := Options{K: k, Seed: 1, Restarts: 10, MaxIter: 500}
+				checkAgainstOracle(t, fmt.Sprintf("%s k=%d", name, k), csr, opts)
 			}
-			opts := Options{K: k, Seed: 1, Restarts: 10, MaxIter: 500}
-			checkAgainstOracle(t, fmt.Sprintf("%s k=%d", name, k), csr, opts)
 		}
-	}
+	})
 }
 
 // randomCase draws one differential case: a random shape, density, k,
@@ -238,12 +240,14 @@ func randomCase(rng *rand.Rand) (*matrix.Dense, Options) {
 // TestCSRMatchesOracleOnRandomMatrices is the randomized differential
 // test: 150 random problems.
 func TestCSRMatchesOracleOnRandomMatrices(t *testing.T) {
-	rng := rand.New(rand.NewSource(20240615))
-	for c := 0; c < 150; c++ {
-		a, opts := randomCase(rng)
-		label := fmt.Sprintf("case %d (%dx%d %+v)", c, a.Rows(), a.Cols(), opts)
-		checkAgainstOracle(t, label, matrix.FromDense(a), opts)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20240615))
+		for c := 0; c < 150; c++ {
+			a, opts := randomCase(rng)
+			label := fmt.Sprintf("case %d (%dx%d %+v)", c, a.Rows(), a.Cols(), opts)
+			checkAgainstOracle(t, label, matrix.FromDense(a), opts)
+		}
+	})
 }
 
 // TestCSRMatchesOracleAtEveryTileLayout holds the kernel's 4-wide
@@ -253,9 +257,13 @@ func TestCSRMatchesOracleOnRandomMatrices(t *testing.T) {
 // least 9 × 9: two 0-1 and two weighted, one of each pair
 // NNDSVD-initialized, and one whose entries' squares overflow, so
 // that H goes non-finite and the H update keeps its zero-skips. That
-// case runs one restart: its residuals are all NaN, and the restarts'
-// order of merging must not pick its winner.
+// case's residuals are all NaN, so its winner is restart 0 however the
+// workers split and merge its 1–3 restarts.
 func TestCSRMatchesOracleAtEveryTileLayout(t *testing.T) {
+	forEachKernel(t, checkEveryTileLayout)
+}
+
+func checkEveryTileLayout(t *testing.T) {
 	all := matrix.FromDense(seedGroups()["all"])
 	rng := rand.New(rand.NewSource(20261018))
 	for k := 1; k <= 9; k++ {
@@ -287,11 +295,8 @@ func TestCSRMatchesOracleAtEveryTileLayout(t *testing.T) {
 				MaxIter:  1 + rng.Intn(60),
 				Tol:      []float64{0, 1e-3, 1e-7, 1e-12}[rng.Intn(4)],
 			}
-			switch c {
-			case 2, 3:
+			if c == 2 || c == 3 {
 				opts.Init = InitNNDSVD
-			case 4:
-				opts.Restarts = 1
 			}
 			label := fmt.Sprintf("k=%d case %d (%dx%d %+v)", k, c, rows, cols, opts)
 			checkAgainstOracle(t, label, matrix.FromDense(a), opts)
@@ -301,17 +306,20 @@ func TestCSRMatchesOracleAtEveryTileLayout(t *testing.T) {
 
 // TestCSRIterationAllocatesNothing pins the workspace contract: one
 // steady-state step allocates nothing, for one padded tile (k = 1, 3),
-// one full tile (k = 4) and two tiles (k = 6).
+// one full tile (k = 4) and two tiles (k = 6), under each of the
+// host's tile routine sets.
 func TestCSRIterationAllocatesNothing(t *testing.T) {
 	a := matrix.FromDense(random01(30, 80, 0.15, 5))
-	for _, k := range []int{1, 3, 4, 6} {
-		rng := rand.New(rand.NewSource(1))
-		w, h := matrix.New(30, k), matrix.New(k, 80)
-		randomInit(w, h, 0.15, rng)
-		kern := newCSRKernel(a, k, 1e-12, a.FrobeniusNorm())
-		kern.start(w, h)
-		if n := testing.AllocsPerRun(50, func() { kern.step() }); n != 0 { // lint:exact — an allocation count
-			t.Fatalf("k=%d: one CSR step allocates %v times, want 0", k, n)
+	for _, ops := range hostKernels() {
+		for _, k := range []int{1, 3, 4, 6} {
+			rng := rand.New(rand.NewSource(1))
+			w, h := matrix.New(30, k), matrix.New(k, 80)
+			randomInit(w, h, 0.15, rng)
+			kern := newCSRKernel(a, k, 1e-12, a.FrobeniusNorm(), ops)
+			kern.start(w, h)
+			if n := testing.AllocsPerRun(50, func() { kern.step() }); n != 0 { // lint:exact — an allocation count
+				t.Fatalf("%s k=%d: one CSR step allocates %v times, want 0", ops.name, k, n)
+			}
 		}
 	}
 }

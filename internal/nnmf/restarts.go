@@ -2,6 +2,7 @@ package nnmf
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -34,11 +35,10 @@ func factorize(ctx context.Context, p problem, opts Options) (*Result, error) {
 
 // pool runs one call's cold restarts. Restart r is seeded with Seed+r
 // whichever worker claims it. Each worker owns a kernel (so a
-// workspace), an RNG and two factor pairs, and keeps its own best: the
-// lowest Err, ties to the lowest restart index, which its increasing
-// claims give by keeping the earlier restart on a tie. Merging the
-// workers' bests by the same rule picks the restart the sequential
-// loop picks, and TotalIterations sums every worker's iterations.
+// workspace), an RNG and two factor pairs, and keeps its own best by
+// better's order. Merging the workers' bests by the same order picks
+// the restart the sequential loop picks, in any split and merge order,
+// and TotalIterations sums every worker's iterations.
 type pool struct {
 	ctx  context.Context
 	p    problem
@@ -114,7 +114,7 @@ func (f *pool) work() (best *Result, total int, err error) {
 			return nil, 0, err // every other worker sees ctx done at its next check
 		}
 		total += cur.Iterations
-		if best == nil || cur.Err < best.Err {
+		if best == nil || better(cur, best) {
 			best, cur = cur, best
 			if cur == nil {
 				cur = &Result{}
@@ -176,9 +176,21 @@ func (f *pool) merge(best *Result, total int, err error) {
 	}
 }
 
-// better orders restart results: lower Err, then lower restart index.
+// better orders restart results as the sequential loop, which replaces
+// its best only by a lower Err, picks among them: restart 0 first when
+// its Err is NaN (no Err compares below NaN), a NaN Err of any other
+// restart last (it compares below nothing), and otherwise the lower
+// Err, then the lower restart index.
 func better(a, b *Result) bool {
-	if a.Err != b.Err {
+	aNaN, bNaN := math.IsNaN(a.Err), math.IsNaN(b.Err)
+	switch {
+	case aNaN && bNaN:
+		return a.Restart < b.Restart
+	case aNaN:
+		return a.Restart == 0
+	case bNaN:
+		return b.Restart != 0
+	case a.Err != b.Err:
 		return a.Err < b.Err
 	}
 	return a.Restart < b.Restart

@@ -3,6 +3,8 @@ package nnmf
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -224,6 +226,144 @@ func TestParallelRestartsAllocatePerWorker(t *testing.T) {
 	for _, restarts := range []int{4, 16, 64} {
 		if got := mallocsPerRun(5, fit(restarts)); got > workers*oneWorker {
 			t.Errorf("%d restarts at GOMAXPROCS %d allocate %.0f times, above %d workers' %.0f", restarts, workers, got, workers, workers*oneWorker)
+		}
+	}
+}
+
+// sequentialWinner is the restart the sequential loop keeps: it
+// replaces its best only by a strictly lower Err.
+func sequentialWinner(errs []float64) int {
+	best := 0
+	for r, e := range errs {
+		if e < errs[best] {
+			best = r
+		}
+	}
+	return best
+}
+
+// nanErrs are restart Err vectors holding NaN, for the merge tests.
+var nanErrs = [][]float64{
+	{math.NaN(), 3, 1},
+	{2, math.NaN(), 1},
+	{math.NaN(), math.NaN()},
+	{1, math.NaN(), 1, math.NaN()},
+	{math.NaN(), 2, math.NaN(), 2},
+	{3, 3, math.NaN(), 1, 1},
+}
+
+// permutations calls f with every ordering of xs, permuting it in place.
+func permutations(xs []*Result, n int, f func([]*Result)) {
+	if n <= 1 {
+		f(xs)
+		return
+	}
+	for i := 0; i < n; i++ {
+		permutations(xs, n-1, f)
+		j := 0
+		if n%2 == 0 {
+			j = i
+		}
+		xs[j], xs[n-1] = xs[n-1], xs[j]
+	}
+}
+
+// TestMergePicksTheSequentialWinner: for every split of the restarts
+// across workers, each worker keeping its best of its restarts in
+// claim order, and every order in which the workers' bests merge, the
+// pool keeps the restart the sequential loop keeps, NaN Errs included.
+func TestMergePicksTheSequentialWinner(t *testing.T) {
+	for _, errs := range nanErrs {
+		n := len(errs)
+		want := sequentialWinner(errs)
+		worker := make([]int, n) // restart r runs on worker[r]; all n^n splits
+		for {
+			var bests []*Result
+			for w := 0; w < n; w++ {
+				mine := &pool{}
+				for r := range errs {
+					if worker[r] == w {
+						mine.merge(&Result{Err: errs[r], Restart: r}, 0, nil)
+					}
+				}
+				if mine.best != nil {
+					bests = append(bests, mine.best)
+				}
+			}
+			permutations(bests, len(bests), func(order []*Result) {
+				call := &pool{}
+				for _, b := range order {
+					call.merge(b, 0, nil)
+				}
+				if call.best.Restart != want {
+					t.Fatalf("Errs %v split %v merged in order %v: restart %d won, want %d",
+						errs, worker, restarts(order), call.best.Restart, want)
+				}
+			})
+			i := 0
+			for i < n && worker[i] == n-1 {
+				worker[i] = 0
+				i++
+			}
+			if i == n {
+				break
+			}
+			worker[i]++
+		}
+	}
+}
+
+func restarts(rs []*Result) []int {
+	out := make([]int, len(rs))
+	for i, r := range rs {
+		out[i] = r.Restart
+	}
+	return out
+}
+
+// errKernel reports errs[r] at every step of restart r, which it knows
+// from the first entry of W that restart r's seed draws (firsts). Its
+// step sleeps so helpers claim restarts while the caller runs its own.
+type errKernel struct {
+	errs   []float64
+	firsts map[float64]int
+	r      int
+}
+
+func (k *errKernel) start(w, _ *matrix.Dense) { k.r = k.firsts[w.At(0, 0)] }
+func (k *errKernel) finish()                  {}
+func (k *errKernel) step() float64 {
+	time.Sleep(100 * time.Microsecond)
+	return k.errs[k.r]
+}
+
+// TestParallelFitPicksTheSequentialWinner runs the same Err vectors
+// through factorize at GOMAXPROCS 4, so the workers' own bests come
+// from the pool's claims, not from the test.
+func TestParallelFitPicksTheSequentialWinner(t *testing.T) {
+	setProcs(t, 4)
+	opts := Options{K: 2, Seed: 7, MaxIter: 3}.withDefaults()
+	const rows, cols, mean = 3, 4, 1.0
+	for _, errs := range nanErrs {
+		opts.Restarts = len(errs)
+		firsts := map[float64]int{}
+		for r := range errs {
+			w, h := matrix.New(rows, opts.K), matrix.New(opts.K, cols)
+			randomInit(w, h, mean, rand.New(rand.NewSource(opts.Seed+int64(r))))
+			firsts[w.At(0, 0)] = r
+		}
+		p := problem{rows: rows, cols: cols, mean: mean, kernel: func() kernel {
+			return &errKernel{errs: errs, firsts: firsts}
+		}}
+		want := sequentialWinner(errs)
+		for i := 0; i < 5; i++ {
+			res, err := factorize(context.Background(), p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Restart != want {
+				t.Fatalf("Errs %v: restart %d won, want %d", errs, res.Restart, want)
+			}
 		}
 	}
 }

@@ -55,12 +55,13 @@ func csrProblem(a *matrix.CSR, opts Options) (problem, Options, error) {
 	if normA == 0 {
 		return problem{}, opts, errAllZero
 	}
+	ops := tiles // every restart of one fit runs the same routines
 	return problem{
 		rows: rows, cols: cols,
 		// mean(A) for 0-1 matrices, without the dense expansion.
 		mean:   normA * normA / float64(rows*cols),
 		dense:  a.ToDense,
-		kernel: func() kernel { return newCSRKernel(a, opts.K, opts.Eps, normA) },
+		kernel: func() kernel { return newCSRKernel(a, opts.K, opts.Eps, normA, ops) },
 	}, opts, nil
 }
 
@@ -87,7 +88,8 @@ func csrProblem(a *matrix.CSR, opts Options) (problem, Options, error) {
 // not read A. The row sweep is the one pass over A: per row it forms
 // AHᵀ and W·HHᵀ, updates the row of W, and with the new row adds its
 // terms to ⟨A, WH⟩, to the next iteration's WᵀA and to WᵀW, which the
-// residual and the next H update share.
+// residual and the next H update share. The routines the sweeps spend
+// their time in come from ops (see tileOps).
 type csrKernel struct {
 	rows, cols int
 	k, nt      int // types, and 4-wide tiles of them
@@ -101,10 +103,15 @@ type csrKernel struct {
 	wtA      []tile // cols × nt: (WᵀA)ᵀ of the current W
 	wtW, hHt []tile // WᵀW and HHᵀ in blocks (see cell)
 	whh      []tile // nt: one row of W·HHᵀ
+	// diag receives the H update's diagonal HHᵀ block; as a field of
+	// the heap-held kernel, handing ops a pointer to it allocates
+	// nothing.
+	diag [16]float64
 	// hFinite records that every entry of H is finite, so that adding
 	// WᵀW[t][u]·H[u][j] when WᵀW[t][u] is zero adds a zero: the H
 	// update's zero-skip then changes nothing and is left out.
 	hFinite bool
+	ops     tileOps
 
 	dw, dh *matrix.Dense // the factors start loaded; finish writes them back
 }
@@ -112,7 +119,29 @@ type csrKernel struct {
 // tile is four consecutive types of one row of W or Hᵀ.
 type tile [4]float64
 
-func newCSRKernel(a *matrix.CSR, k int, eps, normA float64) *csrKernel {
+// tileOps are the routines a step spends its time in: the H update of
+// one tile of types together with the diagonal HHᵀ block of the new
+// tile, the W update of one tile of a row, and a row's terms of
+// ⟨A, WH⟩ and WᵀA. goTiles is the reference and the only set off
+// amd64; a set chosen by hostTiles must give its results bit for bit.
+type tileOps struct {
+	name    string
+	updateH func(next, old, wtA, cw []tile, T int, eps float64, b *[16]float64)
+	updateW func(w, b *tile, cols []int, vals []float64, ht []tile, nt, T int, eps float64)
+	addRow  func(dot float64, wi []tile, cols []int, vals []float64, ht, wtA []tile) float64
+}
+
+var goTiles = tileOps{name: "go", updateH: updateHDiag, updateW: updateW, addRow: addRow}
+
+// tiles is the set every CSR fit runs, chosen once for this CPU.
+var tiles = hostTiles()
+
+// Kernel names the tile routines this process's CSR fits run: "avx"
+// for the 4-wide AVX set on amd64, "go" otherwise. Both give the same
+// factors bit for bit; the AVX set is faster.
+func Kernel() string { return tiles.name }
+
+func newCSRKernel(a *matrix.CSR, k int, eps, normA float64, ops tileOps) *csrKernel {
 	rows, cols := a.Dims()
 	rowPtr, colIdx, vals := a.Arrays()
 	nt := (k + 3) / 4
@@ -125,6 +154,7 @@ func newCSRKernel(a *matrix.CSR, k int, eps, normA float64) *csrKernel {
 		wtA: make([]tile, cols*nt),
 		wtW: make([]tile, 4*nt*nt), hHt: make([]tile, 4*nt*nt),
 		whh: make([]tile, nt),
+		ops: ops,
 	}
 }
 
@@ -162,7 +192,7 @@ func (s *csrKernel) start(w, h *matrix.Dense) {
 	for i := 0; i < s.rows; i++ {
 		wi := s.w[i*nt : i*nt+nt]
 		lo, hi := s.rowPtr[i], s.rowPtr[i+1]
-		addRow(0, wi, s.colIdx[lo:hi], s.vals[lo:hi], s.ht, s.wtA)
+		s.ops.addRow(0, wi, s.colIdx[lo:hi], s.vals[lo:hi], s.ht, s.wtA)
 		s.addWtW(wi)
 	}
 }
@@ -200,21 +230,23 @@ func (s *csrKernel) step() float64 {
 }
 
 // sweepColumns updates H one tile of types at a time, reading s.ht and
-// writing s.next so that every tile sees the old H, then forms HHᵀ
-// from the new H a block per pair of tiles, and swaps the buffers.
+// writing s.next so that every tile sees the old H, with the diagonal
+// HHᵀ block of each new tile; it swaps the buffers and then forms the
+// HHᵀ blocks between two tiles.
 func (s *csrKernel) sweepColumns() {
 	nt := s.nt
 	for T := 0; T < nt; T++ {
 		cw := s.wtW[4*nt*T : 4*nt*(T+1)]
 		if s.hFinite {
-			updateH(s.next, s.ht, s.wtA, cw, T, s.eps)
+			s.ops.updateH(s.next, s.ht, s.wtA, cw, T, s.eps, &s.diag)
 		} else {
 			updateHSkipping(s.next, s.ht, s.wtA, cw, T, s.eps)
+			s.diag = diagHHt(s.next, nt, T)
 		}
+		s.setHHt(T, T, s.diag)
 	}
 	s.ht, s.next = s.next, s.ht
 	for T := 0; T < nt; T++ {
-		s.setHHt(T, T, diagHHt(s.ht, nt, T))
 		for U := T + 1; U < nt; U++ {
 			s.setHHt(T, U, blockHHt(s.ht, nt, T, U))
 		}
@@ -226,6 +258,13 @@ func (s *csrKernel) sweepColumns() {
 		v := *s.cell(s.hHt, t, t)
 		s.hFinite = s.hFinite && v-v == 0
 	}
+}
+
+// updateHDiag is the Go tileOps.updateH: updateH, then the diagonal
+// block of the new tile, in b.
+func updateHDiag(next, old, wtA, cw []tile, T int, eps float64, b *[16]float64) {
+	updateH(next, old, wtA, cw, T, eps)
+	*b = diagHHt(next, len(cw)/4, T)
 }
 
 // updateH writes tile T of every column h of the updated H into next,
@@ -359,9 +398,9 @@ func (s *csrKernel) sweepRows() float64 {
 			s.whh[T] = rowWHHt(wi, s.hHt[4*nt*T:4*nt*(T+1)])
 		}
 		for T := range wi {
-			updateW(&wi[T], &s.whh[T], cols, vals, s.ht, nt, T, s.eps)
+			s.ops.updateW(&wi[T], &s.whh[T], cols, vals, s.ht, nt, T, s.eps)
 		}
-		dot = addRow(dot, wi, cols, vals, s.ht, s.wtA)
+		dot = s.ops.addRow(dot, wi, cols, vals, s.ht, s.wtA)
 		s.addWtW(wi)
 	}
 	return dot
