@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"csmaterials/internal/materials"
-	"csmaterials/internal/ontology"
 )
 
 // Op names a classification event kind.
@@ -132,11 +131,16 @@ func validateEvent(i int, ev Event) error {
 }
 
 // applyEvents derives a new repository from base by applying events,
-// without re-validating (or re-indexing through guideline lookups) the
-// untouched courses: they are adopted into the new repository by
-// pointer, so the validation cost of a delta is proportional to the
-// delta. Touched courses are cloned (and their touched materials
-// cloned) so the base snapshot stays immutable.
+// doing work in proportion to the courses the events touch. Each
+// touched course is cloned (and each material an event changes is
+// cloned) so the base snapshot stays immutable; the new repository is
+// base.Derive of the clones, which validates them as a full ingest
+// would and shares every untouched course with base, neither validated
+// nor indexed again. The new repository's material index is built only
+// if something looks a material up. Events apply in order against the
+// batch's working state: an add must name a material ID no course
+// holds at that point, so a batch may move a material by removing it
+// first; a remove or a retag must name a material of its course.
 func applyEvents(base *materials.Repository, events []Event) (*materials.Repository, *Delta, error) {
 	touched := map[string]*materials.Course{} // course ID → working clone
 	delta := &Delta{Events: len(events), TagChanges: map[string]TagChange{}}
@@ -176,7 +180,7 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 			m := ev.Material.Clone()
 			// Global material-ID uniqueness, honoring in-batch removals:
 			// the ID may have left the corpus earlier in this same batch.
-			if owner, _ := ownerOf(base, touched, m.ID); owner != "" {
+			if owner := ownerOf(base, touched, m.ID); owner != "" {
 				return nil, nil, fmt.Errorf("dataset: event %d: material ID %q already exists in course %q", i, m.ID, owner)
 			}
 			c.Materials = append(c.Materials, m)
@@ -212,20 +216,18 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 		}
 	}
 
-	// Rebuild the repository: touched courses go through full
-	// validation (their new materials and tags are unproven); untouched
-	// courses are adopted as-is from the base snapshot.
-	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
+	// Derive the repository: the touched clones go through full
+	// validation (their new materials and tags are unproven), in base
+	// course order so the first error is the one a full ingest reports.
+	clones := make([]*materials.Course, 0, len(touched))
 	for _, orig := range base.Courses() {
 		if mod, ok := touched[orig.ID]; ok {
-			if err := repo.AddCourse(mod); err != nil {
-				return nil, nil, err
-			}
-			continue
+			clones = append(clones, mod)
 		}
-		if err := repo.AdoptCourse(orig); err != nil {
-			return nil, nil, err
-		}
+	}
+	repo, err := base.Derive(clones)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Summarize: touched courses, their group labels, the tag union,
@@ -256,20 +258,22 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 
 // ownerOf reports which course currently holds a material ID, honoring
 // in-batch removals and additions: the working clones in touched
-// shadow their base counterparts.
-func ownerOf(base *materials.Repository, touched map[string]*materials.Course, materialID string) (string, int) {
+// shadow their base counterparts. It scans the courses rather than
+// calling base.Material, whose index is built on first use: building
+// it here would cost a whole-corpus index on every batch that adds a
+// material, where the scan costs a string compare per material.
+func ownerOf(base *materials.Repository, touched map[string]*materials.Course, materialID string) string {
 	for _, c := range base.Courses() {
-		cur := c
 		if mod, ok := touched[c.ID]; ok {
-			cur = mod
+			c = mod
 		}
-		for i, m := range cur.Materials {
+		for _, m := range c.Materials {
 			if m.ID == materialID {
-				return cur.ID, i
+				return c.ID
 			}
 		}
 	}
-	return "", -1
+	return ""
 }
 
 // diffTagSets computes the sorted set difference new − old (Added) and

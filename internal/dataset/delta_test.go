@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -288,4 +290,111 @@ func TestApplyRevisionSequencing(t *testing.T) {
 	if s3.Delta() != nil {
 		t.Error("Put snapshot must not carry a delta")
 	}
+}
+
+// scaledCourses returns n copies of the seed corpus, each course and
+// material ID suffixed with its copy's number.
+func scaledCourses(n int) []*materials.Course {
+	var out []*materials.Course
+	for k := 0; k < n; k++ {
+		for _, c := range Courses() {
+			cp := deepCopy(c)
+			cp.ID = fmt.Sprintf("%s-x%d", c.ID, k)
+			for _, m := range cp.Materials {
+				m.ID = fmt.Sprintf("%s-x%d", m.ID, k)
+			}
+			out = append(out, cp)
+		}
+	}
+	return out
+}
+
+// TestApplyCostFollowsDelta holds a one-retag Apply to one allocation
+// count on the seed corpus and on a corpus four times its size: the
+// untouched courses are shared, not revalidated or re-indexed, so a
+// PATCH costs in proportion to its delta.
+func TestApplyCostFollowsDelta(t *testing.T) {
+	allocs := func(courses []*materials.Course) float64 {
+		r := NewRegistry(nil)
+		if _, err := r.Put("cost", courses); err != nil {
+			t.Fatal(err)
+		}
+		c := courses[0]
+		m := c.Materials[0]
+		retag := []Event{{Op: OpRetag, Course: c.ID, MaterialID: m.ID, Tags: m.Tags}}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := r.Apply("cost", retag); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	seed, scaled := allocs(scaledCourses(1)), allocs(scaledCourses(4))
+	if seed != scaled { // lint:exact — AllocsPerRun returns a whole count
+		t.Errorf("a one-retag Apply makes %v allocations on the seed corpus and %v on four times it", seed, scaled)
+	}
+}
+
+// TestDerivedSnapshotConcurrentReads reads one derived snapshot from
+// several goroutines while Apply derives the next revisions from it:
+// the courses, course order and guidelines it shares with them and its
+// lazily built material index must stand concurrent use.
+func TestDerivedSnapshotConcurrentReads(t *testing.T) {
+	r := NewRegistry(nil)
+	course, mat := coveredMaterial(t)
+	retag := Event{Op: OpRetag, Course: course.ID, MaterialID: mat.ID, Tags: mat.Tags}
+	snap, err := r.Apply(DefaultID, []Event{retag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := snap.Repo()
+	want := repo.NumMaterials()
+
+	const readers, rounds = 4, 10
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < rounds; i++ {
+				if n, got := repo.NumMaterials(), len(repo.Materials()); n != want || got != want {
+					t.Errorf("NumMaterials %d, Materials %d, want %d", n, got, want)
+					return
+				}
+				for _, c := range repo.Courses() {
+					if len(c.TagSet()) == 0 {
+						t.Errorf("course %q has an empty tag set", c.ID)
+						return
+					}
+					for _, m := range c.Materials {
+						if repo.Material(m.ID) != m {
+							t.Errorf("Material(%q) is not course %q's material", m.ID, c.ID)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < rounds; i++ {
+			// An add makes ownerOf scan the shared courses; the next
+			// round's remove takes it out again.
+			added := &materials.Material{ID: fmt.Sprintf("%s/race%d", course.ID, i), Title: "t", Type: materials.Lab, Tags: mat.Tags}
+			evs := []Event{retag, {Op: OpAdd, Course: course.ID, Material: added}}
+			if i > 0 {
+				evs = append(evs, Event{Op: OpRemove, Course: course.ID, MaterialID: fmt.Sprintf("%s/race%d", course.ID, i-1)})
+			}
+			if _, err := r.Apply(DefaultID, evs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
 }

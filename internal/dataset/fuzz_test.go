@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -42,13 +43,16 @@ func eventsBody(t testing.TB, evs ...Event) []byte {
 }
 
 // FuzzApplyEvents decodes its input as a PATCH body and applies the
-// events to a small corpus. Apply must not panic; a rejected batch
-// leaves the revision alone; an applied one records, in TagChanges and
+// events to a small corpus. Apply must not panic, and must accept a
+// batch exactly when referenceApply, a from-scratch build, accepts it.
+// A rejected batch leaves the revision alone. An applied one matches
+// the reference in every Repository accessor, leaves the base
+// snapshot's accessors as they were, and records, in TagChanges and
 // ChangedGroups, exactly what a from-scratch diff of every course's
 // TagSet() across the two snapshots finds.
 func FuzzApplyEvents(f *testing.F) {
 	courses := fuzzCourses(f)
-	c0, c1, c2 := courses[0], courses[1], courses[2]
+	c0, c1, c2, c3 := courses[0], courses[1], courses[2], courses[3]
 	m0, m1 := c0.Materials[0], c0.Materials[1]
 	otherTag := c2.Materials[0].Tags[0]
 	newMat := &materials.Material{ID: c1.ID + "/fuzz", Title: "t", Type: materials.Lab, Tags: []string{otherTag}}
@@ -63,13 +67,26 @@ func FuzzApplyEvents(f *testing.F) {
 		eventsBody(f,
 			Event{Op: OpRetag, Course: c0.ID, MaterialID: m0.ID, Tags: []string{otherTag}},
 			Event{Op: OpRetag, Course: c0.ID, MaterialID: m0.ID, Tags: m0.Tags}),
-		// An add and a remove of one ID, both orders.
+		// An add alone and a remove alone change the material count.
+		eventsBody(f, Event{Op: OpAdd, Course: c1.ID, Material: newMat}),
+		eventsBody(f, Event{Op: OpRemove, Course: c2.ID, MaterialID: c2.Materials[2].ID}),
+		// An add and a remove of one ID, both orders; the second is a
+		// move between two courses, as is the next.
 		eventsBody(f, Event{Op: OpAdd, Course: c1.ID, Material: newMat}, Event{Op: OpRemove, Course: c1.ID, MaterialID: newMat.ID}),
 		eventsBody(f, Event{Op: OpRemove, Course: c0.ID, MaterialID: m1.ID}, Event{Op: OpAdd, Course: c2.ID, Material: m1}),
-		// Rejected: an unknown course, an unknown material, empty tags.
+		eventsBody(f, Event{Op: OpRemove, Course: c1.ID, MaterialID: c1.Materials[1].ID}, Event{Op: OpAdd, Course: c3.ID, Material: c1.Materials[1]}),
+		// Rejected: an add of an ID an untouched course holds, one new
+		// ID added to two courses, an add of a material of no known type.
+		eventsBody(f, Event{Op: OpAdd, Course: c1.ID, Material: c2.Materials[1]}),
+		eventsBody(f, Event{Op: OpAdd, Course: c1.ID, Material: newMat}, Event{Op: OpAdd, Course: c2.ID, Material: newMat}),
+		eventsBody(f, Event{Op: OpAdd, Course: c1.ID, Material: &materials.Material{ID: c1.ID + "/typeless", Title: "t", Type: "banana", Tags: []string{otherTag}}}),
+		// Rejected: an unknown course, an unknown material, empty tags,
+		// an unknown tag, a blank tag.
 		eventsBody(f, Event{Op: OpRetag, Course: "no-such-course", MaterialID: m0.ID, Tags: m0.Tags}),
 		eventsBody(f, Event{Op: OpRemove, Course: c0.ID, MaterialID: c0.ID + "/nope"}),
 		[]byte(`{"events":[{"op":"retag","course":"` + c0.ID + `","material_id":"` + m0.ID + `","tags":[]}]}`),
+		eventsBody(f, Event{Op: OpRetag, Course: c0.ID, MaterialID: m0.ID, Tags: []string{"NOPE/not-a-tag"}}),
+		eventsBody(f, Event{Op: OpRetag, Course: c0.ID, MaterialID: m0.ID, Tags: []string{" "}}),
 		[]byte(`{"events":[]}`),
 		[]byte(`not json`),
 	} {
@@ -89,7 +106,16 @@ func FuzzApplyEvents(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ids := materialIDs(base.Repo(), req.Events)
+		before := viewOf(base.Repo(), ids)
+		ref, refOK := referenceApply(base.Repo().Courses(), req.Events)
 		snap, err := r.Apply("fuzz", req.Events)
+		if after := viewOf(base.Repo(), ids); !reflect.DeepEqual(after, before) {
+			t.Fatalf("Apply changed the base snapshot's accessors:\n%+v\nwant %+v", after, before)
+		}
+		if (err == nil) != refOK {
+			t.Fatalf("Apply returned %v; the reference accepts the batch: %v", err, refOK)
+		}
 		if err != nil {
 			if cur, _ := r.Get("fuzz"); cur != base {
 				t.Fatalf("a rejected batch moved the dataset to revision %d: %v", cur.Revision(), err)
@@ -98,6 +124,10 @@ func FuzzApplyEvents(f *testing.F) {
 		}
 		if snap.Revision() != base.Revision()+1 {
 			t.Fatalf("revision %d after %d", snap.Revision(), base.Revision())
+		}
+		ids = append(ids, materialIDs(ref, nil)...)
+		if got, want := viewOf(snap.Repo(), ids), viewOf(ref, ids); !reflect.DeepEqual(got, want) {
+			t.Fatalf("applied repository:\n%+v\nfrom-scratch build:\n%+v", got, want)
 		}
 		want := map[string]TagChange{}
 		groups := map[string]bool{}
@@ -145,4 +175,136 @@ func diffSets(prev, next map[string]bool) TagChange {
 	sort.Strings(tc.Added)
 	sort.Strings(tc.Removed)
 	return tc
+}
+
+// referenceApply applies events by the rules applyEvents documents to
+// deep copies of courses, then builds the result from scratch with Put.
+// It reports false when the batch must be rejected.
+func referenceApply(courses []*materials.Course, events []Event) (*materials.Repository, bool) {
+	if len(events) == 0 {
+		return nil, false
+	}
+	work := make([]*materials.Course, len(courses))
+	for i, c := range courses {
+		work[i] = deepCopy(c)
+	}
+	indexOf := func(c *materials.Course, id string) int {
+		return slices.IndexFunc(c.Materials, func(m *materials.Material) bool { return m.ID == id })
+	}
+	for _, ev := range events {
+		i := slices.IndexFunc(work, func(c *materials.Course) bool { return c.ID == ev.Course })
+		if i < 0 {
+			return nil, false
+		}
+		c := work[i]
+		switch ev.Op {
+		case OpAdd:
+			if ev.Material == nil || (ev.MaterialID != "" && ev.MaterialID != ev.Material.ID) {
+				return nil, false
+			}
+			for _, other := range work {
+				if indexOf(other, ev.Material.ID) >= 0 {
+					return nil, false
+				}
+			}
+			c.Materials = append(c.Materials, ev.Material.Clone())
+		case OpRemove:
+			j := indexOf(c, ev.MaterialID)
+			if ev.MaterialID == "" || j < 0 {
+				return nil, false
+			}
+			c.Materials = slices.Delete(c.Materials, j, j+1)
+		case OpRetag:
+			j := indexOf(c, ev.MaterialID)
+			if ev.MaterialID == "" || j < 0 || len(ev.Tags) == 0 {
+				return nil, false
+			}
+			c.Materials[j].Tags = slices.Clone(ev.Tags)
+		default:
+			return nil, false
+		}
+	}
+	snap, err := NewRegistry(nil).Put("reference", work)
+	if err != nil {
+		return nil, false
+	}
+	return snap.Repo(), true
+}
+
+// deepCopy copies a course and each of its materials.
+func deepCopy(c *materials.Course) *materials.Course {
+	cp := c.Clone()
+	for i, m := range cp.Materials {
+		cp.Materials[i] = m.Clone()
+	}
+	return cp
+}
+
+// repoView is what a repository's exported accessors report, held as
+// values: materials and courses as JSON of deep copies (Clone leaves an
+// empty slice nil, so nil and empty compare equal).
+type repoView struct {
+	Courses   []string                           // Courses(), in order
+	Course    map[string]string                  // Course(id) per listed course
+	Groups    map[materials.CourseGroup][]string // CoursesInGroup course IDs
+	Material  map[string]string                  // Material(id); "" for nil
+	Materials []string                           // Materials(), in order
+	Count     int                                // NumMaterials()
+	TagSets   map[string]map[string]bool         // each course's TagSet()
+}
+
+// viewOf reads every accessor of r, looking each of ids up by Material.
+func viewOf(r *materials.Repository, ids []string) repoView {
+	canon := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		return string(b)
+	}
+	v := repoView{
+		Course:   map[string]string{},
+		Groups:   map[materials.CourseGroup][]string{},
+		Material: map[string]string{},
+		Count:    r.NumMaterials(),
+		TagSets:  map[string]map[string]bool{},
+	}
+	for _, c := range r.Courses() {
+		v.Courses = append(v.Courses, canon(deepCopy(c)))
+		v.Course[c.ID] = canon(deepCopy(r.Course(c.ID)))
+		v.TagSets[c.ID] = c.TagSet()
+	}
+	for _, g := range []materials.CourseGroup{materials.GroupCS1, materials.GroupOOP, materials.GroupDS,
+		materials.GroupAlgo, materials.GroupSoftEng, materials.GroupPDC, materials.GroupOther} {
+		for _, c := range r.CoursesInGroup(g) {
+			v.Groups[g] = append(v.Groups[g], c.ID)
+		}
+	}
+	for _, id := range ids {
+		if m := r.Material(id); m != nil {
+			v.Material[id] = canon(m.Clone())
+		} else {
+			v.Material[id] = ""
+		}
+	}
+	for _, m := range r.Materials() {
+		v.Materials = append(v.Materials, canon(m.Clone()))
+	}
+	return v
+}
+
+// materialIDs lists the IDs of r's materials and every material ID the
+// events name.
+func materialIDs(r *materials.Repository, events []Event) []string {
+	var ids []string
+	for _, m := range r.Materials() {
+		ids = append(ids, m.ID)
+	}
+	for _, ev := range events {
+		ids = append(ids, ev.MaterialID)
+		if ev.Material != nil {
+			ids = append(ids, ev.Material.ID)
+		}
+	}
+	return ids
 }

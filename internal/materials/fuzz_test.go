@@ -9,7 +9,7 @@ import (
 
 // FuzzLoadJSON feeds arbitrary bytes to the repository loader: it must
 // never panic, and whatever it accepts must be a valid repository state
-// (validated courses, consistent indexes).
+// (validated courses, a consistent material index and count).
 func FuzzLoadJSON(f *testing.F) {
 	f.Add(`{"courses":[]}`)
 	f.Add(`{"courses":[{"id":"x","name":"X","group":"CS1","materials":[]}]}`)
@@ -24,7 +24,9 @@ func FuzzLoadJSON(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		// Accepted input must leave a consistent repository.
+		n := 0
 		for _, c := range repo.Courses() {
+			n += len(c.Materials)
 			if err := c.Validate(); err != nil {
 				t.Fatalf("accepted invalid course: %v", err)
 			}
@@ -38,6 +40,9 @@ func FuzzLoadJSON(f *testing.F) {
 					}
 				}
 			}
+		}
+		if repo.NumMaterials() != n {
+			t.Fatalf("NumMaterials = %d, the courses hold %d", repo.NumMaterials(), n)
 		}
 	})
 }

@@ -4,10 +4,11 @@
 // classified against one or more curriculum guidelines by listing the IDs
 // of the guideline entries it addresses.
 //
-// The package provides an in-memory repository with tag indexes, JSON
-// import/export, validation against the guideline trees, and the
-// aggregation step every analysis starts from: turning a set of courses
-// into a 0-1 course × curriculum matrix.
+// The package provides an in-memory repository with a material index,
+// revisions that share their unchanged courses, JSON import/export,
+// validation against the guideline trees, and the aggregation step
+// every analysis starts from: turning a set of courses into a 0-1
+// course × curriculum matrix.
 package materials
 
 import (
@@ -97,10 +98,10 @@ type Course struct {
 
 // Clone returns a copy of the course with its own Materials slice. The
 // Material pointers are shared with the original — callers mutating a
-// material must Clone it first. This is the delta-ingest primitive:
-// deriving a new snapshot touches only the materials an event names,
-// while everything else stays structurally shared with the previous
-// revision.
+// material must Clone it first. This is the delta-ingest primitive: a
+// revision derived by Repository.Derive holds a clone of each course an
+// event touched, with clones of the materials it changed, and shares
+// every other course and material with the previous revision.
 func (c *Course) Clone() *Course {
 	cp := *c
 	cp.Materials = append([]*Material(nil), c.Materials...)

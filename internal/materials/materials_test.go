@@ -205,20 +205,6 @@ func TestRepositoryCoursesInGroup(t *testing.T) {
 	}
 }
 
-func TestMaterialsWithTag(t *testing.T) {
-	r := newTestRepo(t)
-	if err := r.AddCourse(testCourse("c1")); err != nil {
-		t.Fatal(err)
-	}
-	ms := r.MaterialsWithTag(tagRecursion)
-	if len(ms) != 2 {
-		t.Fatalf("MaterialsWithTag = %d materials, want 2", len(ms))
-	}
-	if len(r.MaterialsWithTag("SDF")) != 0 {
-		t.Fatal("unexpected materials for untagged entry")
-	}
-}
-
 func TestMaterialsSorted(t *testing.T) {
 	r := newTestRepo(t)
 	if err := r.AddCourse(testCourse("z")); err != nil {

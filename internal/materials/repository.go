@@ -4,22 +4,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
+	"sync"
 
 	"csmaterials/internal/matrix"
 	"csmaterials/internal/ontology"
 )
 
-// Repository is the in-memory CS Materials store: courses, their
-// materials, and indexes from curriculum tags to the materials classified
-// against them. It validates every classification against the guidelines
-// it was created with.
+// Repository is the in-memory CS Materials store: courses and their
+// materials, every classification validated against the guidelines it
+// was created with. AddCourse builds a repository; once it is read, it
+// does not change, and a new revision is derived by Derive, which
+// shares every course it does not replace (and the course order and
+// guidelines) with its parent. The by-ID material index is built on
+// first use, so a revision nobody looks a material up in never pays for
+// it.
 type Repository struct {
 	guidelines []*ontology.Guideline
 	courses    map[string]*Course
 	order      []string // course insertion order, for deterministic listings
-	byTag      map[string][]*Material
-	byMaterial map[string]*Material
+	nMaterials int
+
+	indexOnce  sync.Once
+	byMaterial map[string]*Material // built by index on first use
 }
 
 // NewRepository creates an empty repository validating against the given
@@ -28,12 +37,7 @@ func NewRepository(guidelines ...*ontology.Guideline) *Repository {
 	if len(guidelines) == 0 {
 		panic("materials: NewRepository needs at least one guideline")
 	}
-	return &Repository{
-		guidelines: guidelines,
-		courses:    map[string]*Course{},
-		byTag:      map[string][]*Material{},
-		byMaterial: map[string]*Material{},
-	}
+	return &Repository{guidelines: guidelines, courses: map[string]*Course{}}
 }
 
 // KnownTag reports whether id exists in any of the repository's
@@ -57,9 +61,20 @@ func (r *Repository) LookupTag(id string) *ontology.Node {
 	return nil
 }
 
+// checkTags reports the first of m's tags no guideline knows.
+func (r *Repository) checkTags(m *Material) error {
+	for _, tag := range m.Tags {
+		if !r.KnownTag(tag) {
+			return fmt.Errorf("materials: material %q references unknown curriculum tag %q", m.ID, tag)
+		}
+	}
+	return nil
+}
+
 // AddCourse validates and stores a course. Every material tag must exist
 // in one of the repository's guidelines; material IDs must be globally
-// unique.
+// unique. It is for building a repository, not for one already being
+// read.
 func (r *Repository) AddCourse(c *Course) error {
 	if err := c.Validate(); err != nil {
 		return err
@@ -67,51 +82,71 @@ func (r *Repository) AddCourse(c *Course) error {
 	if _, dup := r.courses[c.ID]; dup {
 		return fmt.Errorf("materials: duplicate course ID %q", c.ID)
 	}
+	byID := r.index()
 	for _, m := range c.Materials {
-		if _, dup := r.byMaterial[m.ID]; dup {
+		if _, dup := byID[m.ID]; dup {
 			return fmt.Errorf("materials: material ID %q already exists in another course", m.ID)
 		}
-		for _, tag := range m.Tags {
-			if !r.KnownTag(tag) {
-				return fmt.Errorf("materials: material %q references unknown curriculum tag %q", m.ID, tag)
-			}
+		if err := r.checkTags(m); err != nil {
+			return err
 		}
 	}
-	r.indexCourse(c)
-	return nil
-}
-
-// AdoptCourse stores a course whose content was already validated by
-// this package — the incremental-ingest fast path. A delta ingest
-// (dataset.Registry.Apply) derives most courses unchanged from an
-// already-validated snapshot; re-running per-tag guideline lookups for
-// them would make delta cost proportional to the corpus. Only index
-// integrity (unique course and material IDs) is enforced; the caller
-// is responsible for the course having passed AddCourse-level
-// validation in a previous repository.
-func (r *Repository) AdoptCourse(c *Course) error {
-	if _, dup := r.courses[c.ID]; dup {
-		return fmt.Errorf("materials: duplicate course ID %q", c.ID)
-	}
-	for _, m := range c.Materials {
-		if _, dup := r.byMaterial[m.ID]; dup {
-			return fmt.Errorf("materials: material ID %q already exists in another course", m.ID)
-		}
-	}
-	r.indexCourse(c)
-	return nil
-}
-
-// indexCourse registers a validated course in the lookup indexes.
-func (r *Repository) indexCourse(c *Course) {
 	r.courses[c.ID] = c
 	r.order = append(r.order, c.ID)
+	r.nMaterials += len(c.Materials)
 	for _, m := range c.Materials {
-		r.byMaterial[m.ID] = m
-		for _, tag := range m.Tags {
-			r.byTag[tag] = append(r.byTag[tag], m)
-		}
+		byID[m.ID] = m
 	}
+	return nil
+}
+
+// Derive returns a copy of the repository in which each course of
+// changed replaces the stored course with the same ID. Each replacement
+// is validated as AddCourse validates a course, except that material
+// IDs are not checked across courses: a replacement must not bring in
+// an ID another course holds, and the caller, which knows which IDs
+// are new, checks that. Every other course, the course order and the
+// guidelines are shared with r, which stays as it was; the copy's
+// material index is built on first use. The cost is in proportion to
+// the replacements and the number of courses, not to the materials
+// left alone.
+func (r *Repository) Derive(changed []*Course) (*Repository, error) {
+	courses := maps.Clone(r.courses)
+	n := r.nMaterials
+	for _, c := range changed {
+		prev, ok := courses[c.ID]
+		if !ok {
+			return nil, fmt.Errorf("materials: no course %q to replace", c.ID)
+		}
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		for _, m := range c.Materials {
+			if err := r.checkTags(m); err != nil {
+				return nil, err
+			}
+		}
+		courses[c.ID] = c
+		n += len(c.Materials) - len(prev.Materials)
+	}
+	// Clipped, so an AddCourse on the copy reallocates rather than
+	// writing into r's array.
+	order := slices.Clip(r.order)
+	return &Repository{guidelines: r.guidelines, courses: courses, order: order, nMaterials: n}, nil
+}
+
+// index returns the by-ID material index, building it from the courses
+// on first use.
+func (r *Repository) index() map[string]*Material {
+	r.indexOnce.Do(func() {
+		r.byMaterial = make(map[string]*Material, r.nMaterials)
+		for _, id := range r.order {
+			for _, m := range r.courses[id].Materials {
+				r.byMaterial[m.ID] = m
+			}
+		}
+	})
+	return r.byMaterial
 }
 
 // Course returns the course with the given ID, or nil.
@@ -139,27 +174,20 @@ func (r *Repository) CoursesInGroup(g CourseGroup) []*Course {
 }
 
 // Material returns the material with the given ID, or nil.
-func (r *Repository) Material(id string) *Material { return r.byMaterial[id] }
+func (r *Repository) Material(id string) *Material { return r.index()[id] }
 
 // Materials returns every material sorted by ID.
 func (r *Repository) Materials() []*Material {
-	out := make([]*Material, 0, len(r.byMaterial))
-	for _, m := range r.byMaterial {
-		out = append(out, m)
+	out := make([]*Material, 0, r.nMaterials)
+	for _, id := range r.order {
+		out = append(out, r.courses[id].Materials...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// MaterialsWithTag returns the materials classified against the exact tag.
-func (r *Repository) MaterialsWithTag(tag string) []*Material {
-	out := append([]*Material(nil), r.byTag[tag]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // NumMaterials returns the total number of materials.
-func (r *Repository) NumMaterials() int { return len(r.byMaterial) }
+func (r *Repository) NumMaterials() int { return r.nMaterials }
 
 // CourseMatrix builds the paper's analysis input: a 0-1 matrix A with one
 // row per given course and one column per curriculum tag that appears in

@@ -79,45 +79,6 @@ func Build(ms []*materials.Material, metric Metric) (*Graph, error) {
 	return &Graph{Materials: ms, Sim: sim, Metric: metric}, nil
 }
 
-// UpdateMaterial derives the graph for a revision in which the single
-// material m (matched by ID) was retagged: only row and column i of
-// the similarity matrix are recomputed — O(n) set similarities instead
-// of the O(n²) full rebuild — and every other cell is copied
-// unchanged, so the result is byte-identical to a full Build of the
-// updated material list. The receiver is not modified.
-func (g *Graph) UpdateMaterial(m *materials.Material) (*Graph, error) {
-	idx := -1
-	for i, v := range g.Materials {
-		if v.ID == m.ID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("simgraph: material %q not in graph", m.ID)
-	}
-	ms := append([]*materials.Material(nil), g.Materials...)
-	ms[idx] = m
-	sim := g.Sim.Clone()
-	set := m.TagSet()
-	for j, other := range ms {
-		if j == idx {
-			sim.Set(idx, idx, 1)
-			continue
-		}
-		var s float64
-		switch g.Metric {
-		case Dice:
-			s = stats.Dice(set, other.TagSet())
-		default:
-			s = stats.Jaccard(set, other.TagSet())
-		}
-		sim.Set(idx, j, s)
-		sim.Set(j, idx, s)
-	}
-	return &Graph{Materials: ms, Sim: sim, Metric: g.Metric}, nil
-}
-
 // Edges returns every edge with weight at least minWeight, sorted by
 // descending weight (ties by ID pair).
 func (g *Graph) Edges(minWeight float64) []Edge {

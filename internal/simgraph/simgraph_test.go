@@ -171,51 +171,3 @@ func TestMetricString(t *testing.T) {
 		t.Fatal("Metric.String wrong")
 	}
 }
-
-func TestUpdateMaterialMatchesFullBuild(t *testing.T) {
-	seed := dataset.Repository().Courses()[2]
-	ms := seed.Materials
-	if len(ms) < 3 {
-		t.Skip("course too small")
-	}
-	for _, metric := range []Metric{Jaccard, Dice} {
-		g, err := Build(ms, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Retag the middle material with tags borrowed from its neighbor.
-		retagged := ms[1].Clone()
-		retagged.Tags = append([]string(nil), ms[0].Tags...)
-		updated, err := g.UpdateMaterial(retagged)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Full rebuild over the updated material list.
-		ms2 := append([]*materials.Material(nil), ms...)
-		ms2[1] = retagged
-		full, err := Build(ms2, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !updated.Sim.Equal(full.Sim) {
-			t.Errorf("%v: incremental Sim diverges from full Build", metric)
-		}
-		if updated.Materials[1] != retagged || updated.Materials[0] != ms[0] {
-			t.Error("updated graph has wrong material list")
-		}
-		// The receiver must be untouched.
-		if g.Materials[1] != ms[1] {
-			t.Error("UpdateMaterial mutated the receiver's material list")
-		}
-		orig, _ := Build(ms, metric)
-		if !g.Sim.Equal(orig.Sim) {
-			t.Error("UpdateMaterial mutated the receiver's similarity matrix")
-		}
-	}
-
-	g, _ := Build(ms, Jaccard)
-	if _, err := g.UpdateMaterial(mat("not-there", "x")); err == nil {
-		t.Error("unknown material must fail")
-	}
-}
