@@ -17,9 +17,7 @@ import (
 
 // Analysis holds the per-tag course counts for a group of courses.
 type Analysis struct {
-	// Courses are the IDs of the analyzed courses, in order. The
-	// analysis keeps IDs, not the courses, so a retained analysis does
-	// not hold a superseded corpus revision alive.
+	// Courses are the IDs of the analyzed courses, in order.
 	Courses []string
 	// Counts maps each curriculum tag to the number of courses whose
 	// materials reference it.
@@ -45,77 +43,26 @@ func AnalyzeCtx(ctx context.Context, courses []*materials.Course, guidelines ...
 		return nil, fmt.Errorf("agreement: no guidelines")
 	}
 	counts := map[string]int{}
+	// last[tag] is 1 + the index of the last course that counted tag,
+	// so a tag counts once per course however many of its materials
+	// carry it, without building each course's TagSet.
+	last := map[string]int{}
 	ids := make([]string, len(courses))
 	for i, c := range courses {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		ids[i] = c.ID
-		for tag := range c.TagSet() {
-			counts[tag]++
-		}
-	}
-	return &Analysis{Courses: ids, Counts: counts, guidelines: guidelines}, nil
-}
-
-// TagChange describes one course's tag-set difference between two
-// revisions: the tags that entered and left the union of the course's
-// material tags. It mirrors the dataset layer's delta summary without
-// importing it.
-type TagChange struct {
-	Added   []string
-	Removed []string
-}
-
-// Rebase derives the analysis of a new revision of the same course
-// group from this one without rescanning every course: the per-tag
-// course counts are adjusted by each course's tag-set change. courses
-// is the new revision's course list (same group, same order); changes
-// maps course ID → tag-set diff, and courses absent from it must be
-// unchanged. Changes for courses outside the group are ignored — they
-// cannot affect the counts. The arithmetic is exact, so the result
-// equals a full AnalyzeCtx of the new courses, byte for byte.
-func (a *Analysis) Rebase(courses []*materials.Course, changes map[string]TagChange) (*Analysis, error) {
-	if len(courses) != len(a.Courses) {
-		return nil, fmt.Errorf("agreement: rebase group size changed %d -> %d", len(a.Courses), len(courses))
-	}
-	in := make(map[string]bool, len(courses))
-	for i, c := range courses {
-		if a.Courses[i] != c.ID {
-			return nil, fmt.Errorf("agreement: rebase course %d changed %q -> %q", i, a.Courses[i], c.ID)
-		}
-		in[c.ID] = true
-	}
-	counts := make(map[string]int, len(a.Counts))
-	for tag, n := range a.Counts {
-		counts[tag] = n
-	}
-	ids := make([]string, 0, len(changes))
-	for id := range changes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if !in[id] {
-			continue
-		}
-		tc := changes[id]
-		for _, tag := range tc.Added {
-			counts[tag]++
-		}
-		for _, tag := range tc.Removed {
-			n := counts[tag] - 1
-			switch {
-			case n < 0:
-				return nil, fmt.Errorf("agreement: rebase drove tag %q count negative — stale change set", tag)
-			case n == 0:
-				delete(counts, tag)
-			default:
-				counts[tag] = n
+		for _, m := range c.Materials {
+			for _, tag := range m.Tags {
+				if last[tag] != i+1 {
+					last[tag] = i + 1
+					counts[tag]++
+				}
 			}
 		}
 	}
-	return &Analysis{Courses: a.Courses, Counts: counts, guidelines: a.guidelines}, nil
+	return &Analysis{Courses: ids, Counts: counts, guidelines: guidelines}, nil
 }
 
 // NumTags returns the number of distinct tags across the group.

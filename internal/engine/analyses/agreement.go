@@ -22,10 +22,6 @@ type AgreementResponse struct {
 	KASpan    []string       `json:"ka_span"`
 	KACounts  map[string]int `json:"ka_counts"`
 	Threshold int            `json:"threshold"`
-
-	// analysis retains the tag-count state so a later delta refresh can
-	// rebase it instead of rescanning; unexported, never serializes.
-	analysis *agreement.Analysis
 }
 
 // AgreementParams selects a course group and an agreement threshold.
@@ -74,16 +70,17 @@ func (Agreement) Compute(ctx context.Context, repo *materials.Repository, p engi
 	if err != nil {
 		return nil, err
 	}
-	return agreementResponse(ap, ids, a), nil
-}
-
-// agreementResponse derives the API payload from an analysis. Cold
-// computes and delta rebases share it, so a rebase whose counts match
-// a full rescan reproduces the cold response byte for byte.
-func agreementResponse(ap AgreementParams, ids []string, a *agreement.Analysis) *AgreementResponse {
+	// at_least[k] for every k from one pass over the counts: a tag is in
+	// at most len(ids) courses, so exactly[c] tallies them by count and
+	// at_least is its suffix sum.
+	exactly := make([]int, len(ids)+1)
+	for _, c := range a.Counts {
+		exactly[c]++
+	}
 	atLeast := make(map[string]int, len(ids))
-	for k := 2; k <= len(ids); k++ {
-		atLeast[strconv.Itoa(k)] = a.AtLeast(k)
+	for k, n := len(ids), 0; k >= 2; k-- {
+		n += exactly[k]
+		atLeast[strconv.Itoa(k)] = n
 	}
 	return &AgreementResponse{
 		Courses:   ids,
@@ -92,6 +89,5 @@ func agreementResponse(ap AgreementParams, ids []string, a *agreement.Analysis) 
 		KASpan:    a.KASpan(ap.Threshold),
 		KACounts:  a.KACounts(ap.Threshold),
 		Threshold: ap.Threshold,
-		analysis:  a,
-	}
+	}, nil
 }

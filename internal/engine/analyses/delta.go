@@ -2,11 +2,13 @@ package analyses
 
 // This file implements delta-awareness: how each analysis judges
 // whether a classification delta can reach its cached results
-// (engine.DeltaAware), and how the iterative analyses recompute from
-// their previous result instead of from scratch (engine.WarmStarter).
+// (engine.DeltaAware), and how types answers a same-revision stale
+// refresh from the value being served (engine.WarmStarter). An
+// affected result recomputes cold.
 //
 // Every analysis here reads a course only through its ID, its group
-// labels, its position in the repository and its TagSet(); events
+// labels, its position in the repository and its tag set (TagSet(),
+// or agreement's scan that counts each tag once per course); events
 // change none of those but the tag set. So a result is affected
 // exactly when a course it reads changed its tag set: AffectedBy reads
 // Delta.ChangedGroups and Delta.TagChanges, never the touched-course
@@ -17,7 +19,6 @@ import (
 	"context"
 	"strings"
 
-	"csmaterials/internal/agreement"
 	"csmaterials/internal/dataset"
 	"csmaterials/internal/engine"
 	"csmaterials/internal/materials"
@@ -59,15 +60,12 @@ func (Types) AffectedBy(paramKey string, d *dataset.Delta) bool {
 	return groupAffected(paramGroup(paramKey), d)
 }
 
-// ComputeWarm adopts the prior of a same-revision stale refresh (d nil):
-// the repository is the prior's, so a cold fit would return the prior's
-// bytes. The adopted copy reports no iterations — it ran none. With a
-// delta it declines: AffectedBy dropped the prior only because a course
-// in the group changed its tag set, so the matrix changed and the fit
-// runs cold.
-func (Types) ComputeWarm(_ context.Context, _ *materials.Repository, _ engine.Params, prior interface{}, d *dataset.Delta) (interface{}, error) {
+// ComputeWarm adopts the prior of a same-revision stale refresh: the
+// repository is the prior's, so a cold fit would return the prior's
+// bytes. The adopted copy reports no iterations — it ran none.
+func (Types) ComputeWarm(_ context.Context, _ *materials.Repository, _ engine.Params, prior interface{}) (interface{}, error) {
 	pr, ok := prior.(*TypesResponse)
-	if !ok || d != nil {
+	if !ok {
 		return nil, engine.ErrColdCompute
 	}
 	adopted := *pr
@@ -75,45 +73,12 @@ func (Types) ComputeWarm(_ context.Context, _ *materials.Repository, _ engine.Pa
 	return &adopted, nil
 }
 
-// WarmsWithinRevisionOnly marks Types as an engine.RevisionWarmer:
-// ComputeWarm declines every prior that carries a delta, so ApplyDelta
-// seeds none.
-func (Types) WarmsWithinRevisionOnly() {}
-
 // AffectedBy scopes agreement results to their course group.
 func (Agreement) AffectedBy(paramKey string, d *dataset.Delta) bool {
 	return groupAffected(paramGroup(paramKey), d)
 }
 
-// ComputeWarm rebases the prior tag counts over the delta's per-course
-// tag-set changes — exact integer arithmetic, so the result matches a
-// full rescan of the new revision byte for byte. Group membership
-// changes or a stale change set decline to cold.
-func (Agreement) ComputeWarm(ctx context.Context, repo *materials.Repository, p engine.Params, prior interface{}, d *dataset.Delta) (interface{}, error) {
-	ap := p.(AgreementParams)
-	pr, ok := prior.(*AgreementResponse)
-	if !ok || pr.analysis == nil {
-		return nil, engine.ErrColdCompute
-	}
-	ids, err := groupCourseIDs(repo, ap.Group)
-	if err != nil {
-		return nil, engine.ErrColdCompute
-	}
-	changes := map[string]agreement.TagChange{}
-	if d != nil {
-		for id, tc := range d.TagChanges {
-			changes[id] = agreement.TagChange{Added: tc.Added, Removed: tc.Removed}
-		}
-	}
-	a, err := pr.analysis.Rebase(coursesByID(repo, ids), changes)
-	if err != nil {
-		return nil, engine.ErrColdCompute
-	}
-	return agreementResponse(ap, ids, a), nil
-}
-
-// AffectedBy scopes cluster results to their course group. Clustering
-// has no incremental form here, so affected results recompute cold.
+// AffectedBy scopes cluster results to their course group.
 func (Cluster) AffectedBy(paramKey string, d *dataset.Delta) bool {
 	return groupAffected(paramGroup(paramKey), d)
 }
@@ -130,9 +95,14 @@ func (Audit) AffectedBy(paramKey string, d *dataset.Delta) bool {
 }
 
 // AffectedBy scopes catalog recommendations to their course (the key
-// is "<course>|<limit>"; the public catalog itself is static).
+// is "<course>|<limit>"; the public catalog itself is static). A course
+// ID may contain '|', the limit is an integer, so the key splits at its
+// last '|'.
 func (PDCMaterials) AffectedBy(paramKey string, d *dataset.Delta) bool {
-	return courseAffected(paramGroup(paramKey), d)
+	if i := strings.LastIndexByte(paramKey, '|'); i >= 0 {
+		paramKey = paramKey[:i]
+	}
+	return courseAffected(paramKey, d)
 }
 
 // AffectedBy: figures render the built-in seed corpus, not the

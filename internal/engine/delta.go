@@ -30,30 +30,18 @@ type DeltaAware interface {
 // warm recompute; the executor falls back to a cold Compute.
 var ErrColdCompute = errors.New("engine: warm compute declined, run cold")
 
-// WarmStarter is implemented by analyses whose recompute can be seeded
-// from the previous result. The contract is strict: a non-error return
-// from ComputeWarm MUST be byte-identical to what Compute would return
-// for the same (repo, p) — implementations verify their inputs are
-// unchanged (or rebase them with exact arithmetic) and return
-// ErrColdCompute when they cannot prove it. Performance is the only
-// thing a warm start may change.
+// WarmStarter is implemented by analyses whose background stale
+// refresh can be answered from the value being served stale. That
+// value belongs to the revision being refreshed, so the repository is
+// unchanged. The contract is strict: a non-error return from
+// ComputeWarm MUST be byte-identical to what Compute would return for
+// the same (repo, p); implementations return ErrColdCompute when they
+// cannot prove it. Performance is the only thing a warm start may
+// change.
 type WarmStarter interface {
-	// ComputeWarm recomputes the analysis using the previous cached
-	// result as a seed. prior is the value Compute (or a previous
-	// ComputeWarm) returned; d is the delta between the prior's
-	// revision and repo, or nil when the prior belongs to the same
-	// revision (a background stale refresh).
-	ComputeWarm(ctx context.Context, repo *materials.Repository, p Params, prior interface{}, d *dataset.Delta) (interface{}, error)
-}
-
-// RevisionWarmer is implemented by a WarmStarter that warms only
-// within one revision: its ComputeWarm adopts a same-revision prior (a
-// stale refresh's, delta nil) and declines every prior that carries a
-// delta. ApplyDelta seeds it no prior, since each one it could seed
-// would be held, then declined and counted as a fallback.
-type RevisionWarmer interface {
-	WarmStarter
-	WarmsWithinRevisionOnly()
+	// ComputeWarm recomputes the analysis from prior, the value Compute
+	// (or a previous ComputeWarm) returned for the same revision.
+	ComputeWarm(ctx context.Context, repo *materials.Repository, p Params, prior interface{}) (interface{}, error)
 }
 
 // ConvergenceReporter is implemented by analysis RESULTS whose compute
@@ -65,19 +53,9 @@ type ConvergenceReporter interface {
 }
 
 // maxPriors bounds the executor's warm-start seed store: one prior per
-// invalidated key, far above a realistic delta's blast radius; beyond
-// it new seeds are declined (the refresh just runs cold).
+// key with a stale refresh pending; beyond it new seeds are declined
+// (the refresh just runs cold).
 const maxPriors = 256
-
-// priorEntry is a dropped cached result retained as the warm-start
-// seed for its successor key. Priors live in their own store, never in
-// the serving cache: a dead revision's value must not be reachable
-// through Get or Stale, only through the executor's deliberate warm
-// recompute.
-type priorEntry struct {
-	val   interface{}
-	delta *dataset.Delta
-}
 
 // refreshStats counts one dataset's refresh activity.
 type refreshStats struct {
@@ -86,7 +64,6 @@ type refreshStats struct {
 	invalidatedFresh uint64
 	invalidatedStale uint64
 	migrated         uint64
-	seeded           uint64
 	warmStarts       uint64
 	warmFallbacks    uint64
 	warmIterations   uint64
@@ -104,10 +81,9 @@ type RefreshStats struct {
 	InvalidatedStale uint64 `json:"invalidated_stale"`
 	// Migrated counts fresh entries carried to a new revision unchanged.
 	Migrated uint64 `json:"migrated"`
-	// Seeded counts warm-start priors retained from dropped entries.
-	Seeded uint64 `json:"seeded"`
-	// WarmStarts counts recomputes answered by ComputeWarm; WarmFallbacks
-	// counts priors that were declined (cold recompute ran instead).
+	// WarmStarts counts stale refreshes answered by ComputeWarm;
+	// WarmFallbacks counts priors that were declined (cold recompute ran
+	// instead).
 	WarmStarts    uint64 `json:"warm_starts"`
 	WarmFallbacks uint64 `json:"warm_fallbacks"`
 	// WarmIterations/ColdIterations accumulate iterations-to-converge
@@ -128,8 +104,6 @@ type DeltaOutcome struct {
 	// Migrated is the number of fresh entries carried forward to the
 	// new revision because their analysis proved them unaffected.
 	Migrated int `json:"migrated"`
-	// Seeded is the number of warm-start priors retained.
-	Seeded int `json:"seeded"`
 }
 
 // Invalidated is the total number of cache entries dropped.
@@ -140,12 +114,11 @@ func (o DeltaOutcome) Invalidated() int { return o.InvalidatedFresh + o.Invalida
 // Registry.Apply), the refresh is delta-driven: every cached entry of
 // the dataset's previous revisions is classified by its analysis —
 // provably unaffected results are MIGRATED to the new revision's keys
-// (keeping their LRU positions; no recompute, no cold cache), affected
-// results are dropped, and dropped values of analyses that can warm
-// across a delta (WarmStarters but not RevisionWarmers) are retained
-// as warm-start priors for the recompute that will replace them.
-// Snapshots without a delta (full PUT re-ingest, LoadDir) degrade to
-// RefreshFull. No-op in single-repo mode.
+// (keeping their LRU positions and encoded bytes; no recompute, no
+// cold cache), and affected results are dropped, to be recomputed
+// cold on their next read. Snapshots without a delta (full PUT
+// re-ingest, LoadDir) degrade to RefreshFull. No-op in single-repo
+// mode.
 func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snapshot) DeltaOutcome {
 	if e.datasets == nil || e.cache == nil {
 		return DeltaOutcome{}
@@ -159,7 +132,7 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 	newPrefix := fmt.Sprintf("%s@%d|", ds, snap.Revision())
 	e.dropPriors(ds)
 
-	sum, dropped := e.cache.Rekey(func(key string) string {
+	sum := e.cache.Rekey(func(key string) string {
 		if !strings.HasPrefix(key, prefix) || strings.HasPrefix(key, newPrefix) {
 			return key
 		}
@@ -181,28 +154,6 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 		InvalidatedFresh: sum.DroppedFresh,
 		InvalidatedStale: sum.DroppedStale,
 		Migrated:         sum.MovedFresh,
-	}
-	// Seed warm-start priors from the dropped values under the keys the
-	// recompute will use. The fresh store is swept before the stale one,
-	// so a fresh value wins when both copies were dropped.
-	for _, de := range dropped {
-		name, paramKey, ok := splitPhysical(de.Key)
-		if !ok {
-			continue
-		}
-		a, registered := e.reg.Get(name)
-		if !registered {
-			continue
-		}
-		if _, warmable := a.(WarmStarter); !warmable {
-			continue
-		}
-		if _, withinRevision := a.(RevisionWarmer); withinRevision {
-			continue
-		}
-		if e.seedPrior(newPrefix+name+joinParam(paramKey), de.Val, d, de.Stale) {
-			out.Seeded++
-		}
 	}
 	obs.AddSpan(ctx, "refresh-delta", start)
 	e.countRefresh(ds, true, out)
@@ -249,24 +200,19 @@ func joinParam(paramKey string) string {
 	return "|" + paramKey
 }
 
-// seedPrior retains val as the warm-start seed for key. A fresh value
-// never loses to a stale one; the store is bounded at maxPriors.
-func (e *Executor) seedPrior(key string, val interface{}, d *dataset.Delta, stale bool) bool {
+// seedPrior retains val, the value a stale serve of key returned, as
+// the seed of key's refresh. A key holds one seed (every value of a
+// key is the same answer); the store is bounded at maxPriors.
+func (e *Executor) seedPrior(key string, val interface{}) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, exists := e.priors[key]; exists {
-		if stale {
-			return false // fresh copy already seeded
-		}
-	} else if len(e.priors) >= maxPriors {
-		return false
+	if _, exists := e.priors[key]; !exists && len(e.priors) < maxPriors {
+		e.priors[key] = val
 	}
-	e.priors[key] = priorEntry{val: val, delta: d}
-	return true
 }
 
 // takePrior consumes the warm-start seed for key, if any.
-func (e *Executor) takePrior(key string) (priorEntry, bool) {
+func (e *Executor) takePrior(key string) (interface{}, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pr, ok := e.priors[key]
@@ -293,17 +239,12 @@ func (e *Executor) dropPriors(ds string) {
 // warm start (ErrColdCompute, or any non-context error) falls back to
 // a cold Compute; context errors pass through so cancellation is not
 // masked by a doomed cold retry. The boolean reports whether the warm
-// result was adopted. It counts a compute for scope unless a
-// same-revision prior (delta nil) answered: adopting it starts none.
+// result was adopted. Adopting a prior counts no compute for scope: it
+// starts none.
 func (e *Executor) computeWithPrior(ctx context.Context, ds, scope string, a Analysis, repo *materials.Repository, p Params, key string) (interface{}, bool, error) {
-	counted := false
 	if ws, warmable := a.(WarmStarter); warmable {
-		if pr, ok := e.takePrior(key); ok {
-			if pr.delta != nil {
-				e.countCompute(scope)
-				counted = true
-			}
-			v, err := ws.ComputeWarm(ctx, repo, p, pr.val, pr.delta)
+		if prior, ok := e.takePrior(key); ok {
+			v, err := ws.ComputeWarm(ctx, repo, p, prior)
 			switch {
 			case err == nil:
 				e.countWarm(ds, true)
@@ -315,9 +256,7 @@ func (e *Executor) computeWithPrior(ctx context.Context, ds, scope string, a Ana
 			}
 		}
 	}
-	if !counted {
-		e.countCompute(scope)
-	}
+	e.countCompute(scope)
 	v, err := a.Compute(ctx, repo, p)
 	return v, false, err
 }
@@ -365,7 +304,6 @@ func (e *Executor) countRefresh(ds string, delta bool, out DeltaOutcome) {
 	st.invalidatedFresh += uint64(out.InvalidatedFresh)
 	st.invalidatedStale += uint64(out.InvalidatedStale)
 	st.migrated += uint64(out.Migrated)
-	st.seeded += uint64(out.Seeded)
 	e.mu.Unlock()
 }
 

@@ -17,7 +17,7 @@ import (
 
 // newDeltaExecutor wires the real analysis registry over a fresh
 // dataset registry (seed corpus as "default") — the delta-refresh
-// tests need real AffectedBy/ComputeWarm implementations, not fakes.
+// tests need real AffectedBy implementations, not fakes.
 func newDeltaExecutor(t *testing.T) (*engine.Executor, *dataset.Registry) {
 	t.Helper()
 	reg, err := analyses.Default()
@@ -127,8 +127,8 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	// Each computed result has a fresh and a stale last-known-good copy;
 	// both migrate or drop together. Only the fresh copies count as
 	// migrated.
-	if out.Migrated != 4 || out.Invalidated() != 0 || out.Seeded != 0 {
-		t.Errorf("same-tag-set retag: %+v, want all 4 entries migrated and nothing dropped or seeded", out)
+	if out.Migrated != 4 || out.Invalidated() != 0 {
+		t.Errorf("same-tag-set retag: %+v, want all 4 entries migrated and nothing dropped", out)
 	}
 	for _, r := range reads {
 		if _, o := mustRunOn(t, exec, r.name, r.values); o.Cache != "hit" || o.Revision != snap.Revision() {
@@ -144,19 +144,15 @@ func TestApplyDeltaPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-	// Only agreement (a WarmStarter) seeds a prior.
 	if out.Migrated != 2 {
 		t.Errorf("migrated = %d, want 2 (agreement|pdc, anchors|%s)", out.Migrated, other.ID)
 	}
 	if out.InvalidatedFresh != 2 || out.InvalidatedStale != 2 {
 		t.Errorf("invalidated = (%d fresh, %d stale), want (2, 2)", out.InvalidatedFresh, out.InvalidatedStale)
 	}
-	if out.Seeded != 1 {
-		t.Errorf("seeded = %d, want 1 (agreement|all)", out.Seeded)
-	}
 
 	// Migrated entries serve as hits under the new revision; dropped
-	// entries recompute.
+	// entries recompute cold.
 	for i, want := range []string{"miss", "hit", "miss", "hit"} {
 		r := reads[i]
 		if _, o := mustRunOn(t, exec, r.name, r.values); o.Cache != want || o.Revision != snap.Revision() {
@@ -167,8 +163,8 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	if st.Delta != 2 || st.Full != 0 {
 		t.Errorf("refresh counts = (%d delta, %d full), want (2, 0)", st.Delta, st.Full)
 	}
-	if st.WarmStarts != 1 || st.WarmFallbacks != 0 {
-		t.Errorf("warm = (%d starts, %d fallbacks), want (1, 0)", st.WarmStarts, st.WarmFallbacks)
+	if st.WarmStarts != 0 || st.WarmFallbacks != 0 {
+		t.Errorf("warm = (%d starts, %d fallbacks), want (0, 0): no analysis warms across a delta", st.WarmStarts, st.WarmFallbacks)
 	}
 
 	// A full PUT re-ingest (no delta on the snapshot) degrades to a
@@ -185,12 +181,13 @@ func TestApplyDeltaPrecision(t *testing.T) {
 
 // TestUnchangedTagSetsComputeNothing: a refresh whose input cannot
 // change an answer reuses it, with no compute and no NNMF iteration.
-// It covers a PATCH that keeps every course's tag set and a
-// same-revision stale refresh (the fault injector holds the refresh
-// past its caller's deadline). Across each, the counters behind
-// csm_analysis_computes_total and both modes of
-// csm_refresh_iterations_total stay put, and afterwards every types,
-// agreement and cluster read is a hit equal to a cold executor's.
+// It covers a PATCH that keeps every course's tag set, across which
+// no types, agreement or cluster entry computes, and a same-revision
+// stale refresh of types (the fault injector holds the refresh past
+// its caller's deadline), which adopts the value being served.
+// Across each, the counters behind csm_analysis_computes_total and
+// both modes of csm_refresh_iterations_total stay put, and afterwards
+// every read is a hit equal to a cold executor's.
 func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 	reg, err := analyses.Default()
 	if err != nil {
@@ -263,23 +260,20 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 	}
 
 	// Drop every fresh entry; the stale store keeps the last-known-good
-	// copies. The cluster entries are recomputed first, outside the
-	// measured window: clustering has no warm path.
+	// copies. The agreement and cluster entries are recomputed first,
+	// outside the measured window: neither has a warm path.
 	cache.Reset()
 	for _, r := range reads {
-		if r.name == "cluster" {
+		if r.name != "types" {
 			mustRunOn(t, exec, r.name, r.values)
 		}
 	}
 	computes, iterations = work()
 	hold := make(chan struct{})
-	faults.SetRules(
-		faultinject.Rule{Match: "compute/types", Probability: 1, Hold: hold},
-		faultinject.Rule{Match: "compute/agreement", Probability: 1, Hold: hold},
-	)
+	faults.SetRules(faultinject.Rule{Match: "compute/types", Probability: 1, Hold: hold})
 	refreshed := 0
 	for _, r := range reads {
-		if r.name == "cluster" {
+		if r.name != "types" {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -310,7 +304,7 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 
 // TestApplyDeltaSeedsNoTypesPrior: types warms only within one
 // revision, so a retag that changes a course's tag set, and so drops
-// types|all, seeds it no prior; its recompute runs cold without a
+// types|all, leaves it no prior; its recompute runs cold without a
 // declined warm start.
 func TestApplyDeltaSeedsNoTypesPrior(t *testing.T) {
 	exec, datasets := newDeltaExecutor(t)
@@ -326,77 +320,15 @@ func TestApplyDeltaSeedsNoTypesPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-	if out.InvalidatedFresh != 1 || out.Seeded != 0 {
-		t.Errorf("tag-set change: %+v, want types|all dropped and no prior seeded", out)
+	if out.InvalidatedFresh != 1 {
+		t.Errorf("tag-set change: %+v, want types|all dropped", out)
 	}
 	if _, o := mustRunOn(t, exec, "types", all); o.Cache != "miss" || o.Revision != snap.Revision() {
 		t.Errorf("types|all after the change = %q@rev%d, want miss@rev%d", o.Cache, o.Revision, snap.Revision())
 	}
 	st := exec.Stats().Refresh[dataset.DefaultID]
-	if st.Seeded != 0 || st.WarmStarts != 0 || st.WarmFallbacks != 0 {
-		t.Errorf("refresh: %d seeded, warm = (%d starts, %d fallbacks), want all 0", st.Seeded, st.WarmStarts, st.WarmFallbacks)
-	}
-}
-
-// TestApplyDeltaWarmAgreementRebase drives a delta that genuinely
-// changes a course's tag set: the agreement analysis must rebase the
-// prior counts (warm) and still match a cold recompute byte for byte.
-func TestApplyDeltaWarmAgreementRebase(t *testing.T) {
-	exec, datasets := newDeltaExecutor(t)
-	base := datasets.Default()
-	touched := cs1OnlyCourse(t, base)
-
-	// A tag the course does not have, taken from another course so it
-	// is a known curriculum entry.
-	var newTag string
-	have := touched.TagSet()
-	for _, c := range base.Repo().Courses() {
-		if c.ID == touched.ID {
-			continue
-		}
-		for tag := range c.TagSet() {
-			if !have[tag] {
-				newTag = tag
-				break
-			}
-		}
-		if newTag != "" {
-			break
-		}
-	}
-	if newTag == "" {
-		t.Fatal("no disjoint tag found")
-	}
-
-	mustRunOn(t, exec, "agreement", url.Values{"group": {"all"}})
-	snap, err := datasets.Apply(dataset.DefaultID, []dataset.Event{{
-		Op: dataset.OpRetag, Course: touched.ID,
-		MaterialID: touched.Materials[0].ID, Tags: []string{newTag},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := snap.Delta(); len(d.TagChanges) == 0 {
-		t.Fatal("retag with a new tag must record tag changes")
-	}
-	exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-
-	warmVal, _ := mustRunOn(t, exec, "agreement", url.Values{"group": {"all"}})
-	if st := exec.Stats().Refresh[dataset.DefaultID]; st.WarmStarts != 1 {
-		t.Fatalf("warm starts = %d, want 1", st.WarmStarts)
-	}
-
-	reg, err := analyses.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldExec := engine.NewExecutor(reg, engine.ExecutorOptions{
-		Datasets: datasets,
-		Cache:    serving.NewCache(64),
-	})
-	coldVal, _ := mustRunOn(t, coldExec, "agreement", url.Values{"group": {"all"}})
-	if mustJSON(t, warmVal) != mustJSON(t, coldVal) {
-		t.Error("rebased agreement diverges from a cold recompute of the same revision")
+	if st.WarmStarts != 0 || st.WarmFallbacks != 0 {
+		t.Errorf("refresh: warm = (%d starts, %d fallbacks), want (0, 0)", st.WarmStarts, st.WarmFallbacks)
 	}
 }
 

@@ -120,7 +120,7 @@ type Executor struct {
 	mu         sync.Mutex
 	stats      map[string]*analysisStats
 	refresh    map[string]*refreshStats
-	priors     map[string]priorEntry
+	priors     map[string]interface{}
 	batchCalls uint64
 	batchItems uint64
 }
@@ -142,7 +142,7 @@ func NewExecutor(reg *Registry, o ExecutorOptions) *Executor {
 		batchWorkers: DefaultBatchWorkers,
 		stats:        make(map[string]*analysisStats),
 		refresh:      make(map[string]*refreshStats),
-		priors:       make(map[string]priorEntry),
+		priors:       make(map[string]interface{}),
 	}
 	if e.breakers != nil {
 		for _, name := range reg.Names() {
@@ -271,6 +271,13 @@ func (e *Executor) Run(ctx context.Context, name string, values url.Values) (int
 // are 404 *Errors; malformed dataset IDs and parse/validation failures
 // are 400 *Errors unless the analysis supplied its own status.
 func (e *Executor) RunOn(ctx context.Context, ds, name string, values url.Values) (interface{}, Outcome, error) {
+	return value(e.AnswerOn(ctx, ds, name, values))
+}
+
+// AnswerOn is RunOn returning the cached answer itself rather than its
+// value: a response that writes the answer's Data writes bytes encoded
+// once per answer, not once per read.
+func (e *Executor) AnswerOn(ctx context.Context, ds, name string, values url.Values) (*serving.Answer, Outcome, error) {
 	a, ok := e.reg.Get(name)
 	if !ok {
 		return nil, Outcome{}, Errorf(404, "not_found", "unknown analysis %q", name)
@@ -283,7 +290,15 @@ func (e *Executor) RunOn(ctx context.Context, ds, name string, values url.Values
 		return nil, Outcome{}, err
 	}
 	sp.End()
-	return e.RunParamsOn(ctx, ds, a, p)
+	return e.answer(ctx, ds, a, p)
+}
+
+// value unwraps an answer for the callers that want the typed value.
+func value(ans *serving.Answer, out Outcome, err error) (interface{}, Outcome, error) {
+	if err != nil {
+		return nil, out, err
+	}
+	return ans.Value, out, nil
 }
 
 // ParseParams parses and validates values for a, normalizing non-Error
@@ -376,6 +391,13 @@ func (e *Executor) RunParams(ctx context.Context, a Analysis, p Params) (interfa
 // untraced context, so a request's trace record never grows after it
 // is served.
 func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Params) (interface{}, Outcome, error) {
+	return value(e.answer(ctx, ds, a, p))
+}
+
+// answer walks RunParamsOn's ladder. The cache holds one
+// *serving.Answer per computed value, and every way out of it (a hit,
+// a shared flight, a stale serve) hands on that same answer.
+func (e *Executor) answer(ctx context.Context, ds string, a Analysis, p Params) (*serving.Answer, Outcome, error) {
 	name := a.Name()
 	ctx = obs.WithAnalysis(obs.WithDataset(ctx, ds), name)
 	repo, rev, err := e.resolve(ds)
@@ -424,7 +446,10 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 			if IsServerFailure(err) {
 				e.countFailure(scope)
 			}
-			return v, err
+			if err != nil {
+				return nil, err
+			}
+			return serving.NewAnswer(v), nil
 		}
 	}
 	guarded := guardedWith(ctx)
@@ -438,7 +463,7 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 		} else {
 			e.countMiss(scope)
 		}
-		return v, out, nil
+		return v.(*serving.Answer), out, nil
 	}
 	if errors.Is(err, context.Canceled) {
 		// Every waiter left; there is nobody to answer and nothing to
@@ -448,20 +473,21 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 
 	if e.staleServe && (errors.Is(err, resilience.ErrOpen) || errors.Is(err, context.DeadlineExceeded) || IsServerFailure(err)) {
 		if sv, ok := e.cache.Stale(key); ok {
+			ans := sv.(*serving.Answer)
 			e.countStale(scope)
 			obs.AddSpan(ctx, "stale-serve", time.Time{})
 			obs.AddSpan(ctx, "stale-refresh", time.Time{}) // detached refresh launched
 			// Seed the refresh with the value being served: the key is
 			// revision-scoped, so the repository is unchanged and a
-			// warm-startable analysis can adopt or rebase the
-			// last-known-good result instead of solving cold (delta nil:
-			// same revision). Non-warmable analyses ignore the seed.
-			e.seedPrior(key, sv, nil, true)
+			// warm-startable analysis can adopt the last-known-good
+			// result instead of solving cold. Non-warmable analyses
+			// ignore the seed.
+			e.seedPrior(key, ans.Value)
 			refresh := guardedWith(context.Background()) // lint:detach DESIGN §9: the stale refresh must outlive the request that tripped it
 			go func() {
 				_, _, _ = e.cache.Do(key, func() (interface{}, error) { return refresh(context.Background()) }) // lint:detach same blessed refresh, inside the detached flight
 			}()
-			return sv, Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "stale", Stale: true}, nil
+			return ans, Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "stale", Stale: true}, nil
 		}
 	}
 	return nil, Outcome{}, err
@@ -631,7 +657,6 @@ func (e *Executor) Stats() Stats {
 			InvalidatedFresh: s.invalidatedFresh,
 			InvalidatedStale: s.invalidatedStale,
 			Migrated:         s.migrated,
-			Seeded:           s.seeded,
 			WarmStarts:       s.warmStarts,
 			WarmFallbacks:    s.warmFallbacks,
 			WarmIterations:   s.warmIterations,

@@ -5,12 +5,13 @@ package engine_test
 // after each Registry.Apply + Executor.ApplyDelta every registered
 // analysis is read over a parameter grid and compared, byte for byte
 // and error for error, with a cold executor over the same snapshot (a
-// fresh cache and no warm-start priors). The whole grid is read before
-// each delta too, so the entries a delta migrates are the ones checked.
+// fresh cache and no warm-start priors): the refreshed executor's
+// stored answer bytes against the cold answer's value encoded afresh.
+// The whole grid is read before each delta too, so the entries a delta
+// migrates, bytes and all, are the ones checked.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -31,7 +32,9 @@ const oracleDataset = "oracle"
 
 // smallCorpus returns seed courses covering every group label the
 // group-scoped analyses select on, including the two dual-labelled
-// courses: CS1, CS1+DS, DS, DS+OOP, Algo, PDC, OOP and Other.
+// courses: CS1, CS1+DS, DS, DS+OOP, Algo, PDC, OOP and Other. One
+// course is renamed to an ID containing '|', the separator a cache
+// key joins parameters with, which Course.Validate accepts.
 func smallCorpus(t testing.TB) []*materials.Course {
 	t.Helper()
 	ids := []string{
@@ -51,6 +54,7 @@ func smallCorpus(t testing.TB) []*materials.Course {
 		}
 		out = append(out, c.Clone())
 	}
+	out[7].ID = "lsu|csc1350|kundu"
 	return out
 }
 
@@ -116,10 +120,12 @@ func oracleGrid(t testing.TB, reg *engine.Registry, courses []string) []gridRead
 	return out
 }
 
-// readAnswer renders one read as comparable text: the value's JSON, or
-// the error's status, code and message.
-func readAnswer(exec *engine.Executor, r gridRead) string {
-	v, _, err := exec.RunOn(context.Background(), oracleDataset, r.name, r.values)
+// readAnswer renders one read as comparable text: the data bytes, or
+// the error's status, code and message. stored reads the bytes the
+// answer carries (encoded on its first read, kept across migrations);
+// otherwise the answer's value is encoded afresh.
+func readAnswer(exec *engine.Executor, r gridRead, stored bool) string {
+	ans, _, err := exec.AnswerOn(context.Background(), oracleDataset, r.name, r.values)
 	if err != nil {
 		var ee *engine.Error
 		if errors.As(err, &ee) {
@@ -127,9 +133,14 @@ func readAnswer(exec *engine.Executor, r gridRead) string {
 		}
 		return "error: " + err.Error()
 	}
-	b, err := json.Marshal(v)
+	var b []byte
+	if stored {
+		b, err = ans.Data()
+	} else {
+		b, err = serving.EncodeData(ans.Value)
+	}
 	if err != nil {
-		return "marshal error: " + err.Error()
+		return "encode error: " + err.Error()
 	}
 	return string(b)
 }
@@ -362,9 +373,9 @@ func (g *eventGen) batch(repo *materials.Repository) []dataset.Event {
 
 // oracleRun summarizes what one oracle run exercised.
 type oracleRun struct {
-	steps, reads        int
-	migrated, dropped   int
-	warmStarts, changed int
+	steps, reads      int
+	migrated, dropped int
+	changed           int
 }
 
 // runDeltaOracle ingests courses, then applies steps generated batches,
@@ -409,7 +420,7 @@ func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Cou
 		}
 		cold := engine.NewExecutor(coldReg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(1024)})
 		for _, r := range grid {
-			got, want := readAnswer(exec, r), readAnswer(cold, r)
+			got, want := readAnswer(exec, r, true), readAnswer(cold, r, false)
 			run.reads++
 			if got != want {
 				return run, fmt.Errorf("step %d (revision %d), %s:\n got  %.300s\n want %.300s",
@@ -417,7 +428,6 @@ func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Cou
 			}
 		}
 	}
-	run.warmStarts = int(exec.Stats().Refresh[oracleDataset].WarmStarts)
 	return run, nil
 }
 
@@ -442,8 +452,8 @@ func TestDeltaOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d steps, %d reads: %d entries migrated, %d dropped, %d warm starts, %d tag-set changes",
-				run.steps, run.reads, run.migrated, run.dropped, run.warmStarts, run.changed)
+			t.Logf("%d steps, %d reads: %d entries migrated, %d dropped, %d tag-set changes",
+				run.steps, run.reads, run.migrated, run.dropped, run.changed)
 			// The oracle proves nothing unless deltas both migrated and
 			// dropped entries, and some course's tag set changed.
 			if run.migrated == 0 || run.dropped == 0 || run.changed == 0 {

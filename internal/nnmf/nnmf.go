@@ -171,8 +171,11 @@ func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, 
 		}
 	}
 	normA := a.FrobeniusNorm()
-	if normA == 0 {
+	switch {
+	case normA == 0:
 		return nil, errAllZero
+	case math.IsInf(normA, 1):
+		return nil, errNormOverflow
 	}
 	return factorize(ctx, problem{
 		rows: rows, cols: cols, mean: a.Mean(),
@@ -182,6 +185,10 @@ func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, 
 }
 
 var errAllZero = fmt.Errorf("nnmf: input matrix is all zeros")
+
+// errNormOverflow rejects finite entries so large that the sum of their
+// squares overflows: every residual would be NaN.
+var errNormOverflow = fmt.Errorf("nnmf: input matrix's Frobenius norm overflows float64")
 
 // prepare applies the defaults and rejects the options no entry point
 // can run: K outside [1, min(rows, cols)] and a negative Restarts or

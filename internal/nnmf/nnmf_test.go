@@ -66,6 +66,21 @@ func TestFactorizeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestEntryPointsRejectNormOverflow: finite entries whose squares sum
+// past the float64 range are an error from both entry points, not a
+// fit whose every residual is NaN.
+func TestEntryPointsRejectNormOverflow(t *testing.T) {
+	a := blockMatrix(3, 4, 3).Scale(1e160) // 9 × 12, 0-1 before scaling
+	for name, factorize := range map[string]func() (*Result, error){
+		"Factorize":    func() (*Result, error) { return Factorize(a, Options{K: 3}) },
+		"FactorizeCSR": func() (*Result, error) { return FactorizeCSR(matrix.FromDense(a), Options{K: 3}) },
+	} {
+		if res, err := factorize(); err == nil || res != nil {
+			t.Errorf("%s of a matrix scaled by 1e160: error %v, result %t; want an error and no result", name, err, res != nil)
+		}
+	}
+}
+
 // TestEntryPointsRejectBadOptions: options no loop can run are an error
 // from every entry point, never a panic.
 func TestEntryPointsRejectBadOptions(t *testing.T) {

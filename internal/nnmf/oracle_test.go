@@ -1,6 +1,7 @@
 package nnmf
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -255,12 +256,52 @@ func TestCSRMatchesOracleOnRandomMatrices(t *testing.T) {
 // one full tile, and two and three tiles, padded or full. Each k runs
 // on the seed all-courses matrix and on five random matrices of at
 // least 9 × 9: two 0-1 and two weighted, one of each pair
-// NNDSVD-initialized, and one whose entries' squares overflow, so
-// that H goes non-finite and the H update keeps its zero-skips. That
-// case's residuals are all NaN, so its winner is restart 0 however the
-// workers split and merge its 1–3 restarts.
+// NNDSVD-initialized, and one of entries 1e152, about the largest
+// whose squares still sum to a finite norm at the largest shape drawn
+// (24 × 60). Inputs past that are rejected
+// (TestEntryPointsRejectNormOverflow), so the H update for an H with a
+// non-finite entry is held to the oracle by
+// TestSkippingHUpdateMatchesOracle.
 func TestCSRMatchesOracleAtEveryTileLayout(t *testing.T) {
 	forEachKernel(t, checkEveryTileLayout)
+}
+
+// TestSkippingHUpdateMatchesOracle holds the kernel to the oracle, bit
+// for bit, once H has a non-finite entry: the H update then skips the
+// terms of zero WᵀW entries, as the dense product does, so +Inf × 0
+// does not turn a lane into NaN. No input the entry points accept is
+// known to drive H there, so the kernel starts from such factors: W's
+// columns have disjoint supports, making WᵀW diagonal, and one entry
+// of H is +Inf. k covers one padded tile, one full tile and two tiles.
+// It runs one iteration: by the second, NaN has spread through both
+// factors whether or not the update skips.
+func TestSkippingHUpdateMatchesOracle(t *testing.T) {
+	a := matrix.FromDense(blockMatrix(3, 4, 3))
+	rows, cols := a.Dims()
+	normA := a.FrobeniusNorm()
+	for _, ops := range hostKernels() {
+		for _, k := range []int{1, 3, 4, 6} {
+			w, h := matrix.New(rows, k), matrix.New(k, cols)
+			for i := 0; i < rows; i++ {
+				w.Set(i, i%k, 1+float64(i)/4)
+			}
+			for r := 0; r < k; r++ {
+				for j := 0; j < cols; j++ {
+					h.Set(r, j, 0.5+float64(r+j)/8)
+				}
+			}
+			h.Set(0, 1, math.Inf(1))
+			opts := Options{K: k, MaxIter: 1}.withDefaults()
+			want := oracleRunSparse(a, w.Clone(), h.Clone(), opts, normA)
+			got := &Result{W: w.Clone(), H: h.Clone()}
+			if err := run(context.Background(), newCSRKernel(a, k, opts.Eps, normA, ops), got, opts); err != nil {
+				t.Fatal(err)
+			}
+			if d := sameBits(got, want); d != "" {
+				t.Errorf("%s k=%d: %s", ops.name, k, d)
+			}
+		}
+	}
 }
 
 func checkEveryTileLayout(t *testing.T) {
@@ -281,7 +322,7 @@ func checkEveryTileLayout(t *testing.T) {
 							v = 0.1 + 3*rng.Float64()
 						}
 						if c == 4 {
-							v = 1e160
+							v = 1e152
 						}
 						a.Set(i, j, v)
 					}

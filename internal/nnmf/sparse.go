@@ -52,8 +52,11 @@ func csrProblem(a *matrix.CSR, opts Options) (problem, Options, error) {
 		}
 	}
 	normA := a.FrobeniusNorm()
-	if normA == 0 {
+	switch {
+	case normA == 0:
 		return problem{}, opts, errAllZero
+	case math.IsInf(normA, 1):
+		return problem{}, opts, errNormOverflow
 	}
 	ops := tiles // every restart of one fit runs the same routines
 	return problem{

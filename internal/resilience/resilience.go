@@ -5,11 +5,11 @@
 // results instead of errors, via internal/serving's stale store).
 //
 // The package is deliberately stdlib-only and HTTP-agnostic at its
-// core: Shedder and Breaker expose Acquire/Release and Allow/Record
-// primitives; internal/serving and internal/server wire them into the
-// middleware stack and response envelopes. The faultinject subpackage
-// provides the deterministic chaos harness the tests use to prove each
-// rung of the ladder engages.
+// core: TenantLimiter and Breaker expose Acquire/Release and
+// Allow/Record primitives; internal/serving and internal/server wire
+// them into the middleware stack and response envelopes. The
+// faultinject subpackage provides the deterministic chaos harness the
+// tests use to prove each rung of the ladder engages.
 package resilience
 
 // Stats is the resilience section of the /debug/metrics snapshot:

@@ -5,6 +5,10 @@ import (
 	"time"
 )
 
+// DefaultRetryAfter is the Retry-After hint handed to shed clients
+// when the TenantLimiter was built without an explicit one.
+const DefaultRetryAfter = time.Second
+
 // AdmitResult is a TenantLimiter's decision for one request.
 type AdmitResult int
 
@@ -21,13 +25,13 @@ const (
 )
 
 // TenantLimiter is a two-level admission controller: a global hard cap
-// on concurrent requests (the old Shedder semantics) plus weighted
-// fair per-tenant in-flight quotas beneath it. Tenant t's quota is
+// on concurrent requests plus weighted fair per-tenant in-flight
+// quotas beneath it. Tenant t's quota is
 //
 //	max(1, floor(globalMax * weight_t / Σ weights))
 //
 // over the declared tenants, so with a single tenant the quota equals
-// the global cap and the limiter degenerates to the plain shedder. A
+// the global cap and the limiter degenerates to a plain shedder. A
 // tenant beyond its quota is rejected even when the server has
 // headroom; a tenant within its quota can still be rejected when the
 // global cap is exhausted. Undeclared tenants are treated as one extra
@@ -227,6 +231,15 @@ type TenantStats struct {
 	Admitted  uint64  `json:"admitted_total"`
 	Shed      uint64  `json:"shed_total"`
 	ShedQuota uint64  `json:"shed_quota_total"`
+}
+
+// ShedderStats is the global level of a TenantLimiter in the shape the
+// /debug/metrics "shedder" section has always had.
+type ShedderStats struct {
+	MaxInFlight int64  `json:"max_in_flight"`
+	InFlight    int64  `json:"in_flight"`
+	Admitted    uint64 `json:"admitted_total"`
+	Shed        uint64 `json:"shed_total"`
 }
 
 // Stats snapshots the global level in the legacy ShedderStats shape

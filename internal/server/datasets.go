@@ -52,8 +52,7 @@ type PatchMeta struct {
 	// touched; add/remove/retag counts).
 	Delta *dataset.Delta `json:"delta"`
 	// Refresh reports the delta-driven cache reconciliation: entries
-	// migrated to the new revision, dropped, and retained as warm-start
-	// priors.
+	// migrated to the new revision and entries dropped.
 	Refresh engine.DeltaOutcome `json:"refresh"`
 }
 
@@ -144,12 +143,11 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 // of the dataset's current revision, behind the same auth/ownership
 // gates as PUT. Unlike PUT, the serving layer is reconciled
 // incrementally: cache entries no changed course tag set can reach
-// migrate to the new revision (staying warm), affected entries drop,
-// and dropped agreement results are retained as priors so the
-// recompute rebases their counts instead of rescanning. Concurrent
-// PATCHes race on
-// the revision; the loser retries inside Registry.Apply and, if the
-// dataset keeps moving, answers 409 dataset_conflict.
+// migrate to the new revision (staying warm, encoded bytes and all),
+// and affected entries drop, to recompute cold on their next read.
+// Concurrent PATCHes race on the revision; the loser retries inside
+// Registry.Apply and, if the dataset keeps moving, answers 409
+// dataset_conflict.
 func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("ds")
 	keyName, ok := s.authorizeMutation(w, r, id)

@@ -85,13 +85,13 @@ func (s *Server) fleetServeForwarded(w http.ResponseWriter, r *http.Request, own
 	sp := obs.StartSpan(r.Context(), "fleet-owner-compute")
 	sp.SetAnalysis(name)
 	sp.SetDataset(requestDatasetID(r))
-	v, meta, ok := s.runAnalysis(w, r, name, values)
+	ans, meta, ok := s.runAnalysis(w, r, name, values)
 	if !ok {
 		sp.EndAs("fleet-owner-compute-error")
 		return true
 	}
 	sp.End()
-	writeData(w, http.StatusOK, v, meta)
+	writeData(w, http.StatusOK, ans, meta)
 	return true
 }
 

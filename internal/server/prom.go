@@ -194,9 +194,9 @@ func (s *Server) promFamilies() []obs.Family {
 	)
 
 	// Incremental refresh: per-dataset delta/full refresh accounting,
-	// invalidation precision, and warm-start convergence. Emitted only
-	// once a dataset has refreshed, so cold single-tenant scrapes keep
-	// the legacy exposition.
+	// invalidation precision, stale-refresh warm starts and NNMF
+	// iterations. Emitted only once a dataset has refreshed, so cold
+	// single-tenant scrapes keep the legacy exposition.
 	if len(es.Refresh) > 0 {
 		refreshIDs := make([]string, 0, len(es.Refresh))
 		for id := range es.Refresh {
@@ -206,9 +206,8 @@ func (s *Server) promFamilies() []obs.Family {
 		rfTotal := obs.Family{Name: "csm_refresh_total", Help: "Serving-layer refreshes per dataset by kind (delta = event-driven, full = whole-dataset invalidation).", Type: obs.Counter}
 		rfInval := obs.Family{Name: "csm_refresh_invalidated_total", Help: "Cache entries dropped by refreshes per dataset, by store.", Type: obs.Counter}
 		rfMigrated := obs.Family{Name: "csm_refresh_migrated_total", Help: "Cache entries migrated to a new revision unchanged per dataset.", Type: obs.Counter}
-		rfSeeded := obs.Family{Name: "csm_refresh_seeded_total", Help: "Warm-start priors retained from dropped entries per dataset.", Type: obs.Counter}
-		rfWarm := obs.Family{Name: "csm_refresh_warm_starts_total", Help: "Recomputes answered warm from a retained prior per dataset.", Type: obs.Counter}
-		rfFallback := obs.Family{Name: "csm_refresh_warm_fallbacks_total", Help: "Warm-start priors declined (cold recompute ran) per dataset.", Type: obs.Counter}
+		rfWarm := obs.Family{Name: "csm_refresh_warm_starts_total", Help: "Stale refreshes answered warm from the value being served per dataset.", Type: obs.Counter}
+		rfFallback := obs.Family{Name: "csm_refresh_warm_fallbacks_total", Help: "Stale-refresh priors declined (cold recompute ran) per dataset.", Type: obs.Counter}
 		rfIters := obs.Family{Name: "csm_refresh_iterations_total", Help: "Iterations-to-converge accumulated per dataset by compute mode.", Type: obs.Counter}
 		for _, id := range refreshIDs {
 			rs := es.Refresh[id]
@@ -220,14 +219,13 @@ func (s *Server) promFamilies() []obs.Family {
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "store", Value: "fresh"}}, Value: float64(rs.InvalidatedFresh)},
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "store", Value: "stale"}}, Value: float64(rs.InvalidatedStale)})
 			rfMigrated.Samples = append(rfMigrated.Samples, obs.Sample{Labels: l, Value: float64(rs.Migrated)})
-			rfSeeded.Samples = append(rfSeeded.Samples, obs.Sample{Labels: l, Value: float64(rs.Seeded)})
 			rfWarm.Samples = append(rfWarm.Samples, obs.Sample{Labels: l, Value: float64(rs.WarmStarts)})
 			rfFallback.Samples = append(rfFallback.Samples, obs.Sample{Labels: l, Value: float64(rs.WarmFallbacks)})
 			rfIters.Samples = append(rfIters.Samples,
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "cold"}}, Value: float64(rs.ColdIterations)},
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "warm"}}, Value: float64(rs.WarmIterations)})
 		}
-		fams = append(fams, rfTotal, rfInval, rfMigrated, rfSeeded, rfWarm, rfFallback, rfIters)
+		fams = append(fams, rfTotal, rfInval, rfMigrated, rfWarm, rfFallback, rfIters)
 	}
 
 	// Dataset registry: one gauge set per registered dataset.

@@ -499,12 +499,6 @@ func (s *Server) handleLegacy(w http.ResponseWriter, r *http.Request) {
 
 // --- Envelope ------------------------------------------------------------
 
-// envelope is the uniform success shape of every v1 response.
-type envelope struct {
-	Data interface{} `json:"data"`
-	Meta interface{} `json:"meta"`
-}
-
 // ListMeta is the meta block of paginated list endpoints.
 type ListMeta struct {
 	Total  int `json:"total"`
@@ -544,11 +538,46 @@ type BatchMeta struct {
 	Workers int `json:"workers"`
 }
 
+// The fixed bytes of the success envelope around its two members, as
+// serving.WriteJSON lays out {"data": ..., "meta": ...}.
+const (
+	envelopeData = "{\n  \"data\": "
+	envelopeMeta = ",\n  \"meta\": "
+	envelopeEnd  = "\n}\n"
+)
+
+// writeData writes the uniform success shape of every v1 response,
+// {"data": ..., "meta": ...}. data is a value, encoded here, or an
+// analysis's *serving.Answer, whose stored encoding is written as is.
+// Both members go through serving.EncodeData, so the body is byte for
+// byte what serving.WriteJSON writes for the two-field struct; an
+// envelope that does not encode writes no body, as WriteJSON's does.
+// The body goes out in one Write, so a request deadline cannot cut it
+// short (cmd/serve's withDeadline drops writes once it has passed).
 func writeData(w http.ResponseWriter, status int, data, meta interface{}) {
 	if meta == nil {
 		meta = struct{}{}
 	}
-	serving.WriteJSON(w, status, envelope{Data: data, Meta: meta})
+	var d []byte
+	var err error
+	if ans, ok := data.(*serving.Answer); ok {
+		d, err = ans.Data()
+	} else {
+		d, err = serving.EncodeData(data)
+	}
+	m, merr := serving.EncodeData(meta)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err != nil || merr != nil {
+		return
+	}
+	body := make([]byte, 0, len(envelopeData)+len(d)+len(envelopeMeta)+len(m)+len(envelopeEnd))
+	body = append(body, envelopeData...)
+	body = append(body, d...)
+	body = append(body, envelopeMeta...)
+	body = append(body, m...)
+	body = append(body, envelopeEnd...)
+	_, _ = w.Write(body)
 }
 
 // ErrorBody is the uniform error shape.
@@ -579,18 +608,18 @@ func requestDataset(r *http.Request) (ds string, scoped bool) {
 }
 
 // execAnalysis executes a registered analysis against ds through the
-// engine's serving ladder and maps errors to HTTP. It returns (value,
-// outcome, true) when the caller should write the value; on false the
+// engine's serving ladder and maps errors to HTTP. It returns (answer,
+// outcome, true) when the caller should write the answer; on false the
 // error response has already been written (or, for a disconnected
 // client, suppressed).
-func (s *Server) execAnalysis(w http.ResponseWriter, r *http.Request, ds, name string, values url.Values) (interface{}, engine.Outcome, bool) {
+func (s *Server) execAnalysis(w http.ResponseWriter, r *http.Request, ds, name string, values url.Values) (*serving.Answer, engine.Outcome, bool) {
 	s.touchDataset(ds)
-	v, out, err := s.exec.RunOn(r.Context(), ds, name, values)
+	ans, out, err := s.exec.AnswerOn(r.Context(), ds, name, values)
 	if err == nil {
 		if out.Stale {
 			w.Header().Set("X-Served-Stale", "true")
 		}
-		return v, out, true
+		return ans, out, true
 	}
 	if errors.Is(err, context.Canceled) {
 		// The client disconnected; there is nobody to answer. A flight
@@ -615,17 +644,17 @@ func (s *Server) execAnalysis(w http.ResponseWriter, r *http.Request, ds, name s
 // and shapes the meta block for the route family: plain CacheMeta on
 // the un-scoped aliases (byte-identical to the pre-datasets API),
 // DatasetCacheMeta on scoped routes.
-func (s *Server) runAnalysis(w http.ResponseWriter, r *http.Request, name string, values url.Values) (interface{}, interface{}, bool) {
+func (s *Server) runAnalysis(w http.ResponseWriter, r *http.Request, name string, values url.Values) (*serving.Answer, interface{}, bool) {
 	ds, scoped := requestDataset(r)
-	v, out, ok := s.execAnalysis(w, r, ds, name, values)
+	ans, out, ok := s.execAnalysis(w, r, ds, name, values)
 	if !ok {
 		return nil, nil, false
 	}
 	cm := CacheMeta{Cache: out.Cache, Key: out.Key, Stale: out.Stale}
 	if scoped {
-		return v, DatasetCacheMeta{CacheMeta: cm, Dataset: out.Dataset, Revision: out.Revision}, true
+		return ans, DatasetCacheMeta{CacheMeta: cm, Dataset: out.Dataset, Revision: out.Revision}, true
 	}
-	return v, cm, true
+	return ans, cm, true
 }
 
 // handleAnalysis is the shared GET handler behind every analysis route,
@@ -636,11 +665,11 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request, name str
 	if s.fleet != nil && s.fleetAnalysis(w, r, name, values) {
 		return
 	}
-	v, meta, ok := s.runAnalysis(w, r, name, values)
+	ans, meta, ok := s.runAnalysis(w, r, name, values)
 	if !ok {
 		return
 	}
-	writeData(w, http.StatusOK, v, meta)
+	writeData(w, http.StatusOK, ans, meta)
 }
 
 // --- Batch ---------------------------------------------------------------
@@ -965,11 +994,11 @@ func (s *Server) handleCourseView(w http.ResponseWriter, r *http.Request) {
 	}
 	values := r.URL.Query()
 	values.Set("course", c.ID)
-	v, m, ok := s.runAnalysis(w, r, view, values)
+	ans, m, ok := s.runAnalysis(w, r, view, values)
 	if !ok {
 		return
 	}
-	writeData(w, http.StatusOK, v, m)
+	writeData(w, http.StatusOK, ans, m)
 }
 
 // --- Search --------------------------------------------------------------
@@ -1058,11 +1087,11 @@ type FigureResponse struct {
 // SVG body from the cached artifact.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	values := url.Values{"id": []string{r.PathValue("id")}}
-	v, m, ok := s.runAnalysis(w, r, "figures", values)
+	ans, m, ok := s.runAnalysis(w, r, "figures", values)
 	if !ok {
 		return
 	}
-	art := v.(*core.Artifact)
+	art := ans.Value.(*core.Artifact)
 	if svg := r.URL.Query().Get("svg"); svg != "" {
 		body, ok := art.SVGs[svg]
 		if !ok {

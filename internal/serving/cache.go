@@ -361,15 +361,6 @@ func (c *Cache) InvalidateDetail(match func(key string) bool) (fresh, stale int)
 	return fresh, stale
 }
 
-// DroppedEntry is one entry removed by a Rekey sweep, returned to the
-// caller because it is no longer reachable through the cache — the
-// delta-refresh path reuses dropped values as warm-start priors.
-type DroppedEntry struct {
-	Key   string
-	Val   interface{}
-	Stale bool
-}
-
 // Rekeyed summarizes a Rekey sweep.
 type Rekeyed struct {
 	MovedFresh   int
@@ -388,22 +379,23 @@ type Rekeyed struct {
 // entry wins and the source is dropped; an entry whose new key maps to
 // a different scope is re-inserted there (most recently used) under
 // that scope's budget. mapper must be pure and fast — it runs under
-// the cache lock. Dropped entries are returned for reuse.
-func (c *Cache) Rekey(mapper func(key string) string) (Rekeyed, []DroppedEntry) {
+// the cache lock. A migrated entry keeps its value, the same pointer,
+// so whatever the value carries (an Answer's encoded bytes) moves with
+// it.
+func (c *Cache) Rekey(mapper func(key string) string) Rekeyed {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum Rekeyed
-	var dropped []DroppedEntry
 	for scope, st := range c.scopes {
-		c.rekeyList(scope, st, false, mapper, &sum, &dropped)
-		c.rekeyList(scope, st, true, mapper, &sum, &dropped)
+		c.rekeyList(scope, st, false, mapper, &sum)
+		c.rekeyList(scope, st, true, mapper, &sum)
 	}
-	return sum, dropped
+	return sum
 }
 
 // rekeyList applies mapper to one scope's fresh or stale list; callers
 // hold c.mu.
-func (c *Cache) rekeyList(scope string, st *scopeStore, stale bool, mapper func(key string) string, sum *Rekeyed, dropped *[]DroppedEntry) {
+func (c *Cache) rekeyList(scope string, st *scopeStore, stale bool, mapper func(key string) string, sum *Rekeyed) {
 	ll, items := st.ll, st.items
 	if stale {
 		ll, items = st.staleLL, st.staleItems
@@ -423,7 +415,6 @@ func (c *Cache) rekeyList(scope string, st *scopeStore, stale bool, mapper func(
 			ll.Remove(el)
 			delete(items, e.key)
 			*countDrop++
-			*dropped = append(*dropped, DroppedEntry{Key: e.key, Val: e.val, Stale: stale})
 		default:
 			target := scope
 			if c.scopeOf != nil {
@@ -446,7 +437,6 @@ func (c *Cache) rekeyList(scope string, st *scopeStore, stale bool, mapper func(
 				ll.Remove(el)
 				delete(items, e.key)
 				*countDrop++
-				*dropped = append(*dropped, DroppedEntry{Key: e.key, Val: e.val, Stale: stale})
 				break
 			}
 			delete(items, e.key)

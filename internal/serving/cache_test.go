@@ -571,7 +571,7 @@ func TestRekeyMigratesAndDrops(t *testing.T) {
 	put("ds@1|drop|p")
 	put("other@7|x")
 
-	sum, dropped := c.Rekey(func(k string) string {
+	sum := c.Rekey(func(k string) string {
 		switch k {
 		case "ds@1|keep|p":
 			return "ds@2|keep|p"
@@ -585,19 +585,14 @@ func TestRekeyMigratesAndDrops(t *testing.T) {
 	if sum.MovedFresh != 1 || sum.MovedStale != 1 || sum.DroppedFresh != 1 || sum.DroppedStale != 1 {
 		t.Fatalf("Rekey summary = %+v", sum)
 	}
-	if len(dropped) != 2 {
-		t.Fatalf("dropped = %+v", dropped)
-	}
-	for _, d := range dropped {
-		if d.Key != "ds@1|drop|p" || d.Val.(string) != "val-ds@1|drop|p" {
-			t.Errorf("dropped entry = %+v", d)
-		}
-	}
 	if v, ok := c.Get("ds@2|keep|p"); !ok || v.(string) != "val-ds@1|keep|p" {
 		t.Error("migrated entry not reachable under new key")
 	}
 	if _, ok := c.Get("ds@1|keep|p"); ok {
 		t.Error("migrated entry still reachable under old key")
+	}
+	if _, ok := c.Get("ds@1|drop|p"); ok {
+		t.Error("dropped entry still reachable")
 	}
 	if _, ok := c.Stale("ds@1|drop|p"); ok {
 		t.Error("dropped entry still stale-served")
@@ -616,20 +611,20 @@ func TestRekeyCollisionKeepsExisting(t *testing.T) {
 	}
 	put("a", "from-a")
 	put("b", "from-b")
-	sum, dropped := c.Rekey(func(k string) string {
+	sum := c.Rekey(func(k string) string {
 		if k == "a" {
 			return "b"
 		}
 		return k
 	})
-	if sum.DroppedFresh != 1 || sum.MovedFresh != 0 {
-		t.Fatalf("collision summary = %+v", sum)
-	}
-	if len(dropped) != 2 { // fresh + stale copies of "a"
-		t.Fatalf("dropped = %+v", dropped)
+	if sum.DroppedFresh != 1 || sum.DroppedStale != 1 || sum.MovedFresh != 0 || sum.MovedStale != 0 {
+		t.Fatalf("collision summary = %+v, want the fresh and stale copies of a dropped", sum)
 	}
 	if v, _ := c.Get("b"); v.(string) != "from-b" {
 		t.Error("existing target must win the collision")
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Error("the losing source is still reachable")
 	}
 }
 
@@ -646,7 +641,7 @@ func TestRekeyAcrossScopes(t *testing.T) {
 	if _, _, err := c.Do("s1|k", func() (interface{}, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
 	}
-	sum, _ := c.Rekey(func(k string) string {
+	sum := c.Rekey(func(k string) string {
 		if k == "s1|k" {
 			return "s2|k"
 		}
