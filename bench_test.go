@@ -87,7 +87,7 @@ func BenchmarkAnchorRecommendations(b *testing.B) { benchFigure(b, "§5.2 anchor
 func courseMatrix(b *testing.B) *matrix.Dense {
 	b.Helper()
 	a, _ := materials.CourseMatrix(dataset.Courses())
-	return a
+	return a.ToDense()
 }
 
 func BenchmarkNNMFAlgorithm(b *testing.B) {

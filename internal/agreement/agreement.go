@@ -29,37 +29,40 @@ type Analysis struct {
 // Analyze counts, for every curriculum tag, how many of the given courses
 // cover it. Guidelines are used for tree and knowledge-area summaries.
 func Analyze(courses []*materials.Course, guidelines ...*ontology.Guideline) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), courses, guidelines...)
+	return AnalyzeGroup(context.Background(), materials.NewGroup(courses), guidelines...)
 }
 
-// AnalyzeCtx is Analyze with cooperative cancellation: the per-course
-// tag scan checks ctx between courses and returns ctx.Err() as soon as
-// the context is done.
-func AnalyzeCtx(ctx context.Context, courses []*materials.Course, guidelines ...*ontology.Guideline) (*Analysis, error) {
-	if len(courses) == 0 {
+// AnalyzeGroup is Analyze over an interned course group, with
+// cooperative cancellation: the per-course count checks ctx between
+// courses and returns ctx.Err() as soon as the context is done. A row
+// holds each of its course's tags once, so a tag counts once per
+// course however many of its materials carry it.
+func AnalyzeGroup(ctx context.Context, g *materials.Group, guidelines ...*ontology.Guideline) (*Analysis, error) {
+	if len(g.Courses) == 0 {
 		return nil, fmt.Errorf("agreement: no courses")
 	}
 	if len(guidelines) == 0 {
 		return nil, fmt.Errorf("agreement: no guidelines")
 	}
-	counts := map[string]int{}
-	// last[tag] is 1 + the index of the last course that counted tag,
-	// so a tag counts once per course however many of its materials
-	// carry it, without building each course's TagSet.
-	last := map[string]int{}
-	ids := make([]string, len(courses))
-	for i, c := range courses {
+	perRank := make([]int, g.Vocab.Len())
+	distinct := 0
+	ids := make([]string, len(g.Courses))
+	for i, c := range g.Courses {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		ids[i] = c.ID
-		for _, m := range c.Materials {
-			for _, tag := range m.Tags {
-				if last[tag] != i+1 {
-					last[tag] = i + 1
-					counts[tag]++
-				}
+		for _, r := range g.Rows[i] {
+			if perRank[r] == 0 {
+				distinct++
 			}
+			perRank[r]++
+		}
+	}
+	counts := make(map[string]int, distinct)
+	for r, n := range perRank {
+		if n > 0 {
+			counts[g.Vocab.Tag(int32(r))] = n
 		}
 	}
 	return &Analysis{Courses: ids, Counts: counts, guidelines: guidelines}, nil

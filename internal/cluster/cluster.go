@@ -9,11 +9,11 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"csmaterials/internal/materials"
-	"csmaterials/internal/stats"
 )
 
 // Linkage selects how the distance between merged clusters is computed.
@@ -73,22 +73,26 @@ type Dendrogram struct {
 // Build clusters the courses bottom-up using 1 − Jaccard(tag sets) as the
 // distance. Ties break deterministically by course order.
 func Build(courses []*materials.Course, linkage Linkage) (*Dendrogram, error) {
+	return BuildGroup(materials.NewGroup(courses), linkage)
+}
+
+// BuildGroup is Build over an interned course group.
+func BuildGroup(g *materials.Group, linkage Linkage) (*Dendrogram, error) {
+	courses := g.Courses
 	if len(courses) < 2 {
 		return nil, fmt.Errorf("cluster: need at least 2 courses, got %d", len(courses))
 	}
 	n := len(courses)
-	// Pairwise leaf distances.
-	sets := make([]map[string]bool, n)
-	for i, c := range courses {
-		sets[i] = c.TagSet()
-	}
+	// Pairwise leaf distances, the upper triangle mirrored.
 	dist := make([][]float64, n)
+	flat := make([]float64, n*n)
 	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			if i != j {
-				dist[i][j] = 1 - stats.Jaccard(sets[i], sets[j])
-			}
+		dist[i] = flat[i*n : (i+1)*n]
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := 1 - jaccard(g.Rows[i], g.Rows[j])
+			dist[i][j], dist[j][i] = d, d
 		}
 	}
 
@@ -97,12 +101,16 @@ func Build(courses []*materials.Course, linkage Linkage) (*Dendrogram, error) {
 		node   *Node
 		leaves []int
 	}
-	active := make([]*clusterState, n)
+	leaves := make([]Node, n)
+	index := make([]int, n)
+	active := make([]clusterState, n)
 	for i, c := range courses {
-		active[i] = &clusterState{node: &Node{Course: c, Size: 1}, leaves: []int{i}}
+		leaves[i] = Node{Course: c, Size: 1}
+		index[i] = i
+		active[i] = clusterState{node: &leaves[i], leaves: index[i : i+1 : i+1]}
 	}
 
-	linkDist := func(a, b *clusterState) float64 {
+	linkDist := func(a, b clusterState) float64 {
 		best := math.Inf(1)
 		worst := math.Inf(-1)
 		sum, cnt := 0.0, 0
@@ -138,24 +146,38 @@ func Build(courses []*materials.Course, linkage Linkage) (*Dendrogram, error) {
 				}
 			}
 		}
-		merged := &clusterState{
-			node: &Node{
-				Left:   active[bi].node,
-				Right:  active[bj].node,
-				Height: bd,
-				Size:   active[bi].node.Size + active[bj].node.Size,
-			},
-			leaves: append(append([]int(nil), active[bi].leaves...), active[bj].leaves...),
+		a, b := active[bi], active[bj]
+		merged := clusterState{
+			node:   &Node{Left: a.node, Right: b.node, Height: bd, Size: a.node.Size + b.node.Size},
+			leaves: append(append(make([]int, 0, len(a.leaves)+len(b.leaves)), a.leaves...), b.leaves...),
 		}
-		next := make([]*clusterState, 0, len(active)-1)
-		for k, c := range active {
-			if k != bi && k != bj {
-				next = append(next, c)
-			}
-		}
-		active = append(next, merged)
+		// bi < bj: the rest keep their order, the merge goes last.
+		active = slices.Delete(active, bj, bj+1)
+		active = append(slices.Delete(active, bi, bi+1), merged)
 	}
 	return &Dendrogram{Root: active[0].node, Linkage: linkage}, nil
+}
+
+// jaccard returns |a ∩ b| / |a ∪ b| for two ascending rows, merging
+// them; two empty rows have similarity 1, as in stats.Jaccard.
+func jaccard(a, b []int32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // Cut returns the clusters obtained by cutting the dendrogram at the

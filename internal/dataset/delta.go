@@ -231,12 +231,13 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 	}
 
 	// Summarize: touched courses, their group labels, the tag union,
-	// the per-course tag-set differences old → new, and the group
-	// labels of the courses whose tag set changed.
+	// the per-course tag-set differences old → new, read from the two
+	// revisions' interned tag rows, and the group labels of the courses
+	// whose tag set changed.
 	groups, changed := map[string]bool{}, map[string]bool{}
 	for id, mod := range touched {
 		delta.Courses = append(delta.Courses, id)
-		tc := diffTagSets(base.Course(id).TagSet(), mod.TagSet())
+		tc := diffRows(repo.Vocabulary(), base.TagRow(id), repo.TagRow(id))
 		if !tc.Empty() {
 			delta.TagChanges[id] = tc
 		}
@@ -276,22 +277,25 @@ func ownerOf(base *materials.Repository, touched map[string]*materials.Course, m
 	return ""
 }
 
-// diffTagSets computes the sorted set difference new − old (Added) and
-// old − new (Removed).
-func diffTagSets(old, new map[string]bool) TagChange {
+// diffRows computes the set difference new − old (Added) and old − new
+// (Removed) of two ascending tag rows by merging them. Ranks order as
+// their tags sort, so both lists come out sorted.
+func diffRows(v *materials.Vocabulary, old, new []int32) TagChange {
 	var tc TagChange
-	for t := range new {
-		if !old[t] {
-			tc.Added = append(tc.Added, t)
+	i, j := 0, 0
+	for i < len(old) || j < len(new) {
+		switch {
+		case j == len(new) || i < len(old) && old[i] < new[j]:
+			tc.Removed = append(tc.Removed, v.Tag(old[i]))
+			i++
+		case i == len(old) || new[j] < old[i]:
+			tc.Added = append(tc.Added, v.Tag(new[j]))
+			j++
+		default:
+			i++
+			j++
 		}
 	}
-	for t := range old {
-		if !new[t] {
-			tc.Removed = append(tc.Removed, t)
-		}
-	}
-	sort.Strings(tc.Added)
-	sort.Strings(tc.Removed)
 	return tc
 }
 

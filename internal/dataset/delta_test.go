@@ -311,9 +311,13 @@ func scaledCourses(n int) []*materials.Course {
 
 // TestApplyCostFollowsDelta holds a one-retag Apply to one allocation
 // count on the seed corpus and on a corpus four times its size: the
-// untouched courses are shared, not revalidated or re-indexed, so a
-// PATCH costs in proportion to its delta.
+// untouched courses are shared, not revalidated, re-interned or
+// re-indexed, so a PATCH costs in proportion to its delta. The count
+// is bounded too: the tag-set diff merges the two revisions' tag rows
+// and validation sizes its maps, where two TagSet maps and a
+// per-call material-type set made it 46.
 func TestApplyCostFollowsDelta(t *testing.T) {
+	const maxAllocs = 30
 	allocs := func(courses []*materials.Course) float64 {
 		r := NewRegistry(nil)
 		if _, err := r.Put("cost", courses); err != nil {
@@ -332,12 +336,15 @@ func TestApplyCostFollowsDelta(t *testing.T) {
 	if seed != scaled { // lint:exact — AllocsPerRun returns a whole count
 		t.Errorf("a one-retag Apply makes %v allocations on the seed corpus and %v on four times it", seed, scaled)
 	}
+	if seed > maxAllocs {
+		t.Errorf("a one-retag Apply makes %v allocations, want at most %d", seed, maxAllocs)
+	}
 }
 
 // TestDerivedSnapshotConcurrentReads reads one derived snapshot from
 // several goroutines while Apply derives the next revisions from it:
-// the courses, course order and guidelines it shares with them and its
-// lazily built material index must stand concurrent use.
+// the courses, tag rows, course order and vocabulary it shares with
+// them and its lazily built material index must stand concurrent use.
 func TestDerivedSnapshotConcurrentReads(t *testing.T) {
 	r := NewRegistry(nil)
 	course, mat := coveredMaterial(t)
@@ -363,8 +370,8 @@ func TestDerivedSnapshotConcurrentReads(t *testing.T) {
 					return
 				}
 				for _, c := range repo.Courses() {
-					if len(c.TagSet()) == 0 {
-						t.Errorf("course %q has an empty tag set", c.ID)
+					if n := len(c.TagSet()); n == 0 || len(repo.TagRow(c.ID)) != n {
+						t.Errorf("course %q has %d tags and a row of %d", c.ID, n, len(repo.TagRow(c.ID)))
 						return
 					}
 					for _, m := range c.Materials {

@@ -46,10 +46,10 @@ func eventsBody(t testing.TB, evs ...Event) []byte {
 // events to a small corpus. Apply must not panic, and must accept a
 // batch exactly when referenceApply, a from-scratch build, accepts it.
 // A rejected batch leaves the revision alone. An applied one matches
-// the reference in every Repository accessor, leaves the base
-// snapshot's accessors as they were, and records, in TagChanges and
-// ChangedGroups, exactly what a from-scratch diff of every course's
-// TagSet() across the two snapshots finds.
+// the reference in every Repository accessor, the interned tag rows
+// included, leaves the base snapshot's accessors as they were, and
+// records, in TagChanges and ChangedGroups, exactly what a from-scratch
+// diff of every course's TagSet() across the two snapshots finds.
 func FuzzApplyEvents(f *testing.F) {
 	courses := fuzzCourses(f)
 	c0, c1, c2, c3 := courses[0], courses[1], courses[2], courses[3]
@@ -251,6 +251,7 @@ type repoView struct {
 	Materials []string                           // Materials(), in order
 	Count     int                                // NumMaterials()
 	TagSets   map[string]map[string]bool         // each course's TagSet()
+	Rows      map[string][]string                // each course's TagRow, as tags
 }
 
 // viewOf reads every accessor of r, looking each of ids up by Material.
@@ -268,11 +269,17 @@ func viewOf(r *materials.Repository, ids []string) repoView {
 		Material: map[string]string{},
 		Count:    r.NumMaterials(),
 		TagSets:  map[string]map[string]bool{},
+		Rows:     map[string][]string{},
 	}
 	for _, c := range r.Courses() {
 		v.Courses = append(v.Courses, canon(deepCopy(c)))
 		v.Course[c.ID] = canon(deepCopy(r.Course(c.ID)))
 		v.TagSets[c.ID] = c.TagSet()
+		row := []string{}
+		for _, rank := range r.TagRow(c.ID) {
+			row = append(row, r.Vocabulary().Tag(rank))
+		}
+		v.Rows[c.ID] = row
 	}
 	for _, g := range []materials.CourseGroup{materials.GroupCS1, materials.GroupOOP, materials.GroupDS,
 		materials.GroupAlgo, materials.GroupSoftEng, materials.GroupPDC, materials.GroupOther} {

@@ -66,7 +66,7 @@ func (Agreement) Compute(ctx context.Context, repo *materials.Repository, p engi
 	if err != nil {
 		return nil, err
 	}
-	a, err := agreement.AnalyzeCtx(ctx, coursesByID(repo, ids), ontology.CS2013(), ontology.PDC12())
+	a, err := agreement.AnalyzeGroup(ctx, repo.Group(ids), ontology.CS2013(), ontology.PDC12())
 	if err != nil {
 		return nil, err
 	}

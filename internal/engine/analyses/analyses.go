@@ -100,18 +100,6 @@ func normGroup(group string) string {
 	return g
 }
 
-// coursesByID resolves ids against the repository, preserving order and
-// skipping unknown IDs.
-func coursesByID(repo *materials.Repository, ids []string) []*materials.Course {
-	out := make([]*materials.Course, 0, len(ids))
-	for _, id := range ids {
-		if c := repo.Course(id); c != nil {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // intParam parses an integer query value, returning def when absent
 // and an error when malformed or below min.
 func intParam(v url.Values, name string, def, min int) (int, error) {

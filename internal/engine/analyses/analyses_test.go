@@ -247,3 +247,33 @@ func TestGroupOnEmptyCorpus(t *testing.T) {
 		t.Fatalf("pdc over CS1-only corpus = %v, want 404 not_found", err)
 	}
 }
+
+// TestTypesOfTaglessGroup: courses without a tag give a course matrix
+// with no columns, which the factorization rejects as a 400 (it once
+// panicked building a dense matrix with no columns); clustering and
+// agreement answer as usual.
+func TestTypesOfTaglessGroup(t *testing.T) {
+	reg := defaultRegistry(t)
+	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
+	for _, id := range []string{"a", "b", "c", "d"} {
+		if err := repo.AddCourse(&materials.Course{ID: id, Name: id, Group: materials.GroupCS1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"types", "cluster", "agreement"} {
+		a, _ := reg.Get(name)
+		p, err := a.Parse(url.Values{"group": []string{"all"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = a.Compute(context.Background(), repo, p)
+		var ee *engine.Error
+		if name == "types" {
+			if !errors.As(err, &ee) || ee.Status != 400 {
+				t.Fatalf("types of a tagless group = %v, want 400 bad_request", err)
+			}
+		} else if err != nil {
+			t.Fatalf("%s of a tagless group: %v", name, err)
+		}
+	}
+}

@@ -50,7 +50,7 @@ func (Cluster) Compute(ctx context.Context, repo *materials.Repository, p engine
 	if err != nil {
 		return nil, err
 	}
-	d, err := cluster.Build(coursesByID(repo, ids), cluster.Average)
+	d, err := cluster.BuildGroup(repo.Group(ids), cluster.Average)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ package analyses
 //
 // Every analysis here reads a course only through its ID, its group
 // labels, its position in the repository and its tag set (TagSet(),
-// or agreement's scan that counts each tag once per course); events
+// or the course's interned tag row); events
 // change none of those but the tag set. So a result is affected
 // exactly when a course it reads changed its tag set: AffectedBy reads
 // Delta.ChangedGroups and Delta.TagChanges, never the touched-course

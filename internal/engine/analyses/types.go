@@ -83,7 +83,7 @@ func (Types) Compute(ctx context.Context, repo *materials.Repository, p engine.P
 	if err != nil {
 		return nil, err
 	}
-	model, err := factorize.AnalyzeCtx(ctx, coursesByID(repo, ids), tp.K, factorize.PaperOptions(),
+	model, err := factorize.AnalyzeGroup(ctx, repo.Group(ids), tp.K, factorize.PaperOptions(),
 		ontology.CS2013(), ontology.PDC12())
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -113,7 +113,8 @@ func typesResponse(tp TypesParams, model *factorize.Model) *TypesResponse {
 		for i, tw := range top {
 			topTags[i] = tw.Tag
 		}
-		types[t] = TypeSummary{Label: model.TypeLabel(t), KAShare: model.KAShare(t), TopTags: topTags}
+		shares := model.KAShare(t)
+		types[t] = TypeSummary{Label: factorize.LabelOf(shares), KAShare: shares, TopTags: topTags}
 	}
 	return &TypesResponse{K: tp.K, Courses: courses, Types: types, Redundancy: model.Redundancy(), iterations: model.Fit.TotalIterations}
 }

@@ -17,7 +17,6 @@ import (
 	"csmaterials/internal/engine/analyses"
 	"csmaterials/internal/factorize"
 	"csmaterials/internal/materials"
-	"csmaterials/internal/matrix"
 	"csmaterials/internal/nnmf"
 	"csmaterials/internal/resilience"
 	"csmaterials/internal/serving"
@@ -200,8 +199,7 @@ func BenchmarkDatasetServing(b *testing.B) {
 // so serial/cold is the restart fan-out's speedup on the snapshot's CPU
 // count.
 func BenchmarkNNMFCore(b *testing.B) {
-	dense, _ := materials.CourseMatrix(dataset.Courses())
-	a := matrix.FromDense(dense)
+	a, _ := materials.CourseMatrix(dataset.Courses())
 	opts := factorize.PaperOptions()
 	opts.K = 4
 	b.Run("nnmf/cold", func(b *testing.B) {

@@ -41,7 +41,10 @@ type Model struct {
 	// Fit carries the NNMF convergence diagnostics.
 	Fit *nnmf.Result
 
-	guidelines []*ontology.Guideline
+	// areas names the knowledge areas of the columns; column j is in
+	// area areas[area[j]]. AnalyzeGroup resolves them once per fit.
+	areas []string
+	area  []int
 }
 
 // TagWeight is a curriculum entry with its H weight for some type.
@@ -54,22 +57,22 @@ type TagWeight struct {
 // Guidelines are used to interpret tags (knowledge-area summaries); pass
 // CS2013 and, for PDC courses, PDC12.
 func Analyze(courses []*materials.Course, k int, opts nnmf.Options, guidelines ...*ontology.Guideline) (*Model, error) {
-	return AnalyzeCtx(context.Background(), courses, k, opts, guidelines...)
+	return AnalyzeGroup(context.Background(), materials.NewGroup(courses), k, opts, guidelines...)
 }
 
-// AnalyzeCtx is Analyze with cooperative cancellation: the underlying
-// NNMF checks ctx between iterations and returns ctx.Err() promptly
-// when the caller goes away, so a cancelled request stops burning CPU
-// mid-factorization instead of converging for nobody.
-func AnalyzeCtx(ctx context.Context, courses []*materials.Course, k int, opts nnmf.Options, guidelines ...*ontology.Guideline) (*Model, error) {
-	if len(courses) == 0 {
+// AnalyzeGroup is Analyze over an interned course group, with
+// cooperative cancellation: the underlying NNMF checks ctx between
+// iterations and returns ctx.Err() promptly when the caller goes away,
+// so a cancelled request stops burning CPU mid-factorization instead
+// of converging for nobody.
+func AnalyzeGroup(ctx context.Context, g *materials.Group, k int, opts nnmf.Options, guidelines ...*ontology.Guideline) (*Model, error) {
+	if len(g.Courses) == 0 {
 		return nil, fmt.Errorf("factorize: no courses")
 	}
 	if len(guidelines) == 0 {
 		return nil, fmt.Errorf("factorize: no guidelines for interpretation")
 	}
-	a, tags := materials.CourseMatrix(courses)
-	csr := matrix.FromDense(a)
+	csr, tags := g.Matrix()
 	opts.K = k
 	var res *nnmf.Result
 	var err error
@@ -79,21 +82,14 @@ func AnalyzeCtx(ctx context.Context, courses []*materials.Course, k int, opts nn
 		// See BenchmarkSparseNNMF and DESIGN §3 for the measured speedup.
 		res, err = nnmf.FactorizeCSRCtx(ctx, csr, opts)
 	} else {
-		res, err = nnmf.FactorizeCtx(ctx, a, opts)
+		res, err = nnmf.FactorizeCtx(ctx, csr.ToDense(), opts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("factorize: %w", err)
 	}
-	return &Model{
-		Courses:    courses,
-		Tags:       tags,
-		A:          csr,
-		W:          res.W,
-		H:          res.H,
-		K:          k,
-		Fit:        res,
-		guidelines: guidelines,
-	}, nil
+	m := &Model{Courses: g.Courses, Tags: tags, A: csr, W: res.W, H: res.H, K: k, Fit: res}
+	m.resolveAreas(guidelines)
+	return m, nil
 }
 
 // DominantType returns the type with the largest W weight for course i.
@@ -125,18 +121,32 @@ func (m *Model) Evenness(i int) float64 {
 }
 
 // TopTags returns the n curriculum entries with the largest H weight for
-// type t, in descending order.
+// type t, in descending order, ties in column order: the first n of
+// stats.RankDescending of the row. It selects them in one pass over
+// the row, keeping the best n so far, so n is meant to be small.
 func (m *Model) TopTags(t, n int) []TagWeight {
 	row := m.H.RowView(t)
-	order := stats.RankDescending(row)
-	if n > len(order) {
-		n = len(order)
+	n = min(n, len(row))
+	top := make([]TagWeight, 0, n)
+	if n == 0 {
+		return top
 	}
-	out := make([]TagWeight, n)
-	for i := 0; i < n; i++ {
-		out[i] = TagWeight{Tag: m.Tags[order[i]], Weight: row[order[i]]}
+	for j, w := range row {
+		if len(top) == n && !(w > top[n-1].Weight) {
+			continue
+		}
+		// Insert after every kept weight w does not exceed.
+		p := len(top)
+		for p > 0 && w > top[p-1].Weight {
+			p--
+		}
+		if len(top) < n {
+			top = append(top, TagWeight{})
+		}
+		copy(top[p+1:], top[p:len(top)-1])
+		top[p] = TagWeight{Tag: m.Tags[j], Weight: w}
 	}
-	return out
+	return top
 }
 
 // KAShare returns, for type t, the fraction of H mass attributed to each
@@ -146,27 +156,36 @@ func (m *Model) TopTags(t, n int) []TagWeight {
 func (m *Model) KAShare(t int) map[string]float64 {
 	row := m.H.RowView(t)
 	total := 0.0
-	shares := map[string]float64{}
+	sums := make([]float64, len(m.areas))
+	held := make([]bool, len(m.areas))
 	for j, w := range row {
 		if w <= 0 {
 			continue
 		}
-		ka := m.areaOf(m.Tags[j])
-		shares[ka] += w
+		sums[m.area[j]] += w
+		held[m.area[j]] = true
 		total += w
 	}
-	if total > 0 {
-		for k := range shares {
-			shares[k] /= total
+	shares := map[string]float64{}
+	for a, s := range sums {
+		if !held[a] {
+			continue
 		}
+		if total > 0 {
+			s /= total
+		}
+		shares[m.areas[a]] = s
 	}
 	return shares
 }
 
 // DominantKAs returns the knowledge areas of type t sorted by descending
 // H mass share, with their shares.
-func (m *Model) DominantKAs(t int) []TagWeight {
-	shares := m.KAShare(t)
+func (m *Model) DominantKAs(t int) []TagWeight { return rankShares(m.KAShare(t)) }
+
+// rankShares sorts knowledge-area shares by descending share, ties by
+// area ID.
+func rankShares(shares map[string]float64) []TagWeight {
 	out := make([]TagWeight, 0, len(shares))
 	for ka, s := range shares {
 		out = append(out, TagWeight{Tag: ka, Weight: s})
@@ -182,8 +201,11 @@ func (m *Model) DominantKAs(t int) []TagWeight {
 
 // TypeLabel produces a short human-readable label for type t from its two
 // most massive knowledge areas, e.g. "AL+SDF".
-func (m *Model) TypeLabel(t int) string {
-	kas := m.DominantKAs(t)
+func (m *Model) TypeLabel(t int) string { return LabelOf(m.KAShare(t)) }
+
+// LabelOf is TypeLabel for a type whose KAShare is already in hand.
+func LabelOf(shares map[string]float64) string {
+	kas := rankShares(shares)
 	switch len(kas) {
 	case 0:
 		return "empty"
@@ -194,22 +216,34 @@ func (m *Model) TypeLabel(t int) string {
 	}
 }
 
-// areaOf maps a tag to its knowledge-area ID, searching the model's
-// guidelines; unknown tags map to "?".
-func (m *Model) areaOf(tag string) string {
-	for _, g := range m.guidelines {
-		if n := g.Lookup(tag); n != nil {
-			if a := ontology.AreaOf(n); a != nil {
-				// Distinguish PDC12 areas from CS2013 areas by prefixing
-				// with the guideline when it is not the first one.
-				if g != m.guidelines[0] {
-					return g.Name + ":" + a.ID
+// resolveAreas maps each column's tag to its knowledge-area ID,
+// searching the guidelines in order; unknown tags map to "?". Areas of
+// PDC12 and the other guidelines after the first are prefixed with the
+// guideline's name, to tell them from CS2013's.
+func (m *Model) resolveAreas(guidelines []*ontology.Guideline) {
+	index := map[string]int{}
+	m.area = make([]int, len(m.Tags))
+	for j, tag := range m.Tags {
+		name := "?"
+		for _, g := range guidelines {
+			if n := g.Lookup(tag); n != nil {
+				if a := ontology.AreaOf(n); a != nil {
+					name = a.ID
+					if g != guidelines[0] {
+						name = g.Name + ":" + a.ID
+					}
+					break
 				}
-				return a.ID
 			}
 		}
+		k, ok := index[name]
+		if !ok {
+			k = len(m.areas)
+			index[name] = k
+			m.areas = append(m.areas, name)
+		}
+		m.area[j] = k
 	}
-	return "?"
 }
 
 // CourseIndex returns the row index of the course with the given ID, or
@@ -318,5 +352,5 @@ func CompareK(courses []*materials.Course, ks []int, opts nnmf.Options, guidelin
 		return nil, fmt.Errorf("factorize: no courses")
 	}
 	a, _ := materials.CourseMatrix(courses)
-	return nnmf.SelectK(a, ks, opts)
+	return nnmf.SelectK(a.ToDense(), ks, opts)
 }

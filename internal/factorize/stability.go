@@ -73,7 +73,8 @@ func AssessStability(courses []*materials.Course, k int, opts nnmf.Options, runs
 	if len(courses) == 0 {
 		return nil, fmt.Errorf("factorize: no courses")
 	}
-	a, _ := materials.CourseMatrix(courses)
+	csr, _ := materials.CourseMatrix(courses)
+	a := csr.ToDense()
 	n := len(courses)
 
 	// Fan the independent runs out; collect per-run type assignments in

@@ -7,8 +7,9 @@
 // The package provides an in-memory repository with a material index,
 // revisions that share their unchanged courses, JSON import/export,
 // validation against the guideline trees, and the aggregation step
-// every analysis starts from: turning a set of courses into a 0-1
-// course × curriculum matrix.
+// every analysis starts from: interning each course's tags as integer
+// ranks and turning a group of courses into a 0-1 course × curriculum
+// matrix.
 package materials
 
 import (
@@ -36,6 +37,15 @@ const (
 func ValidTypes() []MaterialType {
 	return []MaterialType{Lecture, Assignment, Lab, Exam, Quiz, Activity, Reading, Project}
 }
+
+// validType is ValidTypes as a set, built once for Course.Validate.
+var validType = func() map[MaterialType]bool {
+	set := map[MaterialType]bool{}
+	for _, t := range ValidTypes() {
+		set[t] = true
+	}
+	return set
+}()
 
 // CourseGroup is the coarse label assigned to courses by the paper's
 // Figure 1 (based on the course name).
@@ -158,11 +168,7 @@ func (c *Course) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("materials: course %q has empty name", c.ID)
 	}
-	seen := map[string]bool{}
-	valid := map[MaterialType]bool{}
-	for _, t := range ValidTypes() {
-		valid[t] = true
-	}
+	seen := make(map[string]bool, len(c.Materials))
 	for _, m := range c.Materials {
 		if m.ID == "" {
 			return fmt.Errorf("materials: course %q has material with empty ID", c.ID)
@@ -171,7 +177,7 @@ func (c *Course) Validate() error {
 			return fmt.Errorf("materials: course %q has duplicate material ID %q", c.ID, m.ID)
 		}
 		seen[m.ID] = true
-		if !valid[m.Type] {
+		if !validType[m.Type] {
 			return fmt.Errorf("materials: material %q has unknown type %q", m.ID, m.Type)
 		}
 		for _, tag := range m.Tags {

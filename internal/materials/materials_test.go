@@ -229,7 +229,8 @@ func TestCourseMatrix(t *testing.T) {
 			{ID: "c2-m1", Title: "L", Type: Lecture, Tags: []string{tagBigO}},
 		},
 	}
-	a, cols := CourseMatrix([]*Course{c1, c2})
+	csr, cols := CourseMatrix([]*Course{c1, c2})
+	a := csr.ToDense()
 	if a.Rows() != 2 || a.Cols() != 3 {
 		t.Fatalf("matrix dims %dx%d, want 2x3", a.Rows(), a.Cols())
 	}

@@ -96,7 +96,8 @@ func TestPropCourseMatrixConsistent(t *testing.T) {
 		for i := 0; i < n; i++ {
 			courses = append(courses, randomCourse(rng, fmt.Sprintf("c%d", i), leaves))
 		}
-		a, cols := CourseMatrix(courses)
+		csr, cols := CourseMatrix(courses)
+		a := csr.ToDense()
 		colIdx := map[string]int{}
 		for j, t := range cols {
 			colIdx[t] = j

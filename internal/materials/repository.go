@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 
-	"csmaterials/internal/matrix"
 	"csmaterials/internal/ontology"
 )
 
@@ -18,17 +17,28 @@ import (
 // was created with. AddCourse builds a repository; once it is read, it
 // does not change, and a new revision is derived by Derive, which
 // shares every course it does not replace (and the course order and
-// guidelines) with its parent. The by-ID material index is built on
+// vocabulary) with its parent. The by-ID material index is built on
 // first use, so a revision nobody looks a material up in never pays for
 // it.
+//
+// Validation interns each course's tags: the repository keeps, per
+// course, its distinct tags as ascending ranks into the vocabulary of
+// its guidelines, which every repository over the same guidelines
+// shares. Group hands those rows to the group analyses.
 type Repository struct {
-	guidelines []*ontology.Guideline
-	courses    map[string]*Course
+	vocab      *Vocabulary
+	courses    map[string]stored
 	order      []string // course insertion order, for deterministic listings
 	nMaterials int
 
 	indexOnce  sync.Once
 	byMaterial map[string]*Material // built by index on first use
+}
+
+// stored is one course with its interned tag row.
+type stored struct {
+	course *Course
+	row    []int32
 }
 
 // NewRepository creates an empty repository validating against the given
@@ -37,38 +47,33 @@ func NewRepository(guidelines ...*ontology.Guideline) *Repository {
 	if len(guidelines) == 0 {
 		panic("materials: NewRepository needs at least one guideline")
 	}
-	return &Repository{guidelines: guidelines, courses: map[string]*Course{}}
+	return &Repository{vocab: vocabularyOf(guidelines), courses: map[string]stored{}}
 }
 
-// KnownTag reports whether id exists in any of the repository's
-// guidelines.
-func (r *Repository) KnownTag(id string) bool {
-	for _, g := range r.guidelines {
-		if g.Lookup(id) != nil {
-			return true
+// intern returns c's tag row: its distinct tags as ascending ranks
+// into the vocabulary. Material by material, it first runs check, when
+// given, then reports the first tag no guideline knows.
+func (r *Repository) intern(c *Course, check func(*Material) error) ([]int32, error) {
+	n := 0
+	for _, m := range c.Materials {
+		n += len(m.Tags)
+	}
+	row := make([]int32, 0, n)
+	for _, m := range c.Materials {
+		if check != nil {
+			if err := check(m); err != nil {
+				return nil, err
+			}
+		}
+		for _, tag := range m.Tags {
+			rank, ok := r.vocab.Rank(tag)
+			if !ok {
+				return nil, fmt.Errorf("materials: material %q references unknown curriculum tag %q", m.ID, tag)
+			}
+			row = append(row, rank)
 		}
 	}
-	return false
-}
-
-// LookupTag returns the guideline node for id, searching all guidelines.
-func (r *Repository) LookupTag(id string) *ontology.Node {
-	for _, g := range r.guidelines {
-		if n := g.Lookup(id); n != nil {
-			return n
-		}
-	}
-	return nil
-}
-
-// checkTags reports the first of m's tags no guideline knows.
-func (r *Repository) checkTags(m *Material) error {
-	for _, tag := range m.Tags {
-		if !r.KnownTag(tag) {
-			return fmt.Errorf("materials: material %q references unknown curriculum tag %q", m.ID, tag)
-		}
-	}
-	return nil
+	return internRow(row), nil
 }
 
 // AddCourse validates and stores a course. Every material tag must exist
@@ -83,15 +88,16 @@ func (r *Repository) AddCourse(c *Course) error {
 		return fmt.Errorf("materials: duplicate course ID %q", c.ID)
 	}
 	byID := r.index()
-	for _, m := range c.Materials {
+	row, err := r.intern(c, func(m *Material) error {
 		if _, dup := byID[m.ID]; dup {
 			return fmt.Errorf("materials: material ID %q already exists in another course", m.ID)
 		}
-		if err := r.checkTags(m); err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	r.courses[c.ID] = c
+	r.courses[c.ID] = stored{course: c, row: row}
 	r.order = append(r.order, c.ID)
 	r.nMaterials += len(c.Materials)
 	for _, m := range c.Materials {
@@ -105,8 +111,9 @@ func (r *Repository) AddCourse(c *Course) error {
 // is validated as AddCourse validates a course, except that material
 // IDs are not checked across courses: a replacement must not bring in
 // an ID another course holds, and the caller, which knows which IDs
-// are new, checks that. Every other course, the course order and the
-// guidelines are shared with r, which stays as it was; the copy's
+// are new, checks that. Every other course with its interned tag row,
+// the course order and the vocabulary are shared with r, which stays
+// as it was; only the replacements are interned, and the copy's
 // material index is built on first use. The cost is in proportion to
 // the replacements and the number of courses, not to the materials
 // left alone.
@@ -121,18 +128,17 @@ func (r *Repository) Derive(changed []*Course) (*Repository, error) {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-		for _, m := range c.Materials {
-			if err := r.checkTags(m); err != nil {
-				return nil, err
-			}
+		row, err := r.intern(c, nil)
+		if err != nil {
+			return nil, err
 		}
-		courses[c.ID] = c
-		n += len(c.Materials) - len(prev.Materials)
+		courses[c.ID] = stored{course: c, row: row}
+		n += len(c.Materials) - len(prev.course.Materials)
 	}
 	// Clipped, so an AddCourse on the copy reallocates rather than
 	// writing into r's array.
 	order := slices.Clip(r.order)
-	return &Repository{guidelines: r.guidelines, courses: courses, order: order, nMaterials: n}, nil
+	return &Repository{vocab: r.vocab, courses: courses, order: order, nMaterials: n}, nil
 }
 
 // index returns the by-ID material index, building it from the courses
@@ -141,7 +147,7 @@ func (r *Repository) index() map[string]*Material {
 	r.indexOnce.Do(func() {
 		r.byMaterial = make(map[string]*Material, r.nMaterials)
 		for _, id := range r.order {
-			for _, m := range r.courses[id].Materials {
+			for _, m := range r.courses[id].course.Materials {
 				r.byMaterial[m.ID] = m
 			}
 		}
@@ -150,15 +156,37 @@ func (r *Repository) index() map[string]*Material {
 }
 
 // Course returns the course with the given ID, or nil.
-func (r *Repository) Course(id string) *Course { return r.courses[id] }
+func (r *Repository) Course(id string) *Course { return r.courses[id].course }
 
 // Courses returns all courses in insertion order.
 func (r *Repository) Courses() []*Course {
 	out := make([]*Course, 0, len(r.order))
 	for _, id := range r.order {
-		out = append(out, r.courses[id])
+		out = append(out, r.courses[id].course)
 	}
 	return out
+}
+
+// Vocabulary returns the vocabulary the repository's tag rows rank
+// into: every entry ID of its guidelines.
+func (r *Repository) Vocabulary() *Vocabulary { return r.vocab }
+
+// TagRow returns the distinct tags of the course with the given ID as
+// ascending ranks into Vocabulary, or nil for an unknown course. The
+// row is shared and must not be modified.
+func (r *Repository) TagRow(id string) []int32 { return r.courses[id].row }
+
+// Group returns the courses with the given IDs, in order and skipping
+// unknown IDs, with their stored tag rows.
+func (r *Repository) Group(ids []string) *Group {
+	g := &Group{Courses: make([]*Course, 0, len(ids)), Rows: make([][]int32, 0, len(ids)), Vocab: r.vocab}
+	for _, id := range ids {
+		if s, ok := r.courses[id]; ok {
+			g.Courses = append(g.Courses, s.course)
+			g.Rows = append(g.Rows, s.row)
+		}
+	}
+	return g
 }
 
 // CoursesInGroup returns the courses whose primary or secondary group is
@@ -180,7 +208,7 @@ func (r *Repository) Material(id string) *Material { return r.index()[id] }
 func (r *Repository) Materials() []*Material {
 	out := make([]*Material, 0, r.nMaterials)
 	for _, id := range r.order {
-		out = append(out, r.courses[id].Materials...)
+		out = append(out, r.courses[id].course.Materials...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -188,40 +216,6 @@ func (r *Repository) Materials() []*Material {
 
 // NumMaterials returns the total number of materials.
 func (r *Repository) NumMaterials() int { return r.nMaterials }
-
-// CourseMatrix builds the paper's analysis input: a 0-1 matrix A with one
-// row per given course and one column per curriculum tag that appears in
-// at least one of them. It returns the matrix together with the column
-// tag IDs (sorted) so entries can be interpreted.
-func CourseMatrix(courses []*Course) (*matrix.Dense, []string) {
-	if len(courses) == 0 {
-		panic("materials: CourseMatrix with no courses")
-	}
-	universe := map[string]bool{}
-	sets := make([]map[string]bool, len(courses))
-	for i, c := range courses {
-		sets[i] = c.TagSet()
-		for t := range sets[i] {
-			universe[t] = true
-		}
-	}
-	cols := make([]string, 0, len(universe))
-	for t := range universe {
-		cols = append(cols, t)
-	}
-	sort.Strings(cols)
-	colIdx := make(map[string]int, len(cols))
-	for j, t := range cols {
-		colIdx[t] = j
-	}
-	a := matrix.New(len(courses), len(cols))
-	for i := range courses {
-		for t := range sets[i] {
-			a.Set(i, colIdx[t], 1)
-		}
-	}
-	return a, cols
-}
 
 // SaveJSON writes the repository's courses as a JSON document.
 func (r *Repository) SaveJSON(w io.Writer) error {

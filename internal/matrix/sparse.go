@@ -41,6 +41,16 @@ func FromDense(a *Dense) *CSR {
 	return c
 }
 
+// NewCSR wraps storage laid out as Arrays describes it; the matrix
+// owns the slices from then on. It panics when their lengths do not
+// fit the shape.
+func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
+	if len(rowPtr) != rows+1 || len(colIdx) != len(vals) || rowPtr[rows] != len(vals) {
+		panic(fmt.Sprintf("matrix: NewCSR %dx%d with %d row pointers and %d/%d entries", rows, cols, len(rowPtr), len(colIdx), len(vals)))
+	}
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
 // Dims returns (rows, cols).
 func (c *CSR) Dims() (int, int) { return c.rows, c.cols }
 

@@ -176,7 +176,8 @@ func seedGroups() map[string]*matrix.Dense {
 				courses = append(courses, c)
 			}
 		}
-		out[name], _ = materials.CourseMatrix(courses)
+		a, _ := materials.CourseMatrix(courses)
+		out[name] = a.ToDense()
 	}
 	return out
 }

@@ -57,7 +57,7 @@ func WriteExposition(w io.Writer, families []Family) error {
 		if len(f.Samples) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, helpEscaper.Replace(f.Help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Type)
 		for _, s := range f.Samples {
 			b.WriteString(f.Name)
@@ -83,7 +83,7 @@ func writeLabels(b *strings.Builder, labels []Label) {
 		}
 		b.WriteString(l.Name)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
@@ -106,15 +106,12 @@ func formatValue(v float64) string {
 // FormatBound renders a histogram upper bound as a le= label value.
 func FormatBound(bound float64) string { return formatValue(bound) }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+// The exposition format's escapes for label values and HELP text.
+// A Replacer is safe for concurrent use and builds its tables once.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 // expositionSample matches one valid sample line of the 0.0.4 text
 // format: metric name, optional label set, one value.

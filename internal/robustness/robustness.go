@@ -111,7 +111,7 @@ func TypingAgreement(baseline, perturbed []*materials.Course, k int, opts nnmf.O
 		a, _ := materials.CourseMatrix(cs)
 		o := opts
 		o.K = k
-		res, err := nnmf.Factorize(a, o)
+		res, err := nnmf.Factorize(a.ToDense(), o)
 		if err != nil {
 			return nil, err
 		}
