@@ -3,6 +3,7 @@ package materials
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"csmaterials/internal/matrix"
@@ -37,6 +38,15 @@ func (v *Vocabulary) Tag(r int32) string { return v.tags[r] }
 func (v *Vocabulary) Rank(tag string) (int32, bool) {
 	r, ok := v.rank[tag]
 	return r, ok
+}
+
+// PrefixRange returns the ranks [lo, hi) of the entries whose IDs start
+// with prefix: they sort next to each other, from the first ID not
+// below prefix.
+func (v *Vocabulary) PrefixRange(prefix string) (lo, hi int32) {
+	i := sort.SearchStrings(v.tags, prefix)
+	n := sort.Search(len(v.tags)-i, func(k int) bool { return !strings.HasPrefix(v.tags[i+k], prefix) })
+	return int32(i), int32(i + n)
 }
 
 // vocabularies caches one Vocabulary per guideline list, so every

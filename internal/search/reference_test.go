@@ -223,13 +223,37 @@ func (g *queryGen) query() Query {
 	if g.rng.Intn(2) == 0 {
 		q.Limit = 1 + g.rng.Intn(30)
 	}
+	switch g.rng.Intn(8) {
+	case 0, 1, 2:
+		q.Offset = g.rng.Intn(40)
+	case 3:
+		q.Offset = g.rng.Intn(1200)
+	case 4:
+		q.Offset = math.MaxInt
+	}
+	if q.Limit > 0 && g.rng.Intn(20) == 0 {
+		q.Limit = math.MaxInt
+	}
 	return q
+}
+
+// pageBounds clips [offset, offset+limit) to n items, a limit of 0
+// meaning no cap.
+func pageBounds(n, limit, offset int) (lo, hi int) {
+	lo = min(offset, n)
+	hi = n
+	if limit > 0 && limit < n-lo {
+		hi = lo + limit
+	}
+	return lo, hi
 }
 
 // TestSearchMatchesReference runs thousands of random queries through
 // Engine and refEngine over the seed corpus and over a corpus whose
-// materials list tags out of order and twice: every result must agree
-// in order, matched tags and score bits.
+// materials list tags out of order and twice. Each query draws an
+// offset and a limit; the page and the total must agree with the
+// reference's full ranking sliced to that page, in order, matched tags
+// (nil or not) and score bits.
 func TestSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, tc := range []struct {
@@ -245,19 +269,29 @@ func TestSearchMatchesReference(t *testing.T) {
 			nonEmpty := 0
 			for i := 0; i < 2000; i++ {
 				q := gen.query()
-				got, want := e.Search(q), ref.search(q)
+				got, total := e.Page(q)
+				all := ref.search(Query{Tags: q.Tags, TagPrefixes: q.TagPrefixes, Text: q.Text,
+					CourseLevel: q.CourseLevel, Author: q.Author, Language: q.Language, Dataset: q.Dataset})
+				lo, hi := pageBounds(len(all), q.Limit, q.Offset)
+				want := all[lo:hi]
 				if len(want) > 0 {
 					nonEmpty++
 				}
-				if len(got) != len(want) {
-					t.Fatalf("query %d %+v: %d results, reference %d", i, q, len(got), len(want))
+				if total != len(all) || len(got) != len(want) {
+					t.Fatalf("query %d %+v: %d results of %d, reference %d of %d", i, q, len(got), total, len(want), len(all))
+				}
+				search := e.Search(q)
+				if len(search) != len(want) {
+					t.Fatalf("query %d %+v: Search returned %d results, Page %d", i, q, len(search), len(got))
 				}
 				for j := range want {
-					g, w := got[j], want[j]
-					if g.Material != w.Material || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
-						(g.MatchedTags == nil) != (w.MatchedTags == nil) || !slices.Equal(g.MatchedTags, w.MatchedTags) {
-						t.Fatalf("query %d %+v, result %d: got %s %v %q, reference %s %v %q", i, q, j,
-							g.Material.ID, g.Score, g.MatchedTags, w.Material.ID, w.Score, w.MatchedTags)
+					for _, g := range []Result{got[j], search[j]} {
+						w := want[j]
+						if g.Material != w.Material || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+							(g.MatchedTags == nil) != (w.MatchedTags == nil) || !slices.Equal(g.MatchedTags, w.MatchedTags) {
+							t.Fatalf("query %d %+v, result %d: got %s %v %q, reference %s %v %q", i, q, j,
+								g.Material.ID, g.Score, g.MatchedTags, w.Material.ID, w.Score, w.MatchedTags)
+						}
 					}
 				}
 				// The caller owns the results: appending to one result's
@@ -268,6 +302,29 @@ func TestSearchMatchesReference(t *testing.T) {
 				for j := range want {
 					if tags := got[j].MatchedTags; !slices.Equal(tags[:len(tags)-1], want[j].MatchedTags) {
 						t.Fatalf("query %d %+v: appending to the results changed result %d's tags to %q", i, q, j, tags)
+					}
+				}
+			}
+			// SimilarTo ranks the source's own tags and leaves the source
+			// out of the ranking.
+			ms := tc.repo.Materials()
+			for i := 0; i < 200; i++ {
+				src, limit := ms[rng.Intn(len(ms))], rng.Intn(12)
+				var want []Result
+				for _, r := range ref.search(Query{Tags: src.Tags}) {
+					if r.Material != src && (limit == 0 || len(want) < limit) {
+						want = append(want, r)
+					}
+				}
+				got := e.SimilarTo(src.ID, limit)
+				if len(got) != len(want) {
+					t.Fatalf("SimilarTo(%s, %d): %d results, reference %d", src.ID, limit, len(got), len(want))
+				}
+				for j, w := range want {
+					if g := got[j]; g.Material != w.Material || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+						!slices.Equal(g.MatchedTags, w.MatchedTags) {
+						t.Fatalf("SimilarTo(%s, %d), result %d: got %s %v %q, reference %s %v %q", src.ID, limit, j,
+							g.Material.ID, g.Score, g.MatchedTags, w.Material.ID, w.Score, w.MatchedTags)
 					}
 				}
 			}

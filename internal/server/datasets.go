@@ -67,7 +67,7 @@ type DatasetDeleted struct {
 // handleDatasetList serves the paginated dataset catalog in
 // registration order (the default dataset is always first).
 func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
-	limit, offset, err := parsePage(r, 20)
+	limit, offset, err := parsePage(r.URL.Query(), 20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return

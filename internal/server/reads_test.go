@@ -1,0 +1,250 @@
+package server
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"csmaterials/internal/dataset"
+	"csmaterials/internal/materials"
+)
+
+// raceEnabled reports a -race build (see race_test.go).
+var raceEnabled bool
+
+// readTenant is the tenant dataset the read-route golden covers beside
+// the default corpus.
+const readTenant = "reads-tenant"
+
+// readTenantDoc is the first eight seed courses with every material's
+// tags shuffled, a third of the materials listing one tag twice, and
+// the language and description the seed leaves empty filled in mixed
+// case, so the tenant's search answers differ from the default's.
+func readTenantDoc(t testing.TB) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(24))
+	languages := []string{"C++", "java", "Python", "CUDA"}
+	words := []string{"Recursion", "threads", "Sorting", "MPI", "locks", "big-O"}
+	doc := dataset.Document{}
+	for _, c := range dataset.Courses()[:8] {
+		cc := c.Clone()
+		for i, m := range cc.Materials {
+			mm := m.Clone()
+			rng.Shuffle(len(mm.Tags), func(a, b int) { mm.Tags[a], mm.Tags[b] = mm.Tags[b], mm.Tags[a] })
+			if rng.Intn(3) == 0 {
+				mm.Tags = append(mm.Tags, mm.Tags[rng.Intn(len(mm.Tags))])
+			}
+			mm.Language = languages[rng.Intn(len(languages))]
+			mm.Description = words[rng.Intn(len(words))] + " and " + words[rng.Intn(len(words))]
+			cc.Materials[i] = mm
+		}
+		doc.Courses = append(doc.Courses, cc)
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// readPaths lists the read routes' paths under one route prefix over a
+// corpus: course pages, every course's detail and materials plus an
+// unknown course, and search pages covering each query part, paging
+// edge and malformed parameter.
+func readPaths(courses []*materials.Course) []string {
+	paths := []string{"courses", "courses?limit=3&offset=5", "courses?offset=25", "courses?limit=1&offset=9223372036854775807"}
+	for _, c := range courses {
+		paths = append(paths, "courses/"+c.ID, "courses/"+c.ID+"/materials")
+	}
+	paths = append(paths, "courses/no-such-course", "courses/no-such-course/materials")
+	tags := courses[0].Materials[0].Tags
+	exact := "search?tags=" + strings.Join(append([]string{"XX/unknown"}, tags...), ",")
+	return append(paths,
+		"search?prefix=AL",
+		"search?prefix=SDF&limit=10",
+		"search?prefix=PD&limit=7&offset=5",
+		"search?prefix=AL/basic-analysis/&limit=4&offset=2",
+		exact,
+		exact+"&prefix=PD&limit=50",
+		"search?tags=XX/unknown",
+		"search?text=Lab%20UNCC&offset=40&limit=30",
+		"search?text=SORTING%20threads&limit=30",
+		"search?text=lecture&prefix=SDF&limit=15",
+		"search?text=zzzq",
+		"search?prefix=SDF&author=saule",
+		"search?prefix=AL&level=ds&limit=25",
+		"search?prefix=SDF&language=JAVA",
+		"search?author=KRS",
+		"search?level=pdc&limit=5&offset=3",
+		"search?language=python&limit=40",
+		"search?prefix=SDF&limit=1",
+		"search?prefix=SDF&offset=100000",
+		"search?prefix=SDF&limit=9223372036854775807",
+		"search?prefix=SDF&offset=9223372036854775807",
+		"search?prefix=",
+		"search?prefix=AL&limit=banana",
+		"search?prefix=AL&limit=0",
+		"search?prefix=AL&offset=-1",
+	)
+}
+
+// TestReadRouteGolden pins the bytes of every read route that encodes
+// a value of its own, course pages, course details, course materials
+// and search pages, on the un-scoped and the dataset-scoped prefix of
+// the default corpus and on a tenant corpus. One line per path records
+// the status, the body length and the body's SHA-256. Every path is
+// then read again by four concurrent readers, and must answer the same
+// bytes. Regenerate with -update only for an intended change of the
+// API's bytes.
+func TestReadRouteGolden(t *testing.T) {
+	s := newQuietServer(t)
+	if w := do(t, s, http.MethodPut, "/api/v1/datasets/"+readTenant, readTenantDoc(t)); w.Code != http.StatusOK {
+		t.Fatalf("PUT %s: status %d\n%s", readTenant, w.Code, w.Body.Bytes())
+	}
+	var paths []string
+	for _, pc := range []struct {
+		prefix, ds string
+	}{
+		{"/api/v1/", dataset.DefaultID},
+		{"/api/v1/datasets/" + dataset.DefaultID + "/", dataset.DefaultID},
+		{"/api/v1/datasets/" + readTenant + "/", readTenant},
+	} {
+		snap, _ := s.Datasets().Get(pc.ds)
+		for _, p := range readPaths(snap.Repo().Courses()) {
+			paths = append(paths, pc.prefix+p)
+		}
+	}
+	var got strings.Builder
+	first := make([][]byte, len(paths))
+	for i, path := range paths {
+		rec := serve(s, path)
+		first[i] = rec.Body.Bytes()
+		fmt.Fprintf(&got, "%s %d %d %x\n", path, rec.Code, rec.Body.Len(), sha256.Sum256(rec.Body.Bytes()))
+	}
+	// Four readers at once, each from its own place in the list,
+	// reading through the shared search indexes and envelope buffers.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range paths {
+				i := (k + g*len(paths)/4) % len(paths)
+				if body := serve(s, paths[i]).Body.Bytes(); string(body) != string(first[i]) {
+					t.Errorf("GET %s: a concurrent read answered different bytes", paths[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	path := filepath.Join("testdata", "reads.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./internal/server -run TestReadRouteGolden -update`): %v", err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d reads recorded, golden has %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("response drifted from %s:\n got  %s\n want %s", path, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// TestWarmReadBytes bounds the bytes a warm read allocates through the
+// whole handler stack, per route: a search page, a course's detail, a
+// course's materials and a cached analysis answer. A search builds
+// result strings for its page alone, a course view reads the course's
+// tag row, and every body is indented in one pass into a reused
+// buffer.
+func TestWarmReadBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, so a read's bytes are not the program's own")
+	}
+	s := newQuietServer(t)
+	course := s.Datasets().Default().Repo().Courses()[0].ID
+	for _, tc := range []struct {
+		path string
+		max  uint64
+	}{
+		{"/api/v1/search?limit=10&prefix=SDF", 32 << 10},
+		{"/api/v1/courses/" + course, 24 << 10},
+		{"/api/v1/courses/" + course + "/materials", 48 << 10},
+		{"/api/v1/types?group=all", 8 << 10},
+	} {
+		for i := 0; i < 2; i++ { // a miss or an index build, then a warm read
+			if rec := serve(s, tc.path); rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", tc.path, rec.Code)
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		w := &discardWriter{h: http.Header{}}
+		const reads = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reads; i++ {
+			for k := range w.h {
+				delete(w.h, k)
+			}
+			s.ServeHTTP(w, req)
+		}
+		runtime.ReadMemStats(&after)
+		perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+		t.Logf("a warm GET %s allocates %d bytes", tc.path, perRead)
+		if perRead > tc.max {
+			t.Errorf("a warm GET %s allocates %d bytes, want at most %d", tc.path, perRead, tc.max)
+		}
+	}
+}
+
+// TestHugePageLimit: a limit near the largest int with a non-zero
+// offset answers the clipped page; offset+limit must not overflow into
+// a panic.
+func TestHugePageLimit(t *testing.T) {
+	s := newQuietServer(t)
+	for _, tc := range []struct {
+		path string
+		n    int
+	}{
+		{"/api/v1/courses?offset=5&limit=9223372036854775807", len(s.Datasets().Default().Repo().Courses()) - 5},
+		{"/api/v1/datasets?offset=0&limit=9223372036854775807", 1},
+		{"/api/v1/datasets?offset=1&limit=9223372036854775807", 0},
+		{"/api/v1/search?prefix=SDF&offset=5&limit=9223372036854775807", -1},
+	} {
+		rec := serve(s, tc.path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d\n%s", tc.path, rec.Code, rec.Body.Bytes())
+		}
+		var e struct {
+			Data []json.RawMessage `json:"data"`
+			Meta struct {
+				Total int `json:"total"`
+			} `json:"meta"`
+		}
+		decode(t, rec.Body.Bytes(), &e)
+		want := tc.n
+		if want < 0 { // all the hits past the offset
+			want = e.Meta.Total - 5
+		}
+		if len(e.Data) != want {
+			t.Errorf("GET %s: %d items, want %d", tc.path, len(e.Data), want)
+		}
+	}
+}

@@ -546,38 +546,49 @@ const (
 	envelopeEnd  = "\n}\n"
 )
 
+// bodies holds the buffers writeData assembles envelopes in. A buffer
+// that grew past maxPooledBody goes back to the GC instead, so a rare
+// large body does not stay resident.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
 // writeData writes the uniform success shape of every v1 response,
 // {"data": ..., "meta": ...}. data is a value, encoded here, or an
 // analysis's *serving.Answer, whose stored encoding is written as is.
-// Both members go through serving.EncodeData, so the body is byte for
-// byte what serving.WriteJSON writes for the two-field struct; an
-// envelope that does not encode writes no body, as WriteJSON's does.
-// The body goes out in one Write, so a request deadline cannot cut it
-// short (cmd/serve's withDeadline drops writes once it has passed).
+// Both members are encoded as serving.EncodeData encodes them, so the
+// body is byte for byte what serving.WriteJSON writes for the two-field
+// struct; an envelope that does not encode writes no body, as
+// WriteJSON's does. The body goes out in one Write, so a request
+// deadline cannot cut it short (cmd/serve's withDeadline drops writes
+// once it has passed). Write must not retain its argument (io.Writer's
+// contract), so the buffer is reused once Write returns.
 func writeData(w http.ResponseWriter, status int, data, meta interface{}) {
 	if meta == nil {
 		meta = struct{}{}
 	}
-	var d []byte
+	buf := bodies.Get().(*[]byte)
+	body := append((*buf)[:0], envelopeData...)
 	var err error
 	if ans, ok := data.(*serving.Answer); ok {
+		var d []byte
 		d, err = ans.Data()
+		body = append(body, d...)
 	} else {
-		d, err = serving.EncodeData(data)
+		body, err = serving.AppendData(body, data)
 	}
-	m, merr := serving.EncodeData(meta)
+	body = append(body, envelopeMeta...)
+	body, merr := serving.AppendData(body, meta)
+	body = append(body, envelopeEnd...)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err != nil || merr != nil {
-		return
+	if err == nil && merr == nil {
+		_, _ = w.Write(body)
 	}
-	body := make([]byte, 0, len(envelopeData)+len(d)+len(envelopeMeta)+len(m)+len(envelopeEnd))
-	body = append(body, envelopeData...)
-	body = append(body, d...)
-	body = append(body, envelopeMeta...)
-	body = append(body, m...)
-	body = append(body, envelopeEnd...)
-	_, _ = w.Write(body)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodies.Put(buf)
+	}
 }
 
 // ErrorBody is the uniform error shape.
@@ -725,8 +736,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // parseIntParam parses an integer query parameter, returning def when
 // absent and an error when malformed or below min.
-func parseIntParam(r *http.Request, name string, def, min int) (int, error) {
-	v := r.URL.Query().Get(name)
+func parseIntParam(values url.Values, name string, def, min int) (int, error) {
+	v := values.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -738,27 +749,21 @@ func parseIntParam(r *http.Request, name string, def, min int) (int, error) {
 }
 
 // parsePage parses limit/offset with strict validation.
-func parsePage(r *http.Request, defLimit int) (limit, offset int, err error) {
-	if limit, err = parseIntParam(r, "limit", defLimit, 1); err != nil {
+func parsePage(values url.Values, defLimit int) (limit, offset int, err error) {
+	if limit, err = parseIntParam(values, "limit", defLimit, 1); err != nil {
 		return 0, 0, err
 	}
-	if offset, err = parseIntParam(r, "offset", 0, 0); err != nil {
+	if offset, err = parseIntParam(values, "offset", 0, 0); err != nil {
 		return 0, 0, err
 	}
 	return limit, offset, nil
 }
 
-// pageBounds clips [offset, offset+limit) to n items.
+// pageBounds clips [offset, offset+limit) to n items, for any
+// non-negative offset and limit.
 func pageBounds(n, limit, offset int) (lo, hi int) {
-	lo = offset
-	if lo > n {
-		lo = n
-	}
-	hi = lo + limit
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+	lo = min(offset, n)
+	return lo, lo + min(limit, n-lo)
 }
 
 // --- Health --------------------------------------------------------------
@@ -900,11 +905,12 @@ type CourseSummary struct {
 	Materials   int    `json:"materials"`
 }
 
-func summarize(c *materials.Course) CourseSummary {
+// summarize counts a course's distinct tags as its tag row's length.
+func summarize(repo *materials.Repository, c *materials.Course) CourseSummary {
 	return CourseSummary{
 		ID: c.ID, Name: c.Name, Institution: c.Institution, Instructor: c.Instructor,
 		Group: string(c.Group), Secondary: string(c.SecondaryGroup),
-		Tags: len(c.TagSet()), Materials: len(c.Materials),
+		Tags: len(repo.TagRow(c.ID)), Materials: len(c.Materials),
 	}
 }
 
@@ -932,16 +938,17 @@ func (s *Server) handleCourses(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	limit, offset, err := parsePage(r, 20)
+	limit, offset, err := parsePage(r.URL.Query(), 20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	cs := snap.Repo().Courses()
+	repo := snap.Repo()
+	cs := repo.Courses()
 	lo, hi := pageBounds(len(cs), limit, offset)
 	out := make([]CourseSummary, 0, hi-lo)
 	for _, c := range cs[lo:hi] {
-		out = append(out, summarize(c))
+		out = append(out, summarize(repo, c))
 	}
 	writeData(w, http.StatusOK, out, ListMeta{Total: len(cs), Limit: limit, Offset: offset})
 }
@@ -952,25 +959,36 @@ type CourseDetail struct {
 	Tags   []string      `json:"tags"`
 }
 
-func (s *Server) course(w http.ResponseWriter, r *http.Request) *materials.Course {
+// course resolves the request's course and the repository holding it,
+// writing the error envelope (and returning a nil course) when either
+// is unknown.
+func (s *Server) course(w http.ResponseWriter, r *http.Request) (*materials.Repository, *materials.Course) {
 	snap := s.snapshot(w, r)
 	if snap == nil {
-		return nil
+		return nil, nil
 	}
 	id := r.PathValue("id")
-	c := snap.Repo().Course(id)
+	repo := snap.Repo()
+	c := repo.Course(id)
 	if c == nil {
 		writeError(w, http.StatusNotFound, "not_found", "unknown course %q", id)
 	}
-	return c
+	return repo, c
 }
 
+// handleCourse lists a course's distinct tags in sorted order: the
+// vocabulary entries its tag row ranks, which ascend as the IDs sort.
 func (s *Server) handleCourse(w http.ResponseWriter, r *http.Request) {
-	c := s.course(w, r)
+	repo, c := s.course(w, r)
 	if c == nil {
 		return
 	}
-	writeData(w, http.StatusOK, CourseDetail{Course: summarize(c), Tags: c.SortedTags()}, nil)
+	row, vocab := repo.TagRow(c.ID), repo.Vocabulary()
+	tags := make([]string, len(row))
+	for i, rank := range row {
+		tags[i] = vocab.Tag(rank)
+	}
+	writeData(w, http.StatusOK, CourseDetail{Course: summarize(repo, c), Tags: tags}, nil)
 }
 
 // handleCourseView serves /api/v1/courses/{id}/{view}. "materials" is
@@ -979,7 +997,7 @@ func (s *Server) handleCourse(w http.ResponseWriter, r *http.Request) {
 // per-course analyses (anchors, audit, pdcmaterials) need no wiring
 // here.
 func (s *Server) handleCourseView(w http.ResponseWriter, r *http.Request) {
-	c := s.course(w, r)
+	_, c := s.course(w, r)
 	if c == nil {
 		return
 	}
@@ -1039,21 +1057,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	limit, offset, err := parsePage(r, 20)
+	values := r.URL.Query()
+	limit, offset, err := parsePage(values, 20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
 	q := search.Query{
-		Text:        r.URL.Query().Get("text"),
-		Author:      r.URL.Query().Get("author"),
-		Language:    r.URL.Query().Get("language"),
-		CourseLevel: r.URL.Query().Get("level"),
+		Text:        values.Get("text"),
+		Author:      values.Get("author"),
+		Language:    values.Get("language"),
+		CourseLevel: values.Get("level"),
 	}
-	if tags := r.URL.Query().Get("tags"); tags != "" {
+	if tags := values.Get("tags"); tags != "" {
 		q.Tags = strings.Split(tags, ",")
 	}
-	if p := r.URL.Query().Get("prefix"); p != "" {
+	if p := values.Get("prefix"); p != "" {
 		q.TagPrefixes = []string{p}
 	}
 	if len(q.Tags) == 0 && len(q.TagPrefixes) == 0 && q.Text == "" &&
@@ -1061,16 +1080,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "empty query: pass tags, prefix, text, or a facet")
 		return
 	}
-	results := s.searcherFor(snap).Search(q) // Limit 0: rank everything, then paginate
-	lo, hi := pageBounds(len(results), limit, offset)
-	out := make([]SearchHit, 0, hi-lo)
-	for _, res := range results[lo:hi] {
+	q.Offset, q.Limit = offset, limit
+	page, total := s.searcherFor(snap).Page(q)
+	out := make([]SearchHit, 0, len(page))
+	for _, res := range page {
 		out = append(out, SearchHit{
 			ID: res.Material.ID, Title: res.Material.Title, Type: string(res.Material.Type),
 			Author: res.Material.Author, Score: res.Score, Matched: res.MatchedTags,
 		})
 	}
-	writeData(w, http.StatusOK, out, ListMeta{Total: len(results), Limit: limit, Offset: offset})
+	writeData(w, http.StatusOK, out, ListMeta{Total: total, Limit: limit, Offset: offset})
 }
 
 // --- Figures -------------------------------------------------------------

@@ -256,7 +256,10 @@ func (c *Cache) Stale(key string) (interface{}, bool) {
 // deduplicating concurrent computations for the same key through the
 // singleflight group. The boolean reports whether the value was served
 // without running compute in this call (a cache hit or a shared
-// flight).
+// flight). A flight looks the key up again before it computes: another
+// flight may have stored the value and ended between this caller's
+// miss and its joining the group, and that value is served, as a call
+// that did not compute.
 //
 // The compute function receives the FLIGHT context, not any one
 // caller's: while at least one caller is still waiting the flight stays
@@ -281,6 +284,9 @@ func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Co
 	lookup.EndAs("cache-miss")
 	sfStart := obs.Now(ctx)
 	v, err, sharedFlight := c.group.DoCtxFn(ctx, key, func(fctx context.Context) (interface{}, error) {
+		if v, ok := c.stored(key); ok {
+			return storedValue{v}, nil
+		}
 		// This closure runs only for the caller that initiated the
 		// flight, so recording into ctx's trace is recording the lead.
 		lead := obs.StartSpan(ctx, "singleflight-lead")
@@ -299,7 +305,26 @@ func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Co
 		c.shared++
 		c.mu.Unlock()
 	}
+	if sv, ok := v.(storedValue); ok {
+		return sv.v, true, err
+	}
 	return v, sharedFlight, err
+}
+
+// storedValue is a flight's result that the flight found in the cache
+// instead of computing it.
+type storedValue struct{ v interface{} }
+
+// stored returns key's fresh value, if any, without counting a lookup:
+// the caller counted its miss already.
+func (c *Cache) stored(key string) (interface{}, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, st := c.scopeLocked(key)
+	if el, ok := st.items[key]; ok {
+		return el.Value.(*cacheEntry).val, true
+	}
+	return nil, false
 }
 
 // DoCtx is DoCtxFn for computations that do not take a context: the

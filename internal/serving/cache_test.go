@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"csmaterials/internal/obs"
 )
 
 // waitFor polls cond until true or the test deadline budget runs out.
@@ -656,5 +658,57 @@ func TestRekeyAcrossScopes(t *testing.T) {
 	st := c.Stats()
 	if sc, ok := st.Scopes["s2"]; !ok || sc.Size != 1 {
 		t.Errorf("scope stats after cross-scope rekey = %+v", st.Scopes)
+	}
+}
+
+// TestCacheFlightRechecksStore: a caller that misses, and reaches the
+// singleflight group only after another flight has stored the key and
+// ended, is served the stored value as a call that did not compute.
+func TestCacheFlightRechecksStore(t *testing.T) {
+	c := NewCache(4)
+	var computes atomic.Int32
+	compute := func(context.Context) (interface{}, error) {
+		computes.Add(1)
+		return "v", nil
+	}
+	// The traced caller reads its trace's clock when the trace starts,
+	// when its lookup span starts and when the span ends as a miss. The
+	// third read stalls it between the miss and the flight until the
+	// other caller's flight has stored the key and ended.
+	missed, resume := make(chan struct{}), make(chan struct{})
+	var reads atomic.Int32
+	tracer := obs.NewTracer(1, func() time.Time {
+		if reads.Add(1) == 3 {
+			close(missed)
+			<-resume
+		}
+		return time.Unix(0, 0)
+	})
+	ctx, _ := tracer.Start(context.Background(), "stalled")
+	type result struct {
+		v      interface{}
+		served bool
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		v, served, err := c.DoCtxFn(ctx, "k", compute)
+		done <- result{v, served, err}
+	}()
+	select {
+	case <-missed:
+	case <-done:
+		t.Fatal("the traced caller never stalled between its miss and its flight")
+	}
+	if v, served, err := c.DoCtxFn(context.Background(), "k", compute); v != "v" || served || err != nil {
+		t.Fatalf("first caller: v=%v served=%v err=%v, want a computed v", v, served, err)
+	}
+	close(resume)
+	r := <-done
+	if r.v != "v" || !r.served || r.err != nil {
+		t.Fatalf("stalled caller: v=%v served=%v err=%v, want v served without computing", r.v, r.served, r.err)
+	}
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("the key was computed %d times, want 1", n)
 	}
 }
