@@ -96,7 +96,7 @@ func run(w io.Writer, courseID string) error {
 	// --- Day 1: input the class into the system -------------------------
 	out.printf("Day 1: classifying %q into a fresh repository\n", source.Name)
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
-	if err := repo.AddCourse(source); err != nil {
+	if err := repo.AddCourses(source); err != nil {
 		return fmt.Errorf("classification rejected: %w", err)
 	}
 	out.printf("  %d materials classified against %d curriculum entries\n\n",

@@ -133,12 +133,12 @@ func TestSearchFindsCatalogEntriesWhenLoaded(t *testing.T) {
 	for _, c := range dataset.Courses() {
 		// Courses are shared instances; adding them to a second repository
 		// is fine because repositories only index.
-		if err := repo.AddCourse(c); err != nil {
+		if err := repo.AddCourses(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, c := range catalog.AsCourses() {
-		if err := repo.AddCourse(c); err != nil {
+		if err := repo.AddCourses(c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,6 +24,9 @@ type Analysis struct {
 	Counts map[string]int
 
 	guidelines []*ontology.Guideline
+	// perRank holds Counts by rank into vocab, for passes in tag order.
+	perRank []int
+	vocab   *materials.Vocabulary
 }
 
 // Analyze counts, for every curriculum tag, how many of the given courses
@@ -65,7 +68,7 @@ func AnalyzeGroup(ctx context.Context, g *materials.Group, guidelines ...*ontolo
 			counts[g.Vocab.Tag(int32(r))] = n
 		}
 	}
-	return &Analysis{Courses: ids, Counts: counts, guidelines: guidelines}, nil
+	return &Analysis{Courses: ids, Counts: counts, guidelines: guidelines, perRank: perRank, vocab: g.Vocab}, nil
 }
 
 // NumTags returns the number of distinct tags across the group.
@@ -133,33 +136,14 @@ func (a *Analysis) Tree(g *ontology.Guideline, k int) *ontology.Guideline {
 }
 
 // KASpan returns the knowledge areas containing at least one tag with
-// agreement >= k, as a sorted list of area IDs. Areas from guidelines
-// after the first are prefixed with the guideline name.
-func (a *Analysis) KASpan(k int) []string {
-	seen := map[string]bool{}
-	for tag, c := range a.Counts {
-		if c < k {
-			continue
-		}
-		for gi, g := range a.guidelines {
-			n := g.Lookup(tag)
-			if n == nil {
-				continue
-			}
-			area := ontology.AreaOf(n)
-			if area == nil {
-				continue
-			}
-			id := area.ID
-			if gi > 0 {
-				id = g.Name + ":" + id
-			}
-			seen[id] = true
-			break
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for ka := range seen {
+// agreement >= k, as a sorted list of area IDs: the keys of
+// KACounts(k), sorted.
+func (a *Analysis) KASpan(k int) []string { return SortedAreas(a.KACounts(k)) }
+
+// SortedAreas returns the area IDs of a KACounts map, sorted.
+func SortedAreas(counts map[string]int) []string {
+	out := make([]string, 0, len(counts))
+	for ka := range counts {
 		out = append(out, ka)
 	}
 	sort.Strings(out)
@@ -167,13 +151,18 @@ func (a *Analysis) KASpan(k int) []string {
 }
 
 // KACounts returns, for agreement level k, how many qualifying tags fall
-// in each knowledge area.
+// in each knowledge area. A tag counts in the area of the first
+// guideline that places it in one; areas from guidelines after the
+// first are prefixed with the guideline name, a string built once per
+// area. It walks the counted tags in rank order.
 func (a *Analysis) KACounts(k int) map[string]int {
 	out := map[string]int{}
-	for tag, c := range a.Counts {
-		if c < k {
+	var prefixed map[*ontology.Node]string
+	for r, c := range a.perRank {
+		if c < k || c == 0 {
 			continue
 		}
+		tag := a.vocab.Tag(int32(r))
 		for gi, g := range a.guidelines {
 			n := g.Lookup(tag)
 			if n == nil {
@@ -185,7 +174,13 @@ func (a *Analysis) KACounts(k int) map[string]int {
 			}
 			id := area.ID
 			if gi > 0 {
-				id = g.Name + ":" + id
+				if prefixed == nil {
+					prefixed = map[*ontology.Node]string{}
+				}
+				if id = prefixed[area]; id == "" {
+					id = g.Name + ":" + area.ID
+					prefixed[area] = id
+				}
 			}
 			out[id]++
 			break

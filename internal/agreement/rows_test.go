@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"csmaterials/internal/dataset"
@@ -66,6 +67,75 @@ func TestAnalyzeGroupMatchesScan(t *testing.T) {
 			}
 			if !reflect.DeepEqual(a.Courses, materialstest.IDs(g.Courses)) {
 				t.Fatalf("%s, %s: courses %v", name, route, a.Courses)
+			}
+		}
+	}
+}
+
+// referenceKACounts is the per-area count KACounts replaced, kept as
+// its oracle: a scan of the Counts map that looks each qualifying tag
+// up in the guidelines and builds its area ID, prefix and all, per
+// tag.
+func referenceKACounts(a *Analysis, k int) map[string]int {
+	out := map[string]int{}
+	for tag, c := range a.Counts {
+		if c < k {
+			continue
+		}
+		for gi, g := range a.guidelines {
+			n := g.Lookup(tag)
+			if n == nil {
+				continue
+			}
+			area := ontology.AreaOf(n)
+			if area == nil {
+				continue
+			}
+			id := area.ID
+			if gi > 0 {
+				id = g.Name + ":" + id
+			}
+			out[id]++
+			break
+		}
+	}
+	return out
+}
+
+// TestKASpanIsSortedKACountsKeys holds KACounts to the tag-by-tag scan
+// it replaced, and KASpan to the sorted keys of KACounts, at every
+// agreement level, on every seed group and on seeded random corpora.
+func TestKASpanIsSortedKACountsKeys(t *testing.T) {
+	gl := []*ontology.Guideline{ontology.CS2013(), ontology.PDC12()}
+	groups := map[string]*materials.Group{}
+	for _, sg := range materialstest.SeedGroups() {
+		groups[sg.Name] = dataset.Repository().Group(sg.IDs)
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		courses := materialstest.RandomCourses(seed, 1+int(seed%8))
+		repo, err := materialstest.Repository(courses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[fmt.Sprintf("seed %d", seed)] = repo.Group(materialstest.IDs(courses))
+	}
+	for name, g := range groups {
+		a, err := AnalyzeGroup(context.Background(), g, gl...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k <= len(g.Courses)+1; k++ {
+			counts := a.KACounts(k)
+			if want := referenceKACounts(a, k); !reflect.DeepEqual(counts, want) {
+				t.Fatalf("%s, k=%d: KACounts %v, want %v", name, k, counts, want)
+			}
+			keys := make([]string, 0, len(counts))
+			for ka := range counts {
+				keys = append(keys, ka)
+			}
+			sort.Strings(keys)
+			if span := a.KASpan(k); !reflect.DeepEqual(span, keys) {
+				t.Fatalf("%s, k=%d: KASpan %v, want the sorted keys of KACounts %v", name, k, span, keys)
 			}
 		}
 	}

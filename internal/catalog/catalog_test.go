@@ -177,7 +177,7 @@ func TestSimilarEntries(t *testing.T) {
 func TestAsCoursesLoadsIntoRepository(t *testing.T) {
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
 	for _, c := range AsCourses() {
-		if err := repo.AddCourse(c); err != nil {
+		if err := repo.AddCourses(c); err != nil {
 			t.Fatalf("catalog pseudo-course rejected: %v", err)
 		}
 	}

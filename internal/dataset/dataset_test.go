@@ -103,7 +103,7 @@ func TestCoursesByIDUnknownPanics(t *testing.T) {
 }
 
 func TestAllCoursesValidateAgainstGuidelines(t *testing.T) {
-	// Repository() already validates on AddCourse; this asserts it built.
+	// Repository() already validates on AddCourses; this asserts it built.
 	repo := Repository()
 	if len(repo.Courses()) != 20 {
 		t.Fatalf("repository has %d courses", len(repo.Courses()))

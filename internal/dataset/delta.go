@@ -140,11 +140,15 @@ func validateEvent(i int, ev Event) error {
 // if something looks a material up. Events apply in order against the
 // batch's working state: an add must name a material ID no course
 // holds at that point, so a batch may move a material by removing it
-// first; a remove or a retag must name a material of its course.
+// first; a remove or a retag must name a material of its course. The
+// materials and tag lists it copies from events share their strings
+// (materials.Sharer), so an edit keeps no copy of a tag the
+// vocabulary holds.
 func applyEvents(base *materials.Repository, events []Event) (*materials.Repository, *Delta, error) {
 	touched := map[string]*materials.Course{} // course ID → working clone
 	delta := &Delta{Events: len(events), TagChanges: map[string]TagChange{}}
 	tags := map[string]bool{}
+	share := base.Vocabulary().NewSharer() // for the materials and tags copied from events
 
 	courseOf := func(id string) (*materials.Course, error) {
 		if c, ok := touched[id]; ok {
@@ -178,6 +182,7 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 		switch ev.Op {
 		case OpAdd:
 			m := ev.Material.Clone()
+			share.Material(m)
 			// Global material-ID uniqueness, honoring in-batch removals:
 			// the ID may have left the corpus earlier in this same batch.
 			if owner := ownerOf(base, touched, m.ID); owner != "" {
@@ -208,6 +213,7 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 				tags[t] = true
 			}
 			m.Tags = append([]string(nil), ev.Tags...)
+			share.Tags(m.Tags)
 			for _, t := range m.Tags {
 				tags[t] = true
 			}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"csmaterials/internal/materials"
 )
@@ -47,9 +48,11 @@ func eventsBody(t testing.TB, evs ...Event) []byte {
 // batch exactly when referenceApply, a from-scratch build, accepts it.
 // A rejected batch leaves the revision alone. An applied one matches
 // the reference in every Repository accessor, the interned tag rows
-// included, leaves the base snapshot's accessors as they were, and
-// records, in TagChanges and ChangedGroups, exactly what a from-scratch
-// diff of every course's TagSet() across the two snapshots finds.
+// included, leaves the base snapshot's accessors as they were, shares
+// the strings of the materials it copied from the events with the
+// vocabulary and the type constants, and records, in TagChanges and
+// ChangedGroups, exactly what a from-scratch diff of every course's
+// TagSet() across the two snapshots finds.
 func FuzzApplyEvents(f *testing.F) {
 	courses := fuzzCourses(f)
 	c0, c1, c2, c3 := courses[0], courses[1], courses[2], courses[3]
@@ -129,6 +132,15 @@ func FuzzApplyEvents(f *testing.F) {
 		if got, want := viewOf(snap.Repo(), ids), viewOf(ref, ids); !reflect.DeepEqual(got, want) {
 			t.Fatalf("applied repository:\n%+v\nfrom-scratch build:\n%+v", got, want)
 		}
+		// The materials this batch added or retagged, copied from the
+		// events, share their strings.
+		var copied []*materials.Material
+		for _, m := range snap.Repo().Materials() {
+			if base.Repo().Material(m.ID) != m {
+				copied = append(copied, m)
+			}
+		}
+		checkShared(t, snap.Repo().Vocabulary(), copied)
 		want := map[string]TagChange{}
 		groups := map[string]bool{}
 		for _, c := range snap.Repo().Courses() {
@@ -156,6 +168,26 @@ func FuzzApplyEvents(f *testing.F) {
 			t.Fatalf("ChangedGroups = %v, want %v", d.ChangedGroups, wantGroups)
 		}
 	})
+}
+
+// checkShared fails unless every tag of ms the vocabulary knows is the
+// vocabulary's own string and every type its constant.
+func checkShared(t *testing.T, v *materials.Vocabulary, ms []*materials.Material) {
+	t.Helper()
+	constant := map[materials.MaterialType]materials.MaterialType{}
+	for _, mt := range materials.ValidTypes() {
+		constant[mt] = mt
+	}
+	for _, m := range ms {
+		for _, tag := range m.Tags {
+			if rank, ok := v.Rank(tag); ok && unsafe.StringData(tag) != unsafe.StringData(v.Tag(rank)) {
+				t.Fatalf("material %q holds its own copy of tag %q", m.ID, tag)
+			}
+		}
+		if unsafe.StringData(string(m.Type)) != unsafe.StringData(string(constant[m.Type])) {
+			t.Fatalf("material %q holds its own copy of type %q", m.ID, m.Type)
+		}
+	}
 }
 
 // diffSets is the reference tag-set difference: sorted tags only in

@@ -65,10 +65,8 @@ func buildAll() {
 		built[i] = generate(s, i, archetypes, universe)
 	}
 	builtRepo = materials.NewRepository(ontology.CS2013(), ontology.PDC12())
-	for _, c := range built {
-		if err := builtRepo.AddCourse(c); err != nil {
-			panic(fmt.Sprintf("dataset: generated invalid course: %v", err))
-		}
+	if err := builtRepo.AddCourses(built...); err != nil {
+		panic(fmt.Sprintf("dataset: generated invalid course: %v", err))
 	}
 }
 

@@ -70,6 +70,16 @@ type Document struct {
 	Courses []*materials.Course `json:"courses"`
 }
 
+// Share rewrites the document's strings so that equal ones share
+// storage (materials.Sharer): each tag becomes the shared vocabulary's
+// own string, each valid type its constant, and each repeated author,
+// language, course level or dataset name one copy. An ingest calls it
+// on a document it decoded itself; Put leaves its argument as it is,
+// since callers share theirs (Courses is read-only).
+func (d *Document) Share() {
+	materials.VocabularyOf(ontology.CS2013(), ontology.PDC12()).NewSharer().Courses(d.Courses)
+}
+
 // Meta is the catalog-facing description of one dataset revision.
 type Meta struct {
 	ID        string    `json:"id"`
@@ -202,10 +212,8 @@ func (r *Registry) Put(id string, courses []*materials.Course) (*Snapshot, error
 		return nil, fmt.Errorf("dataset: dataset %q has no courses", id)
 	}
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
-	for _, c := range courses {
-		if err := repo.AddCourse(c); err != nil {
-			return nil, fmt.Errorf("dataset %q: %w", id, err)
-		}
+	if err := repo.AddCourses(courses...); err != nil {
+		return nil, fmt.Errorf("dataset %q: %w", id, err)
 	}
 	ts := r.clock()
 	r.mu.Lock()
@@ -357,9 +365,9 @@ func (r *Registry) Len() int {
 
 // LoadDir registers every *.json file in dir as a dataset named after
 // the file's stem ("pdc-2024.json" becomes dataset "pdc-2024"), in
-// lexical filename order. Each file holds a Document. The first
-// invalid file aborts the load; the datasets registered before it
-// remain.
+// lexical filename order. Each file holds a Document, whose strings
+// are shared (Document.Share) before Put. The first invalid file
+// aborts the load; the datasets registered before it remain.
 func (r *Registry) LoadDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -378,6 +386,7 @@ func (r *Registry) LoadDir(dir string) ([]string, error) {
 		if err := json.Unmarshal(raw, &doc); err != nil {
 			return loaded, fmt.Errorf("dataset: %s: %w", e.Name(), err)
 		}
+		doc.Share()
 		id := strings.TrimSuffix(e.Name(), ".json")
 		if _, err := r.Put(id, doc.Courses); err != nil {
 			return loaded, fmt.Errorf("dataset: %s: %w", e.Name(), err)

@@ -193,8 +193,8 @@ func TestDocumentRoundTrip(t *testing.T) {
 	// A repository saved by SaveJSON ingests unchanged as a Document.
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
 	for _, c := range miniCourses(t, 2) {
-		if err := repo.AddCourse(c); err != nil {
-			t.Fatalf("AddCourse: %v", err)
+		if err := repo.AddCourses(c); err != nil {
+			t.Fatalf("AddCourses: %v", err)
 		}
 	}
 	var buf strings.Builder
@@ -244,6 +244,11 @@ func TestLoadDir(t *testing.T) {
 	}
 	if r.Len() != 3 {
 		t.Errorf("Len() = %d, want default + 2", r.Len())
+	}
+	// The decoded documents share their tags and types.
+	for _, id := range loaded {
+		snap, _ := r.Get(id)
+		checkShared(t, snap.Repo().Vocabulary(), snap.Repo().Materials())
 	}
 
 	// A broken file aborts the load but keeps prior registrations.

@@ -82,12 +82,15 @@ func (Agreement) Compute(ctx context.Context, repo *materials.Repository, p engi
 		n += exactly[k]
 		atLeast[strconv.Itoa(k)] = n
 	}
+	// ka_span is the sorted key set of ka_counts: one area pass serves
+	// both. Courses is the analysis's exact-size copy of ids.
+	kaCounts := a.KACounts(ap.Threshold)
 	return &AgreementResponse{
-		Courses:   ids,
+		Courses:   a.Courses,
 		Tags:      a.NumTags(),
 		AtLeast:   atLeast,
-		KASpan:    a.KASpan(ap.Threshold),
-		KACounts:  a.KACounts(ap.Threshold),
+		KASpan:    agreement.SortedAreas(kaCounts),
+		KACounts:  kaCounts,
 		Threshold: ap.Threshold,
 	}, nil
 }

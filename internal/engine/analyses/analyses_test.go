@@ -234,7 +234,7 @@ func TestGroupOnEmptyCorpus(t *testing.T) {
 		ID: "solo-m1", Title: "Intro", Type: materials.Lecture,
 		Tags: []string{dataset.Repository().Courses()[0].Materials[0].Tags[0]},
 	}}
-	if err := repo.AddCourse(course); err != nil {
+	if err := repo.AddCourses(course); err != nil {
 		t.Fatal(err)
 	}
 	p, err := a.Parse(url.Values{"group": []string{"pdc"}})
@@ -256,7 +256,7 @@ func TestTypesOfTaglessGroup(t *testing.T) {
 	reg := defaultRegistry(t)
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
 	for _, id := range []string{"a", "b", "c", "d"} {
-		if err := repo.AddCourse(&materials.Course{ID: id, Name: id, Group: materials.GroupCS1}); err != nil {
+		if err := repo.AddCourses(&materials.Course{ID: id, Name: id, Group: materials.GroupCS1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -112,7 +112,15 @@ func (Audit) Compute(ctx context.Context, repo *materials.Repository, p engine.P
 	}
 	rep := audit.Audit(c, ontology.CS2013())
 	readiness := audit.AssessPDCReadiness(c)
-	units := make([]AuditUnit, 0, len(rep.Units))
+	// A cached answer keeps units for its life: size it to the units
+	// the course covers, not to every unit of the guideline.
+	covered := 0
+	for _, u := range rep.Units {
+		if u.Covered != 0 {
+			covered++
+		}
+	}
+	units := make([]AuditUnit, 0, covered)
 	for _, u := range rep.Units {
 		if u.Covered == 0 {
 			continue

@@ -49,6 +49,82 @@ func (v *Vocabulary) PrefixRange(prefix string) (lo, hi int32) {
 	return int32(i), int32(i + n)
 }
 
+// Sharer rewrites the strings of materials an ingest decoded or copied
+// so that equal strings share storage: a tag the vocabulary holds
+// becomes the vocabulary's own string, a valid type its constant, and
+// each author, language, course level and dataset name the first copy
+// of it this Sharer saw. A tag or material list with spare capacity,
+// as a decoder's growth leaves it, is copied to its length. Use one
+// Sharer per document, and only on values the ingest made itself,
+// since it writes into them.
+type Sharer struct {
+	vocab *Vocabulary
+	seen  map[string]string
+}
+
+// NewSharer returns a Sharer over v with no strings seen.
+func (v *Vocabulary) NewSharer() *Sharer {
+	return &Sharer{vocab: v, seen: map[string]string{}}
+}
+
+// Courses shares the strings of every material of courses and trims
+// their material lists. It runs before validation, so it passes over
+// null courses and materials.
+func (s *Sharer) Courses(courses []*Course) {
+	for _, c := range courses {
+		if c == nil {
+			continue
+		}
+		if cap(c.Materials) > len(c.Materials) {
+			c.Materials = slices.Clone(c.Materials)
+		}
+		for _, m := range c.Materials {
+			if m != nil {
+				s.Material(m)
+			}
+		}
+	}
+}
+
+// Material trims m's tag list and shares its tags, type, author,
+// language, course level and dataset names.
+func (s *Sharer) Material(m *Material) {
+	if cap(m.Tags) > len(m.Tags) {
+		m.Tags = slices.Clone(m.Tags)
+	}
+	s.Tags(m.Tags)
+	if t, ok := validType[m.Type]; ok {
+		m.Type = t
+	}
+	m.Author = s.str(m.Author)
+	m.Language = s.str(m.Language)
+	m.CourseLevel = s.str(m.CourseLevel)
+	for i, d := range m.Datasets {
+		m.Datasets[i] = s.str(d)
+	}
+}
+
+// Tags replaces each tag the vocabulary holds by the vocabulary's own
+// string.
+func (s *Sharer) Tags(tags []string) {
+	for i, t := range tags {
+		if r, ok := s.vocab.rank[t]; ok {
+			tags[i] = s.vocab.tags[r]
+		}
+	}
+}
+
+func (s *Sharer) str(v string) string {
+	if v == "" {
+		return v
+	}
+	if u, ok := s.seen[v]; ok {
+		return u
+	}
+	s.seen[v] = v
+	return v
+}
+
 // vocabularies caches one Vocabulary per guideline list, so every
 // repository over the same guidelines (each PUT builds one) shares it.
 // A process uses a handful of guideline lists; entries are never
@@ -63,10 +139,11 @@ type guidelineVocabulary struct {
 	vocab      *Vocabulary
 }
 
-// vocabularyOf returns the shared vocabulary of every entry ID in the
-// guidelines. Guidelines are read-only once built (see ontology.CS2013),
-// so the vocabulary never goes stale.
-func vocabularyOf(guidelines []*ontology.Guideline) *Vocabulary {
+// VocabularyOf returns the shared vocabulary of every entry ID in the
+// guidelines: the one every repository over them ranks into. Guidelines
+// are read-only once built (see ontology.CS2013), so the vocabulary
+// never goes stale.
+func VocabularyOf(guidelines ...*ontology.Guideline) *Vocabulary {
 	vocabularies.Lock()
 	defer vocabularies.Unlock()
 	for _, e := range vocabularies.entries {

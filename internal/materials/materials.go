@@ -38,11 +38,12 @@ func ValidTypes() []MaterialType {
 	return []MaterialType{Lecture, Assignment, Lab, Exam, Quiz, Activity, Reading, Project}
 }
 
-// validType is ValidTypes as a set, built once for Course.Validate.
-var validType = func() map[MaterialType]bool {
-	set := map[MaterialType]bool{}
+// validType maps each valid type to its constant, built once for
+// Course.Validate and Sharer.
+var validType = func() map[MaterialType]MaterialType {
+	set := map[MaterialType]MaterialType{}
 	for _, t := range ValidTypes() {
-		set[t] = true
+		set[t] = t
 	}
 	return set
 }()
@@ -160,7 +161,8 @@ func (c *Course) TagCounts() map[string]int {
 }
 
 // Validate checks the course's internal consistency: non-empty ID/name,
-// unique material IDs, recognized types, and non-empty tags.
+// no null material, unique material IDs, recognized types, and
+// non-empty tags.
 func (c *Course) Validate() error {
 	if c.ID == "" {
 		return fmt.Errorf("materials: course with empty ID (name %q)", c.Name)
@@ -170,6 +172,9 @@ func (c *Course) Validate() error {
 	}
 	seen := make(map[string]bool, len(c.Materials))
 	for _, m := range c.Materials {
+		if m == nil {
+			return fmt.Errorf("materials: course %q has a null material", c.ID)
+		}
 		if m.ID == "" {
 			return fmt.Errorf("materials: course %q has material with empty ID", c.ID)
 		}
@@ -177,7 +182,7 @@ func (c *Course) Validate() error {
 			return fmt.Errorf("materials: course %q has duplicate material ID %q", c.ID, m.ID)
 		}
 		seen[m.ID] = true
-		if !validType[m.Type] {
+		if _, ok := validType[m.Type]; !ok {
 			return fmt.Errorf("materials: material %q has unknown type %q", m.ID, m.Type)
 		}
 		for _, tag := range m.Tags {

@@ -125,7 +125,7 @@ func TestCourseValidate(t *testing.T) {
 func TestRepositoryAddAndLookup(t *testing.T) {
 	r := newTestRepo(t)
 	c := testCourse("c1")
-	if err := r.AddCourse(c); err != nil {
+	if err := r.AddCourses(c); err != nil {
 		t.Fatal(err)
 	}
 	if r.Course("c1") != c {
@@ -143,7 +143,7 @@ func TestRepositoryRejectsUnknownTag(t *testing.T) {
 	r := newTestRepo(t)
 	c := testCourse("c1")
 	c.Materials[0].Tags = append(c.Materials[0].Tags, "NOPE/not-a-tag")
-	if err := r.AddCourse(c); err == nil {
+	if err := r.AddCourses(c); err == nil {
 		t.Fatal("unknown tag accepted")
 	}
 }
@@ -152,23 +152,23 @@ func TestRepositoryAcceptsPDCTags(t *testing.T) {
 	r := newTestRepo(t)
 	c := testCourse("c1")
 	c.Materials[0].Tags = append(c.Materials[0].Tags, "ALGO/algorithmic-paradigms/reduction-as-a-parallel-pattern")
-	if err := r.AddCourse(c); err != nil {
+	if err := r.AddCourses(c); err != nil {
 		t.Fatalf("PDC tag rejected: %v", err)
 	}
 }
 
 func TestRepositoryRejectsDuplicates(t *testing.T) {
 	r := newTestRepo(t)
-	if err := r.AddCourse(testCourse("c1")); err != nil {
+	if err := r.AddCourses(testCourse("c1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddCourse(testCourse("c1")); err == nil {
+	if err := r.AddCourses(testCourse("c1")); err == nil {
 		t.Fatal("duplicate course accepted")
 	}
 	// Same material ID in a different course.
 	c2 := testCourse("c2")
 	c2.Materials[0].ID = "c1-m1"
-	if err := r.AddCourse(c2); err == nil {
+	if err := r.AddCourses(c2); err == nil {
 		t.Fatal("cross-course duplicate material accepted")
 	}
 }
@@ -176,7 +176,7 @@ func TestRepositoryRejectsDuplicates(t *testing.T) {
 func TestRepositoryCoursesOrder(t *testing.T) {
 	r := newTestRepo(t)
 	for _, id := range []string{"b", "a", "c"} {
-		if err := r.AddCourse(testCourse(id)); err != nil {
+		if err := r.AddCourses(testCourse(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func TestRepositoryCoursesInGroup(t *testing.T) {
 	c3.Group = GroupCS1
 	c3.SecondaryGroup = GroupDS
 	for _, c := range []*Course{c1, c2, c3} {
-		if err := r.AddCourse(c); err != nil {
+		if err := r.AddCourses(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,10 +207,10 @@ func TestRepositoryCoursesInGroup(t *testing.T) {
 
 func TestMaterialsSorted(t *testing.T) {
 	r := newTestRepo(t)
-	if err := r.AddCourse(testCourse("z")); err != nil {
+	if err := r.AddCourses(testCourse("z")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddCourse(testCourse("a")); err != nil {
+	if err := r.AddCourses(testCourse("a")); err != nil {
 		t.Fatal(err)
 	}
 	ms := r.Materials()
@@ -280,7 +280,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	c.Instructor = "Saule"
 	c.Materials[0].Language = "C++"
 	c.Materials[0].Datasets = []string{"earthquakes"}
-	if err := r.AddCourse(c); err != nil {
+	if err := r.AddCourses(c); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

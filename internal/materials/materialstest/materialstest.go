@@ -73,10 +73,8 @@ func RandomCourses(seed int64, n int) []*materials.Course {
 // Repository returns a repository over CS2013 and PDC12 holding courses.
 func Repository(courses []*materials.Course) (*materials.Repository, error) {
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
-	for _, c := range courses {
-		if err := repo.AddCourse(c); err != nil {
-			return nil, err
-		}
+	if err := repo.AddCourses(courses...); err != nil {
+		return nil, err
 	}
 	return repo, nil
 }

@@ -50,7 +50,7 @@ func TestPropRandomCoursesRoundTripJSON(t *testing.T) {
 		var originals []*Course
 		for i := 0; i < n; i++ {
 			c := randomCourse(rng, fmt.Sprintf("c%d", i), leaves)
-			if err := repo.AddCourse(c); err != nil {
+			if err := repo.AddCourses(c); err != nil {
 				return false
 			}
 			originals = append(originals, c)

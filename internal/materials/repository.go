@@ -14,12 +14,12 @@ import (
 
 // Repository is the in-memory CS Materials store: courses and their
 // materials, every classification validated against the guidelines it
-// was created with. AddCourse builds a repository; once it is read, it
+// was created with. AddCourses builds a repository; once it is read, it
 // does not change, and a new revision is derived by Derive, which
 // shares every course it does not replace (and the course order and
-// vocabulary) with its parent. The by-ID material index is built on
-// first use, so a revision nobody looks a material up in never pays for
-// it.
+// vocabulary) with its parent. However a repository was built, its
+// by-ID material index is built on the first lookup, so one nobody
+// looks a material up in never pays for it.
 //
 // Validation interns each course's tags: the repository keeps, per
 // course, its distinct tags as ascending ranks into the vocabulary of
@@ -47,7 +47,7 @@ func NewRepository(guidelines ...*ontology.Guideline) *Repository {
 	if len(guidelines) == 0 {
 		panic("materials: NewRepository needs at least one guideline")
 	}
-	return &Repository{vocab: vocabularyOf(guidelines), courses: map[string]stored{}}
+	return &Repository{vocab: VocabularyOf(guidelines...), courses: map[string]stored{}}
 }
 
 // intern returns c's tag row: its distinct tags as ascending ranks
@@ -76,20 +76,49 @@ func (r *Repository) intern(c *Course, check func(*Material) error) ([]int32, er
 	return internRow(row), nil
 }
 
-// AddCourse validates and stores a course. Every material tag must exist
-// in one of the repository's guidelines; material IDs must be globally
-// unique. It is for building a repository, not for one already being
-// read.
-func (r *Repository) AddCourse(c *Course) error {
+// AddCourses validates and stores courses in order. Every material tag
+// must exist in one of the repository's guidelines, and material IDs
+// must be unique across the repository. The first course that breaks a
+// rule is not stored, nor any after it. IDs are checked against a set
+// that lives for the call, so building a repository leaves no by-ID
+// material index: it is built on the first lookup. It is for building
+// a repository, not for one already being read, and it does not write
+// into the courses.
+func (r *Repository) AddCourses(cs ...*Course) error {
+	n := r.nMaterials
+	for _, c := range cs {
+		if c != nil {
+			n += len(c.Materials)
+		}
+	}
+	ids := make(map[string]struct{}, n)
+	for _, id := range r.order {
+		for _, m := range r.courses[id].course.Materials {
+			ids[m.ID] = struct{}{}
+		}
+	}
+	for _, c := range cs {
+		if err := r.add(c, ids); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// add validates and stores c, checking its material IDs against ids,
+// the IDs of the courses stored so far, and adding its own.
+func (r *Repository) add(c *Course, ids map[string]struct{}) error {
+	if c == nil {
+		return fmt.Errorf("materials: null course")
+	}
 	if err := c.Validate(); err != nil {
 		return err
 	}
 	if _, dup := r.courses[c.ID]; dup {
 		return fmt.Errorf("materials: duplicate course ID %q", c.ID)
 	}
-	byID := r.index()
 	row, err := r.intern(c, func(m *Material) error {
-		if _, dup := byID[m.ID]; dup {
+		if _, dup := ids[m.ID]; dup {
 			return fmt.Errorf("materials: material ID %q already exists in another course", m.ID)
 		}
 		return nil
@@ -101,14 +130,17 @@ func (r *Repository) AddCourse(c *Course) error {
 	r.order = append(r.order, c.ID)
 	r.nMaterials += len(c.Materials)
 	for _, m := range c.Materials {
-		byID[m.ID] = m
+		ids[m.ID] = struct{}{}
+		if r.byMaterial != nil { // a lookup already built the index
+			r.byMaterial[m.ID] = m
+		}
 	}
 	return nil
 }
 
 // Derive returns a copy of the repository in which each course of
 // changed replaces the stored course with the same ID. Each replacement
-// is validated as AddCourse validates a course, except that material
+// is validated as AddCourses validates a course, except that material
 // IDs are not checked across courses: a replacement must not bring in
 // an ID another course holds, and the caller, which knows which IDs
 // are new, checks that. Every other course with its interned tag row,
@@ -135,7 +167,7 @@ func (r *Repository) Derive(changed []*Course) (*Repository, error) {
 		courses[c.ID] = stored{course: c, row: row}
 		n += len(c.Materials) - len(prev.course.Materials)
 	}
-	// Clipped, so an AddCourse on the copy reallocates rather than
+	// Clipped, so an AddCourses on the copy reallocates rather than
 	// writing into r's array.
 	order := slices.Clip(r.order)
 	return &Repository{vocab: r.vocab, courses: courses, order: order, nMaterials: n}, nil
@@ -228,7 +260,8 @@ func (r *Repository) SaveJSON(w io.Writer) error {
 }
 
 // LoadJSON reads courses from a JSON document produced by SaveJSON and
-// adds them to the repository, validating each.
+// adds them to the repository, validating each. The decoded strings
+// share storage as a Sharer makes them.
 func (r *Repository) LoadJSON(rd io.Reader) error {
 	var doc struct {
 		Courses []*Course `json:"courses"`
@@ -236,10 +269,6 @@ func (r *Repository) LoadJSON(rd io.Reader) error {
 	if err := json.NewDecoder(rd).Decode(&doc); err != nil {
 		return fmt.Errorf("materials: decoding JSON: %w", err)
 	}
-	for _, c := range doc.Courses {
-		if err := r.AddCourse(c); err != nil {
-			return err
-		}
-	}
-	return nil
+	r.vocab.NewSharer().Courses(doc.Courses)
+	return r.AddCourses(doc.Courses...)
 }

@@ -82,9 +82,10 @@ func (f *pool) fit() (*Result, error) {
 func (f *pool) stop() { f.next.Store(f.n) }
 
 // work claims and runs restarts until none is left, keeping this
-// worker's best. The kernel, RNG and factor buffers are made on the
-// first claim, and each later restart initializes into the buffers of
-// a losing one, so the worker's best is never overwritten.
+// worker's best. The kernel and factor buffers are made on the first
+// claim and the RNG on the first random init; each later restart
+// initializes into the buffers of a losing one, so the worker's best
+// is never overwritten.
 func (f *pool) work() (best *Result, total int, err error) {
 	var kern kernel
 	var rng *rand.Rand
@@ -97,7 +98,6 @@ func (f *pool) work() (best *Result, total int, err error) {
 		}
 		if kern == nil {
 			kern = f.p.kernel()
-			rng = rand.New(rand.NewSource(f.opts.Seed))
 		}
 		w, h := cur.W, cur.H
 		if f.opts.Init == InitNNDSVD {
@@ -106,7 +106,15 @@ func (f *pool) work() (best *Result, total int, err error) {
 			if w == nil {
 				w, h = matrix.New(f.p.rows, f.opts.K), matrix.New(f.opts.K, f.p.cols)
 			}
-			rng.Seed(f.opts.Seed + r)
+			// A seeding refills the source's whole state, so the source
+			// is made with this restart's seed and reseeded only for
+			// later ones. Seed resets the read position to where New
+			// starts it, so the draws are the same.
+			if rng == nil {
+				rng = rand.New(rand.NewSource(f.opts.Seed + r))
+			} else {
+				rng.Seed(f.opts.Seed + r)
+			}
 			randomInit(w, h, f.p.mean, rng)
 		}
 		*cur = Result{W: w, H: h, Residuals: cur.Residuals[:0], Restart: int(r)}

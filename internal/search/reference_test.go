@@ -127,7 +127,7 @@ func repeatedTagRepo(t *testing.T, rng *rand.Rand) *materials.Repository {
 			mm.Description = words[rng.Intn(len(words))] + " and " + words[rng.Intn(len(words))]
 			cc.Materials[i] = mm
 		}
-		if err := repo.AddCourse(cc); err != nil {
+		if err := repo.AddCourses(cc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func testRepo(t *testing.T) *materials.Repository {
 				Language: "Python", CourseLevel: "CS1", Tags: []string{tagVars}},
 		},
 	}
-	if err := repo.AddCourse(course); err != nil {
+	if err := repo.AddCourses(course); err != nil {
 		t.Fatal(err)
 	}
 	return repo

@@ -90,13 +90,16 @@ func (s *Server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, meta, nil)
 }
 
-// handleDatasetPut ingests (or replaces) a named dataset. The document
-// is validated in full before anything is published; a failed ingest
-// leaves the previous revision serving. On success the new snapshot is
-// live for every subsequent request, the previous revisions' cache
-// entries are dropped (including any stored by computes that were in
-// flight across the swap — their keys carry old revisions and are
-// unreachable), and the dataset's warmup re-runs in the background.
+// handleDatasetPut ingests (or replaces) a named dataset. The decoded
+// document's strings are shared with the vocabulary and with each
+// other (dataset.Document.Share), so a stored corpus holds one copy of
+// each. The document is validated in full before anything is
+// published; a failed ingest leaves the previous revision serving. On
+// success the new snapshot is live for every subsequent request, the
+// previous revisions' cache entries are dropped (including any stored
+// by computes that were in flight across the swap — their keys carry
+// old revisions and are unreachable), and the dataset's warmup re-runs
+// in the background.
 func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("ds")
 	keyName, ok := s.authorizeMutation(w, r, id)
@@ -110,6 +113,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "bad dataset document: %v", err)
 		return
 	}
+	doc.Share()
 	snap, err := s.datasets.Put(id, doc.Courses)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)

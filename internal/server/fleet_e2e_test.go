@@ -122,6 +122,40 @@ func TestFleetForwardSharedCache(t *testing.T) {
 	}
 }
 
+// TestFleetRelayCarriesContentLength: a replica relaying an owner's
+// answer passes on the owner's Content-Length, so a body past
+// net/http's 2,048-byte buffer is not re-sent chunked.
+func TestFleetRelayCarriesContentLength(t *testing.T) {
+	servers, tss := newFleetCluster(t, []string{"a", "b", "c"})
+	path := ""
+	for k := 1; k <= 20 && path == ""; k++ {
+		v := url.Values{"group": {"all"}, "k": {strconv.Itoa(k)}}
+		key, err := servers["a"].exec.FleetKeyOn("default", "cluster", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if servers["a"].fleet.Owner(key) == "c" {
+			path = "/api/v1/cluster?" + v.Encode()
+		}
+	}
+	if path == "" {
+		t.Fatal("no cluster k in 1..20 is owned by c")
+	}
+	for i := 0; i < 2; i++ { // the owner's miss, then its hit
+		resp, body := get(t, tss["a"], path)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(fleet.OwnerHeader) != "c" {
+			t.Fatalf("GET %s via a: status %d, owner %q", path, resp.StatusCode, resp.Header.Get(fleet.OwnerHeader))
+		}
+		if len(body) <= 2048 {
+			t.Fatalf("GET %s: a %d-byte body fits net/http's buffer, so it shows nothing", path, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("GET %s via a (read %d): Content-Length %d, Transfer-Encoding %v; want %d and none",
+				path, i+1, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
 // TestFleetDistributedBatchByteIdentical: the same batch, once through
 // a fleet replica (fanned out by owner) and once through a standalone
 // no-fleet server, yields byte-for-byte identical response bodies —

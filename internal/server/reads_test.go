@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -15,6 +17,7 @@ import (
 	"testing"
 
 	"csmaterials/internal/dataset"
+	"csmaterials/internal/engine/analyses"
 	"csmaterials/internal/materials"
 )
 
@@ -210,6 +213,138 @@ func TestWarmReadBytes(t *testing.T) {
 		t.Logf("a warm GET %s allocates %d bytes", tc.path, perRead)
 		if perRead > tc.max {
 			t.Errorf("a warm GET %s allocates %d bytes, want at most %d", tc.path, perRead, tc.max)
+		}
+	}
+}
+
+// retainedBytes returns how much more heap is live, after two
+// collections, once f has run than before: what f's results keep.
+func retainedBytes(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestIngestRetainedBytes bounds what one ingest of the seed corpus
+// document keeps live: decoded as handleDatasetPut decodes it and
+// stored by Put. The decoded document shares its tags with the
+// vocabulary, its types with their constants and its repeated author
+// and level strings with each other, and the stored repository holds
+// no material index before a lookup asks for one.
+func TestIngestRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state changes what a build keeps live")
+	}
+	var body bytes.Buffer
+	if err := dataset.Repository().SaveJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	reg := dataset.NewRegistry(nil)
+	kept := retainedBytes(func() {
+		var doc dataset.Document
+		dec := json.NewDecoder(bytes.NewReader(body.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		doc.Share()
+		if _, err := reg.Put("measured", doc.Courses); err != nil {
+			t.Fatal(err)
+		}
+	})
+	snap, _ := reg.Get("measured")
+	const max = 300 << 10
+	t.Logf("one ingest of the seed corpus (%d materials, %d bytes) keeps %d bytes live", snap.Repo().NumMaterials(), body.Len(), kept)
+	if kept > max {
+		t.Errorf("one ingest of the seed corpus keeps %d bytes live, want at most %d", kept, max)
+	}
+}
+
+// TestAuditAnswerRetainedBytes bounds what a cached audit answer keeps
+// live: its unit list is sized to the units the course covers, not to
+// every CS2013 unit.
+func TestAuditAnswerRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state changes what a build keeps live")
+	}
+	repo := dataset.Repository()
+	var answer interface{}
+	compute := func(course string) {
+		v, err := analyses.Audit{}.Compute(context.Background(), repo, analyses.CourseParams{Course: course})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer = v
+	}
+	compute(repo.Courses()[0].ID) // any first-use state of the guidelines
+	const limit = 3 << 10
+	most := int64(0)
+	for _, c := range repo.Courses() {
+		answer = nil
+		kept := retainedBytes(func() { compute(c.ID) })
+		units := len(answer.(*analyses.AuditResponse).Units)
+		if kept > limit {
+			t.Errorf("the audit answer of %s (%d units) keeps %d bytes live, want at most %d", c.ID, units, kept, limit)
+		}
+		most = max(most, kept)
+	}
+	t.Logf("an audit answer keeps at most %d bytes live", most)
+}
+
+// TestPutBuildsIndexOnFirstLookup: a repository built by Put holds no
+// by-ID material index until a lookup asks for one; the first lookup
+// builds it, and later ones allocate nothing.
+func TestPutBuildsIndexOnFirstLookup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state changes what a build allocates")
+	}
+	snap, err := dataset.NewRegistry(nil).Put("indexed", dataset.Courses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := snap.Repo()
+	id := repo.Courses()[3].Materials[2].ID
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := repo.Material(id)
+	runtime.ReadMemStats(&after)
+	if m == nil || m.ID != id {
+		t.Fatalf("Material(%q) = %v", id, m)
+	}
+	if n := after.Mallocs - before.Mallocs; n == 0 {
+		t.Errorf("the first Material lookup allocated nothing: Put built the index before any lookup")
+	} else {
+		t.Logf("the first Material lookup makes %d allocations, %d bytes", n, after.TotalAlloc-before.TotalAlloc)
+	}
+	if n := testing.AllocsPerRun(100, func() { repo.Material(id) }); n != 0 {
+		t.Errorf("a later Material lookup makes %.0f allocations, want 0", n)
+	}
+}
+
+// TestWarmReadContentLength: over a real listener, a warm read whose
+// body is past net/http's 2,048-byte buffer carries a Content-Length
+// equal to its body and is not sent chunked.
+func TestWarmReadContentLength(t *testing.T) {
+	ts := httptest.NewServer(newQuietServer(t))
+	defer ts.Close()
+	const path = "/api/v1/types?group=all"
+	for i := 0; i < 2; i++ { // the miss, then the warm read
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if len(body) <= 2048 {
+			t.Fatalf("GET %s: a %d-byte body fits net/http's buffer, so it shows nothing", path, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("GET %s (read %d): Content-Length %d, Transfer-Encoding %v; want %d and none",
+				path, i+1, resp.ContentLength, resp.TransferEncoding, len(body))
 		}
 	}
 }

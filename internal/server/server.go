@@ -559,9 +559,10 @@ const maxPooledBody = 64 << 10
 // Both members are encoded as serving.EncodeData encodes them, so the
 // body is byte for byte what serving.WriteJSON writes for the two-field
 // struct; an envelope that does not encode writes no body, as
-// WriteJSON's does. The body goes out in one Write, so a request
-// deadline cannot cut it short (cmd/serve's withDeadline drops writes
-// once it has passed). Write must not retain its argument (io.Writer's
+// WriteJSON's does. The body goes out in one Write with its
+// Content-Length, so net/http sends it unchunked and a request deadline
+// cannot cut it short (cmd/serve's withDeadline drops writes once it
+// has passed). Write must not retain its argument (io.Writer's
 // contract), so the buffer is reused once Write returns.
 func writeData(w http.ResponseWriter, status int, data, meta interface{}) {
 	if meta == nil {
@@ -581,8 +582,12 @@ func writeData(w http.ResponseWriter, status int, data, meta interface{}) {
 	body, merr := serving.AppendData(body, meta)
 	body = append(body, envelopeEnd...)
 	w.Header().Set("Content-Type", "application/json")
+	ok := err == nil && merr == nil
+	if ok {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(status)
-	if err == nil && merr == nil {
+	if ok {
 		_, _ = w.Write(body)
 	}
 	if cap(body) <= maxPooledBody {
