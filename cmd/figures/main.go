@@ -52,8 +52,8 @@ func run(w io.Writer, outDir, only string, quiet bool) error {
 		return err
 	}
 	exec := engine.NewExecutor(reg, engine.ExecutorOptions{
-		Repo:  dataset.Repository(),
-		Cache: serving.NewCache(16),
+		Datasets: dataset.NewRegistry(nil),
+		Cache:    serving.NewCache(16),
 	})
 
 	found := false

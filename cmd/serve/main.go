@@ -3,23 +3,22 @@
 // production hardening: a bounded LRU cache with singleflight over the
 // analyses, per-route metrics, panic recovery, structured access logs,
 // per-request timeouts, graceful shutdown on SIGINT/SIGTERM, and a
-// resilience ladder (load shedding, per-analysis circuit breakers,
-// stale-serve degradation).
+// resilience ladder (load shedding, per-analysis circuit breakers).
 //
 // Usage:
 //
-//	serve [-addr :8080] [-cache-size 256] [-request-timeout 30s] [-shutdown-timeout 10s]
-//	      [-max-inflight 256] [-breaker-threshold 5] [-breaker-cooldown 30s] [-stale-serve=true]
+//	serve [-addr :8080] [-cache-size 512] [-request-timeout 30s] [-shutdown-timeout 10s]
+//	      [-max-inflight 256] [-breaker-threshold 5] [-breaker-cooldown 30s]
 //	      [-batch-workers 4] [-trace-buffer 256] [-trace-sample 1] [-debug-addr ""] [-data-dir ""]
 //	      [-api-keys-file ""] [-idle-ttl 0] [-node-id ""] [-peers ""]
 //
 // Beyond -max-inflight concurrent /api/v1 requests the server sheds
 // load with 429 + Retry-After. Each analysis family has a circuit
 // breaker that opens after -breaker-threshold consecutive compute
-// failures and probes again after -breaker-cooldown; while a breaker
-// is open (or a compute fails) the server degrades to the last known
-// good result — marked meta.stale:true and X-Served-Stale — unless
-// -stale-serve=false.
+// failures and probes again after -breaker-cooldown. An answer the
+// cache holds is served as a hit whatever its breaker's state; while a
+// breaker is open, an answer that is not held fails fast with 503
+// circuit_open + Retry-After.
 //
 // Endpoints (every /api/v1 response is a {"data","meta"} envelope,
 // errors are {"error":{"code","message"}}):
@@ -117,7 +116,6 @@ type config struct {
 	maxInFlight      int
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	staleServe       bool
 	batchWorkers     int
 	traceBuffer      int
 	debugAddr        string
@@ -141,13 +139,12 @@ var fleetFlagNames = []string{"node-id", "peers", "trace-sample"}
 func newFlagSet(cfg *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&cfg.cacheSize, "cache-size", server.DefaultCacheSize, "analysis cache capacity in entries (negative disables retention)")
+	fs.IntVar(&cfg.cacheSize, "cache-size", server.DefaultCacheSize, "analysis cache capacity: the answers held across all datasets (negative disables retention)")
 	fs.DurationVar(&cfg.requestTimeout, "request-timeout", 30*time.Second, "per-request handler deadline")
 	fs.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 	fs.IntVar(&cfg.maxInFlight, "max-inflight", server.DefaultMaxInFlight, "max concurrent /api/v1 requests before shedding with 429 (negative disables)")
 	fs.IntVar(&cfg.breakerThreshold, "breaker-threshold", resilience.DefaultBreakerThreshold, "consecutive compute failures before an analysis circuit opens (negative disables breakers)")
 	fs.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", resilience.DefaultBreakerCooldown, "how long an open circuit waits before a half-open probe")
-	fs.BoolVar(&cfg.staleServe, "stale-serve", true, "serve last-known-good results (meta.stale) when a compute fails or its circuit is open")
 	fs.IntVar(&cfg.batchWorkers, "batch-workers", engine.DefaultBatchWorkers, "worker pool size for POST /api/v1/batch")
 	fs.IntVar(&cfg.traceBuffer, "trace-buffer", server.DefaultTraceBuffer, "finished request traces retained for GET /debug/trace/{id}")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "optional second listen address serving /debug/pprof/ (empty disables)")
@@ -216,20 +213,19 @@ func (c config) serverOptions(logger *log.Logger, events *obs.Logger) (server.Op
 		}
 	}
 	return server.Options{
-		CacheSize:         c.cacheSize,
-		Logger:            logger,
-		MaxInFlight:       c.maxInFlight,
-		BreakerThreshold:  c.breakerThreshold,
-		BreakerCooldown:   c.breakerCooldown,
-		DisableStaleServe: !c.staleServe,
-		BatchWorkers:      c.batchWorkers,
-		Tracer:            tracer,
-		Events:            events,
-		DataDir:           c.dataDir,
-		APIKeys:           keys,
-		ReloadKeys:        reload,
-		IdleTTL:           c.idleTTL,
-		Fleet:             fl,
+		CacheSize:        c.cacheSize,
+		Logger:           logger,
+		MaxInFlight:      c.maxInFlight,
+		BreakerThreshold: c.breakerThreshold,
+		BreakerCooldown:  c.breakerCooldown,
+		BatchWorkers:     c.batchWorkers,
+		Tracer:           tracer,
+		Events:           events,
+		DataDir:          c.dataDir,
+		APIKeys:          keys,
+		ReloadKeys:       reload,
+		IdleTTL:          c.idleTTL,
+		Fleet:            fl,
 	}, nil
 }
 

@@ -42,9 +42,6 @@ func TestParseConfigDefaults(t *testing.T) {
 	if cfg.breakerCooldown != resilience.DefaultBreakerCooldown {
 		t.Errorf("breakerCooldown = %s, want %s", cfg.breakerCooldown, resilience.DefaultBreakerCooldown)
 	}
-	if !cfg.staleServe {
-		t.Error("staleServe = false, want true by default")
-	}
 	if cfg.batchWorkers != engine.DefaultBatchWorkers {
 		t.Errorf("batchWorkers = %d, want %d", cfg.batchWorkers, engine.DefaultBatchWorkers)
 	}
@@ -74,7 +71,6 @@ func TestParseConfigOverrides(t *testing.T) {
 		"-max-inflight", "3",
 		"-breaker-threshold", "-1",
 		"-breaker-cooldown", "5s",
-		"-stale-serve=false",
 		"-batch-workers", "9",
 		"-trace-buffer", "13",
 		"-debug-addr", "127.0.0.1:6060",
@@ -94,7 +90,6 @@ func TestParseConfigOverrides(t *testing.T) {
 		maxInFlight:      3,
 		breakerThreshold: -1,
 		breakerCooldown:  5 * time.Second,
-		staleServe:       false,
 		batchWorkers:     9,
 		traceBuffer:      13,
 		debugAddr:        "127.0.0.1:6060",
@@ -117,6 +112,11 @@ func TestParseConfigError(t *testing.T) {
 	}
 	if _, err := parseConfig([]string{"-node-id", "a"}); err == nil {
 		t.Fatal("expected error for -node-id without -peers")
+	}
+	// A held answer is always served as a hit, so there is no
+	// degradation switch left to set.
+	if _, err := parseConfig([]string{"-stale-serve=false"}); err == nil {
+		t.Fatal("expected error for the removed -stale-serve flag")
 	}
 }
 
@@ -213,7 +213,6 @@ func TestServerOptionsMapping(t *testing.T) {
 		maxInFlight:      22,
 		breakerThreshold: 33,
 		breakerCooldown:  44 * time.Second,
-		staleServe:       false,
 		batchWorkers:     6,
 		traceBuffer:      5,
 		dataDir:          "/tmp/datasets",
@@ -236,19 +235,6 @@ func TestServerOptionsMapping(t *testing.T) {
 	}
 	if opts.Tracer == nil || opts.Tracer.Stats().Capacity != 5 {
 		t.Errorf("tracer capacity not mapped from -trace-buffer: %+v", opts.Tracer)
-	}
-	// The flag is phrased positively (-stale-serve) but the option is a
-	// disable switch; the inversion is the part worth pinning.
-	if !opts.DisableStaleServe {
-		t.Error("staleServe=false must set DisableStaleServe")
-	}
-	cfg.staleServe = true
-	opts, err = cfg.serverOptions(logger, events)
-	if err != nil {
-		t.Fatalf("serverOptions: %v", err)
-	}
-	if opts.DisableStaleServe {
-		t.Error("staleServe=true must clear DisableStaleServe")
 	}
 }
 

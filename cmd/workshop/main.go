@@ -54,8 +54,8 @@ func newExecutor() (*engine.Executor, error) {
 		return nil, err
 	}
 	return engine.NewExecutor(reg, engine.ExecutorOptions{
-		Repo:  dataset.Repository(),
-		Cache: serving.NewCache(16),
+		Datasets: dataset.NewRegistry(nil),
+		Cache:    serving.NewCache(16),
 	}), nil
 }
 

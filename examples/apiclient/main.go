@@ -7,8 +7,9 @@
 // The server is started with fault injection enabled, and every call
 // goes through a retrying client (exponential backoff with jitter,
 // honouring Retry-After on 429/503), so the demo also shows the
-// resilience ladder absorbing injected 503s and degrading to stale
-// results while a circuit is open.
+// resilience ladder under injected compute faults: an answer the cache
+// holds is still served as a hit, and one it does not hold fails with
+// an error envelope.
 package main
 
 import (
@@ -106,7 +107,6 @@ type envelope struct {
 		Offset int    `json:"offset"`
 		Cache  string `json:"cache"`
 		Key    string `json:"key"`
-		Stale  bool   `json:"stale"`
 	} `json:"meta"`
 }
 
@@ -255,20 +255,36 @@ func main() {
 		fmt.Printf("  %-10s key=%-16s cache=%s\n", item.Analysis, item.Key, item.Cache)
 	}
 
-	// 5. Degradation under injected faults: prime the agreement
-	// analysis, then make every agreement compute fail. The server
-	// answers from the last known good copy, flagged stale, and the
-	// retrying client rides out any 503s.
+	// 5. Compute faults: prime one agreement key, then make every
+	// agreement compute fail. The held key is still a hit and runs no
+	// compute; a key the cache does not hold gets the error envelope.
 	if _, err := c.getEnvelope("/api/v1/agreement?group=CS1&threshold=4"); err != nil {
 		log.Fatal(err)
 	}
-	s.Cache().Reset() // force the next request back to the compute path
 	faults.SetRules(faultinject.Rule{Match: "compute/agreement", Probability: 1, Status: 500})
+	before := s.Engine().Stats().Analyses["agreement"].Computes
 	e, err = c.getEnvelope("/api/v1/agreement?group=CS1&threshold=4")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nagreement with compute faults injected: cache=%s stale=%v\n", e.Meta.Cache, e.Meta.Stale)
+	computes := s.Engine().Stats().Analyses["agreement"].Computes - before
+	fmt.Printf("\nagreement with compute faults injected, held key: cache=%s computes=%d\n", e.Meta.Cache, computes)
+	if e.Meta.Cache != "hit" || computes != 0 {
+		log.Fatal("a held answer must be served as a hit without computing")
+	}
+	resp, body, err := c.get("/api/v1/agreement?group=DS&threshold=4")
+	if err != nil {
+		log.Fatal(err)
+	}
+	var failed struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(body, &failed); err != nil || failed.Error.Code == "" {
+		log.Fatalf("unheld key under compute faults: %s\n%s", resp.Status, body)
+	}
+	fmt.Printf("agreement with compute faults injected, unheld key: %s error=%s\n", resp.Status, failed.Error.Code)
 	faults.SetRules()
 
 	// 6. Legacy paths still work via permanent redirect.
@@ -297,8 +313,8 @@ func main() {
 		fmt.Printf("  %-32s count=%d p99=%.1fms\n", route, rs.Count, rs.P99MS)
 	}
 	if snap.Cache != nil {
-		fmt.Printf("  cache: hits=%d misses=%d size=%d/%d stale_served=%d\n",
-			snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Size, snap.Cache.Capacity, snap.Cache.StaleServed)
+		fmt.Printf("  cache: hits=%d misses=%d size=%d/%d\n",
+			snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Size, snap.Cache.Capacity)
 	}
 	if snap.Resilience != nil {
 		fmt.Printf("  shedder: admitted=%d shed=%d\n", snap.Resilience.Shedder.Admitted, snap.Resilience.Shedder.Shed)

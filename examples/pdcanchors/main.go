@@ -45,8 +45,8 @@ func main() {
 		log.Fatal(err)
 	}
 	exec := engine.NewExecutor(reg, engine.ExecutorOptions{
-		Repo:  dataset.Repository(),
-		Cache: serving.NewCache(32),
+		Datasets: dataset.NewRegistry(nil),
+		Cache:    serving.NewCache(32),
 	})
 
 	fmt.Printf("rule base: %d PDC content insertion opportunities\n", len(rec.Rules()))

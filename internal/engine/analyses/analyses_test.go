@@ -121,7 +121,7 @@ func TestParseRejections(t *testing.T) {
 
 // TestComputeNotFound: unknown courses and figures come back as typed
 // 404 *Errors, which the executor treats as client errors (no breaker
-// impact, no stale fallback).
+// impact).
 func TestComputeNotFound(t *testing.T) {
 	reg := defaultRegistry(t)
 	repo := dataset.Repository()

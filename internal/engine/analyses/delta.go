@@ -2,9 +2,7 @@ package analyses
 
 // This file implements delta-awareness: how each analysis judges
 // whether a classification delta can reach its cached results
-// (engine.DeltaAware), and how types answers a same-revision stale
-// refresh from the value being served (engine.WarmStarter). An
-// affected result recomputes cold.
+// (engine.DeltaAware). An affected result recomputes cold.
 //
 // Every analysis here reads a course only through its ID, its group
 // labels, its position in the repository and its tag set (TagSet(),
@@ -16,12 +14,9 @@ package analyses
 // every migrated entry to a cold recompute.
 
 import (
-	"context"
 	"strings"
 
 	"csmaterials/internal/dataset"
-	"csmaterials/internal/engine"
-	"csmaterials/internal/materials"
 )
 
 // paramGroup extracts the group component of a "<group>|..." cache
@@ -58,19 +53,6 @@ func courseAffected(course string, d *dataset.Delta) bool {
 // AffectedBy scopes types results to their course group.
 func (Types) AffectedBy(paramKey string, d *dataset.Delta) bool {
 	return groupAffected(paramGroup(paramKey), d)
-}
-
-// ComputeWarm adopts the prior of a same-revision stale refresh: the
-// repository is the prior's, so a cold fit would return the prior's
-// bytes. The adopted copy reports no iterations — it ran none.
-func (Types) ComputeWarm(_ context.Context, _ *materials.Repository, _ engine.Params, prior interface{}) (interface{}, error) {
-	pr, ok := prior.(*TypesResponse)
-	if !ok {
-		return nil, engine.ErrColdCompute
-	}
-	adopted := *pr
-	adopted.iterations = 0
-	return &adopted, nil
 }
 
 // AffectedBy scopes agreement results to their course group.

@@ -40,8 +40,7 @@ type TypesResponse struct {
 }
 
 // ConvergenceIterations reports the NNMF work behind this response:
-// the summed iterations of every restart of its fit, 0 for an adopted
-// prior.
+// the summed iterations of every restart of its fit.
 func (r *TypesResponse) ConvergenceIterations() int { return r.iterations }
 
 // TypesParams selects a course group and the number of types k.

@@ -47,7 +47,6 @@ type BatchResult struct {
 	Dataset string      `json:"dataset,omitempty"`
 	Key     string      `json:"key,omitempty"`
 	Cache   string      `json:"cache,omitempty"`
-	Stale   bool        `json:"stale,omitempty"`
 	Data    interface{} `json:"data,omitempty"`
 	Error   *Error      `json:"error,omitempty"`
 }
@@ -74,10 +73,10 @@ func (e *Executor) BatchWorkers() int {
 // bounded worker pool and returns one result per item, positionally.
 //
 // Each item keeps the exact semantics of its standalone endpoint: the
-// fresh cache is consulted first, concurrent equal items (within this
-// batch or across requests) collapse into one singleflight flight, the
-// per-analysis breaker guards the compute, and failures degrade to
-// stale values when enabled. Failures are per-item error envelopes —
+// cache is consulted first, concurrent equal items (within this batch
+// or across requests) collapse into one singleflight flight, and the
+// per-analysis breaker guards the compute. Failures are per-item error
+// envelopes —
 // one broken item never aborts the batch — and the output order is the
 // input order regardless of completion order, so responses are
 // deterministic under any worker interleaving.
@@ -140,7 +139,6 @@ func (e *Executor) runItem(ctx context.Context, it BatchItem) BatchResult {
 	}
 	res.Key = out.Key
 	res.Cache = out.Cache
-	res.Stale = out.Stale
 	res.Data = v
 	return res
 }

@@ -115,10 +115,9 @@ func newDatasetExecutor(b *testing.B, cache *serving.Cache) *engine.Executor {
 		b.Fatal(err)
 	}
 	return engine.NewExecutor(reg, engine.ExecutorOptions{
-		Datasets:   datasets,
-		Cache:      cache,
-		Breakers:   resilience.NewBreakerSet(resilience.DefaultBreakerThreshold, time.Minute),
-		StaleServe: true,
+		Datasets: datasets,
+		Cache:    cache,
+		Breakers: resilience.NewBreakerSet(resilience.DefaultBreakerThreshold, time.Minute),
 	})
 }
 

@@ -61,7 +61,7 @@ func BenchmarkBatchParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if !bc.warm {
 					b.StopTimer()
-					cache.Reset()
+					cache.Invalidate(func(string) bool { return true })
 					b.StartTimer()
 				}
 				results := exec.RunBatch(context.Background(), batch)

@@ -2,12 +2,10 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
 	"csmaterials/internal/dataset"
-	"csmaterials/internal/materials"
 	"csmaterials/internal/obs"
 )
 
@@ -26,48 +24,21 @@ type DeltaAware interface {
 	AffectedBy(paramKey string, d *dataset.Delta) bool
 }
 
-// ErrColdCompute is the sentinel a WarmStarter returns to decline a
-// warm recompute; the executor falls back to a cold Compute.
-var ErrColdCompute = errors.New("engine: warm compute declined, run cold")
-
-// WarmStarter is implemented by analyses whose background stale
-// refresh can be answered from the value being served stale. That
-// value belongs to the revision being refreshed, so the repository is
-// unchanged. The contract is strict: a non-error return from
-// ComputeWarm MUST be byte-identical to what Compute would return for
-// the same (repo, p); implementations return ErrColdCompute when they
-// cannot prove it. Performance is the only thing a warm start may
-// change.
-type WarmStarter interface {
-	// ComputeWarm recomputes the analysis from prior, the value Compute
-	// (or a previous ComputeWarm) returned for the same revision.
-	ComputeWarm(ctx context.Context, repo *materials.Repository, p Params, prior interface{}) (interface{}, error)
-}
-
 // ConvergenceReporter is implemented by analysis RESULTS whose compute
 // is iterative (the NNMF factorizations); the executor reads it after
-// a successful compute to export iterations-to-converge, split warm
-// vs cold, through the csm_refresh_* metric families.
+// a successful compute to export iterations-to-converge through the
+// csm_refresh_iterations_total family.
 type ConvergenceReporter interface {
 	ConvergenceIterations() int
 }
 
-// maxPriors bounds the executor's warm-start seed store: one prior per
-// key with a stale refresh pending; beyond it new seeds are declined
-// (the refresh just runs cold).
-const maxPriors = 256
-
 // refreshStats counts one dataset's refresh activity.
 type refreshStats struct {
-	delta            uint64
-	full             uint64
-	invalidatedFresh uint64
-	invalidatedStale uint64
-	migrated         uint64
-	warmStarts       uint64
-	warmFallbacks    uint64
-	warmIterations   uint64
-	coldIterations   uint64
+	delta          uint64
+	full           uint64
+	invalidated    uint64
+	migrated       uint64
+	coldIterations uint64
 }
 
 // RefreshStats is the JSON form of one dataset's refresh counters.
@@ -75,20 +46,12 @@ type RefreshStats struct {
 	// Delta and Full count refreshes by kind.
 	Delta uint64 `json:"delta"`
 	Full  uint64 `json:"full"`
-	// InvalidatedFresh/InvalidatedStale count cache entries dropped by
-	// refreshes, per store.
-	InvalidatedFresh uint64 `json:"invalidated_fresh"`
-	InvalidatedStale uint64 `json:"invalidated_stale"`
-	// Migrated counts fresh entries carried to a new revision unchanged.
+	// Invalidated counts cache entries dropped by refreshes.
+	Invalidated uint64 `json:"invalidated"`
+	// Migrated counts entries carried to a new revision unchanged.
 	Migrated uint64 `json:"migrated"`
-	// WarmStarts counts stale refreshes answered by ComputeWarm;
-	// WarmFallbacks counts priors that were declined (cold recompute ran
-	// instead).
-	WarmStarts    uint64 `json:"warm_starts"`
-	WarmFallbacks uint64 `json:"warm_fallbacks"`
-	// WarmIterations/ColdIterations accumulate iterations-to-converge
-	// reported by iterative results, split by compute mode.
-	WarmIterations uint64 `json:"warm_iterations"`
+	// ColdIterations accumulates iterations-to-converge reported by
+	// iterative results; every compute starts cold.
 	ColdIterations uint64 `json:"cold_iterations"`
 }
 
@@ -98,16 +61,12 @@ type DeltaOutcome struct {
 	// Full reports that the refresh fell back to whole-dataset
 	// invalidation (no delta available).
 	Full bool `json:"full"`
-	// InvalidatedFresh/InvalidatedStale are the cache entries dropped.
-	InvalidatedFresh int `json:"invalidated_fresh"`
-	InvalidatedStale int `json:"invalidated_stale"`
-	// Migrated is the number of fresh entries carried forward to the
-	// new revision because their analysis proved them unaffected.
+	// Invalidated is the number of cache entries dropped.
+	Invalidated int `json:"invalidated"`
+	// Migrated is the number of entries carried forward to the new
+	// revision because their analysis proved them unaffected.
 	Migrated int `json:"migrated"`
 }
-
-// Invalidated is the total number of cache entries dropped.
-func (o DeltaOutcome) Invalidated() int { return o.InvalidatedFresh + o.InvalidatedStale }
 
 // ApplyDelta reconciles the serving layer with a freshly applied
 // dataset revision. When the snapshot carries a Delta (it came from
@@ -117,12 +76,8 @@ func (o DeltaOutcome) Invalidated() int { return o.InvalidatedFresh + o.Invalida
 // (keeping their LRU positions and encoded bytes; no recompute, no
 // cold cache), and affected results are dropped, to be recomputed
 // cold on their next read. Snapshots without a delta (full PUT
-// re-ingest, LoadDir) degrade to RefreshFull. No-op in single-repo
-// mode.
+// re-ingest, LoadDir) degrade to RefreshFull.
 func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snapshot) DeltaOutcome {
-	if e.datasets == nil || e.cache == nil {
-		return DeltaOutcome{}
-	}
 	d := snap.Delta()
 	if d == nil {
 		return e.RefreshFull(ctx, ds, snap.Revision())
@@ -130,7 +85,6 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 	start := obs.Now(ctx)
 	prefix := ds + "@"
 	newPrefix := fmt.Sprintf("%s@%d|", ds, snap.Revision())
-	e.dropPriors(ds)
 
 	sum := e.cache.Rekey(func(key string) string {
 		if !strings.HasPrefix(key, prefix) || strings.HasPrefix(key, newPrefix) {
@@ -150,29 +104,20 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 		return ""
 	})
 
-	out := DeltaOutcome{
-		InvalidatedFresh: sum.DroppedFresh,
-		InvalidatedStale: sum.DroppedStale,
-		Migrated:         sum.MovedFresh,
-	}
+	out := DeltaOutcome{Invalidated: sum.Dropped, Migrated: sum.Moved}
 	obs.AddSpan(ctx, "refresh-delta", start)
 	e.countRefresh(ds, true, out)
 	return out
 }
 
-// RefreshFull invalidates every cache and stale entry of ds except
-// revision keep, recording the sweep as a refresh-full span and in the
-// csm_refresh_* counters. It is the metrics-aware face of
-// InvalidateDataset, used by the full re-ingest path.
+// RefreshFull invalidates every cache entry of ds except revision keep,
+// recording the sweep as a refresh-full span and in the csm_refresh_*
+// counters. It is the metrics-aware face of InvalidateDataset, used by
+// the full re-ingest path.
 func (e *Executor) RefreshFull(ctx context.Context, ds string, keep uint64) DeltaOutcome {
-	if e.datasets == nil || e.cache == nil {
-		return DeltaOutcome{Full: true}
-	}
 	start := obs.Now(ctx)
-	e.dropPriors(ds)
-	fresh, stale := e.invalidateDatasetDetail(ds, keep)
+	out := DeltaOutcome{Full: true, Invalidated: e.InvalidateDataset(ds, keep)}
 	obs.AddSpan(ctx, "refresh-full", start)
-	out := DeltaOutcome{Full: true, InvalidatedFresh: fresh, InvalidatedStale: stale}
 	e.countRefresh(ds, false, out)
 	return out
 }
@@ -200,70 +145,9 @@ func joinParam(paramKey string) string {
 	return "|" + paramKey
 }
 
-// seedPrior retains val, the value a stale serve of key returned, as
-// the seed of key's refresh. A key holds one seed (every value of a
-// key is the same answer); the store is bounded at maxPriors.
-func (e *Executor) seedPrior(key string, val interface{}) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, exists := e.priors[key]; !exists && len(e.priors) < maxPriors {
-		e.priors[key] = val
-	}
-}
-
-// takePrior consumes the warm-start seed for key, if any.
-func (e *Executor) takePrior(key string) (interface{}, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	pr, ok := e.priors[key]
-	if ok {
-		delete(e.priors, key)
-	}
-	return pr, ok
-}
-
-// dropPriors discards every retained seed belonging to ds.
-func (e *Executor) dropPriors(ds string) {
-	prefix := ds + "@"
-	e.mu.Lock()
-	for k := range e.priors {
-		if strings.HasPrefix(k, prefix) {
-			delete(e.priors, k)
-		}
-	}
-	e.mu.Unlock()
-}
-
-// computeWithPrior runs the analysis, preferring a warm recompute when
-// a prior was seeded for key and the analysis supports it. A declined
-// warm start (ErrColdCompute, or any non-context error) falls back to
-// a cold Compute; context errors pass through so cancellation is not
-// masked by a doomed cold retry. The boolean reports whether the warm
-// result was adopted. Adopting a prior counts no compute for scope: it
-// starts none.
-func (e *Executor) computeWithPrior(ctx context.Context, ds, scope string, a Analysis, repo *materials.Repository, p Params, key string) (interface{}, bool, error) {
-	if ws, warmable := a.(WarmStarter); warmable {
-		if prior, ok := e.takePrior(key); ok {
-			v, err := ws.ComputeWarm(ctx, repo, p, prior)
-			switch {
-			case err == nil:
-				e.countWarm(ds, true)
-				return v, true, nil
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				return nil, false, err
-			default:
-				e.countWarm(ds, false)
-			}
-		}
-	}
-	e.countCompute(scope)
-	v, err := a.Compute(ctx, repo, p)
-	return v, false, err
-}
-
 // recordIterations accumulates a result's iterations-to-converge into
-// the dataset's warm or cold bucket.
-func (e *Executor) recordIterations(ds string, warm bool, v interface{}) {
+// the dataset's counters.
+func (e *Executor) recordIterations(ds string, v interface{}) {
 	cr, ok := v.(ConvergenceReporter)
 	if !ok {
 		return
@@ -273,23 +157,7 @@ func (e *Executor) recordIterations(ds string, warm bool, v interface{}) {
 		return
 	}
 	e.mu.Lock()
-	st := e.refreshLocked(ds)
-	if warm {
-		st.warmIterations += uint64(n)
-	} else {
-		st.coldIterations += uint64(n)
-	}
-	e.mu.Unlock()
-}
-
-func (e *Executor) countWarm(ds string, adopted bool) {
-	e.mu.Lock()
-	st := e.refreshLocked(ds)
-	if adopted {
-		st.warmStarts++
-	} else {
-		st.warmFallbacks++
-	}
+	e.refreshLocked(ds).coldIterations += uint64(n)
 	e.mu.Unlock()
 }
 
@@ -301,8 +169,7 @@ func (e *Executor) countRefresh(ds string, delta bool, out DeltaOutcome) {
 	} else {
 		st.full++
 	}
-	st.invalidatedFresh += uint64(out.InvalidatedFresh)
-	st.invalidatedStale += uint64(out.InvalidatedStale)
+	st.invalidated += uint64(out.Invalidated)
 	st.migrated += uint64(out.Migrated)
 	e.mu.Unlock()
 }

@@ -124,10 +124,8 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	if out.Full {
 		t.Fatal("delta snapshot must not fall back to a full refresh")
 	}
-	// Each computed result has a fresh and a stale last-known-good copy;
-	// both migrate or drop together. Only the fresh copies count as
-	// migrated.
-	if out.Migrated != 4 || out.Invalidated() != 0 {
+	// Each held answer is counted once, migrated or dropped.
+	if out.Migrated != 4 || out.Invalidated != 0 {
 		t.Errorf("same-tag-set retag: %+v, want all 4 entries migrated and nothing dropped", out)
 	}
 	for _, r := range reads {
@@ -147,8 +145,8 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	if out.Migrated != 2 {
 		t.Errorf("migrated = %d, want 2 (agreement|pdc, anchors|%s)", out.Migrated, other.ID)
 	}
-	if out.InvalidatedFresh != 2 || out.InvalidatedStale != 2 {
-		t.Errorf("invalidated = (%d fresh, %d stale), want (2, 2)", out.InvalidatedFresh, out.InvalidatedStale)
+	if out.Invalidated != 2 {
+		t.Errorf("invalidated = %d, want 2 (agreement|all, anchors|%s)", out.Invalidated, touched.ID)
 	}
 
 	// Migrated entries serve as hits under the new revision; dropped
@@ -163,8 +161,8 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	if st.Delta != 2 || st.Full != 0 {
 		t.Errorf("refresh counts = (%d delta, %d full), want (2, 0)", st.Delta, st.Full)
 	}
-	if st.WarmStarts != 0 || st.WarmFallbacks != 0 {
-		t.Errorf("warm = (%d starts, %d fallbacks), want (0, 0): no analysis warms across a delta", st.WarmStarts, st.WarmFallbacks)
+	if st.Migrated != 6 || st.Invalidated != 2 {
+		t.Errorf("refresh totals = (%d migrated, %d invalidated), want (6, 2)", st.Migrated, st.Invalidated)
 	}
 
 	// A full PUT re-ingest (no delta on the snapshot) degrades to a
@@ -179,15 +177,15 @@ func TestApplyDeltaPrecision(t *testing.T) {
 	}
 }
 
-// TestUnchangedTagSetsComputeNothing: a refresh whose input cannot
-// change an answer reuses it, with no compute and no NNMF iteration.
-// It covers a PATCH that keeps every course's tag set, across which
-// no types, agreement or cluster entry computes, and a same-revision
-// stale refresh of types (the fault injector holds the refresh past
-// its caller's deadline), which adopts the value being served.
-// Across each, the counters behind csm_analysis_computes_total and
-// both modes of csm_refresh_iterations_total stay put, and afterwards
-// every read is a hit equal to a cold executor's.
+// TestUnchangedTagSetsComputeNothing: an answer whose input cannot
+// change is reused, with no compute and no NNMF iteration. It covers a
+// PATCH that keeps every course's tag set, across which no types,
+// agreement or cluster entry computes, and reads of the held answers
+// while the fault injector holds every compute past its caller's
+// deadline, which are hits that never reach the compute. Across each,
+// the counters behind csm_analysis_computes_total and
+// csm_refresh_iterations_total stay put, and afterwards every read is
+// a hit equal to a cold executor's.
 func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 	reg, err := analyses.Default()
 	if err != nil {
@@ -197,7 +195,7 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 	cache := serving.NewCache(64)
 	faults := faultinject.New(1)
 	exec := engine.NewExecutor(reg, engine.ExecutorOptions{
-		Datasets: datasets, Cache: cache, Faults: faults, StaleServe: true,
+		Datasets: datasets, Cache: cache, Faults: faults,
 	})
 	type read struct {
 		name   string
@@ -218,8 +216,7 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 		for _, a := range st.Analyses {
 			computes += a.Computes
 		}
-		rf := st.Refresh[dataset.DefaultID]
-		return computes, rf.WarmIterations + rf.ColdIterations
+		return computes, st.Refresh[dataset.DefaultID].ColdIterations
 	}
 	checkHitsEqualCold := func(phase string) {
 		t.Helper()
@@ -251,7 +248,7 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap); out.Migrated != len(reads) || out.Invalidated() != 0 {
+	if out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap); out.Migrated != len(reads) || out.Invalidated != 0 {
 		t.Fatalf("same-tag-set PATCH: %+v, want all %d entries migrated", out, len(reads))
 	}
 	checkHitsEqualCold("after the PATCH")
@@ -259,59 +256,37 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 		t.Fatalf("same-tag-set PATCH: computes %d -> %d, iterations %d -> %d; want both unchanged", computes, c, iterations, i)
 	}
 
-	// Drop every fresh entry; the stale store keeps the last-known-good
-	// copies. The agreement and cluster entries are recomputed first,
-	// outside the measured window: neither has a warm path.
-	cache.Reset()
-	for _, r := range reads {
-		if r.name != "types" {
-			mustRunOn(t, exec, r.name, r.values)
-		}
-	}
-	computes, iterations = work()
+	// Hold every compute past its caller's deadline: a held answer is a
+	// hit and never reaches the compute, so no read waits or fails.
 	hold := make(chan struct{})
-	faults.SetRules(faultinject.Rule{Match: "compute/types", Probability: 1, Hold: hold})
-	refreshed := 0
+	faults.SetRules(faultinject.Rule{Match: "compute/", Probability: 1, Hold: hold})
 	for _, r := range reads {
-		if r.name != "types" {
-			continue
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		_, o, err := exec.RunOn(ctx, dataset.DefaultID, r.name, r.values)
 		cancel()
-		if err != nil || o.Cache != "stale" {
-			t.Fatalf("held %s %v = %+v, %v; want a stale serve", r.name, r.values, o, err)
+		if err != nil || o.Cache != "hit" {
+			t.Fatalf("held %s %v = %+v, %v; want a hit", r.name, r.values, o, err)
 		}
-		refreshed++
 	}
 	close(hold)
 	faults.SetRules()
-	deadline := time.Now().Add(10 * time.Second)
-	for cache.Stats().Size < len(reads) {
-		if time.Now().After(deadline) {
-			t.Fatalf("stale refreshes did not land: %d of %d entries", cache.Stats().Size, len(reads))
-		}
-		time.Sleep(time.Millisecond)
-	}
 	if c, i := work(); c != computes || i != iterations {
-		t.Fatalf("stale refresh: computes %d -> %d, iterations %d -> %d; want both unchanged", computes, c, iterations, i)
+		t.Fatalf("held answers: computes %d -> %d, iterations %d -> %d; want both unchanged", computes, c, iterations, i)
 	}
-	if st := exec.Stats().Refresh[dataset.DefaultID]; st.WarmStarts != uint64(refreshed) || st.WarmFallbacks != 0 {
-		t.Errorf("warm = (%d starts, %d fallbacks), want (%d, 0)", st.WarmStarts, st.WarmFallbacks, refreshed)
-	}
-	checkHitsEqualCold("after the stale refresh")
+	checkHitsEqualCold("after the held reads")
 }
 
-// TestApplyDeltaSeedsNoTypesPrior: types warms only within one
-// revision, so a retag that changes a course's tag set, and so drops
-// types|all, leaves it no prior; its recompute runs cold without a
-// declined warm start.
+// TestApplyDeltaSeedsNoTypesPrior: a retag that changes a course's tag
+// set drops types|all, counted once, and leaves nothing to seed its
+// recompute: the next read is a miss that runs one cold compute and
+// adds its NNMF iterations to the cold count.
 func TestApplyDeltaSeedsNoTypesPrior(t *testing.T) {
 	exec, datasets := newDeltaExecutor(t)
 	base := datasets.Default()
 	touched := cs1OnlyCourse(t, base)
 	all := url.Values{"group": {"all"}}
 	mustRunOn(t, exec, "types", all)
+	coldBefore := exec.Stats().Refresh[dataset.DefaultID].ColdIterations
 	snap, err := datasets.Apply(dataset.DefaultID, []dataset.Event{{
 		Op: dataset.OpRetag, Course: touched.ID,
 		MaterialID: touched.Materials[0].ID, Tags: []string{missingTag(t, base, touched)},
@@ -320,15 +295,19 @@ func TestApplyDeltaSeedsNoTypesPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-	if out.InvalidatedFresh != 1 {
+	if out.Invalidated != 1 || out.Migrated != 0 {
 		t.Errorf("tag-set change: %+v, want types|all dropped", out)
 	}
+	computes := exec.Stats().Analyses["types"].Computes
 	if _, o := mustRunOn(t, exec, "types", all); o.Cache != "miss" || o.Revision != snap.Revision() {
 		t.Errorf("types|all after the change = %q@rev%d, want miss@rev%d", o.Cache, o.Revision, snap.Revision())
 	}
-	st := exec.Stats().Refresh[dataset.DefaultID]
-	if st.WarmStarts != 0 || st.WarmFallbacks != 0 {
-		t.Errorf("refresh: warm = (%d starts, %d fallbacks), want (0, 0)", st.WarmStarts, st.WarmFallbacks)
+	st := exec.Stats()
+	if n := st.Analyses["types"].Computes - computes; n != 1 {
+		t.Errorf("the recompute ran %d computes, want 1", n)
+	}
+	if st.Refresh[dataset.DefaultID].ColdIterations <= coldBefore {
+		t.Errorf("cold iterations %d -> %d: the recompute ran no cold NNMF", coldBefore, st.Refresh[dataset.DefaultID].ColdIterations)
 	}
 }
 

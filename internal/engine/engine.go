@@ -6,10 +6,10 @@
 // context-aware compute over the course repository.
 //
 // Analyses register in a Registry; an Executor runs them through the
-// serving ladder (cache → breaker-guarded singleflight → stale
-// fallback) uniformly, so the HTTP server, the batch endpoint, the
-// CLIs, and the readiness warmup all dispatch generically instead of
-// wiring cache keys, breakers, and stale semantics per analysis.
+// serving ladder (cache → breaker-guarded singleflight compute)
+// uniformly, so the HTTP server, the batch endpoint, the CLIs, and the
+// readiness warmup all dispatch generically instead of wiring cache
+// keys and breakers per analysis.
 //
 // The cancellation contract: Compute receives a context that is
 // cancelled when nobody is waiting for the result any more (all HTTP
@@ -22,10 +22,10 @@
 // The executor participates in request tracing (internal/obs): a
 // request context carrying a trace accumulates ordered spans for every
 // rung it visits — parse, the cache and singleflight spans emitted by
-// internal/serving, breaker-allow/breaker-open, compute, stale-serve —
-// each labelled with the analysis name, feeding the per-analysis
-// per-stage latency histograms behind GET /metrics. Untraced contexts
-// (CLIs, warmup, detached refreshes) skip tracing entirely.
+// internal/serving, breaker-allow/breaker-open, compute — each labelled
+// with the analysis name, feeding the per-analysis per-stage latency
+// histograms behind GET /metrics. Untraced contexts (CLIs, warmup) skip
+// tracing entirely.
 package engine
 
 import (
@@ -43,8 +43,8 @@ import (
 
 // Params is one analysis invocation's typed, validated parameter set.
 // Implementations are produced by Analysis.Parse and must be usable as
-// values (no shared mutable state): the executor may retain them for
-// background refreshes.
+// values (no shared mutable state): a singleflight flight may outlive
+// the request that started it.
 type Params interface {
 	// Validate reports whether the parameter combination is servable.
 	// Parse applies syntactic checks; Validate applies semantic ones
@@ -55,8 +55,7 @@ type Params interface {
 	// the analysis cache key — e.g. "cs1|3" for group=CS1&k=3. Equal
 	// parameter sets MUST produce equal keys regardless of the spelling
 	// of the request (case, defaults elided or explicit), because the
-	// key identifies the cache entry, the singleflight flight, and the
-	// stale last-known-good value.
+	// key identifies the cache entry and the singleflight flight.
 	CacheKey() string
 }
 
@@ -88,7 +87,7 @@ type Warmer interface {
 // machine-readable code. Analyses return it for client-side conditions
 // (unknown course, oversized k); the executor and the HTTP layer treat
 // 4xx Errors as the service working correctly — they never trip
-// circuit breakers or trigger stale fallbacks.
+// circuit breakers.
 type Error struct {
 	Status  int    `json:"status"`
 	Code    string `json:"code"`
@@ -122,8 +121,8 @@ func AsError(err error) *Error {
 	return &Error{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
 }
 
-// IsServerFailure classifies err for the circuit breaker and the stale
-// fallback: nil, client-side Errors (4xx — bad parameters, unknown
+// IsServerFailure classifies err for the circuit breaker and the
+// failure counters: nil, client-side Errors (4xx — bad parameters, unknown
 // courses or figures), cancellation (the waiters left; nothing is
 // broken), and breaker rejections (not new evidence — the breaker
 // already knows) are the service working correctly. Anything else is a

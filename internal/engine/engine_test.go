@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"csmaterials/internal/dataset"
 	"csmaterials/internal/engine"
 	"csmaterials/internal/materials"
 	"csmaterials/internal/resilience"
@@ -32,8 +33,8 @@ func (p fakeParams) CacheKey() string { return p.key }
 
 // fakeAnalysis is a registry entry whose Compute is a swappable
 // function; it is the "one registration" the engine design promises —
-// everything else (cache keys, singleflight, breakers, stale serving,
-// batch) comes from the executor.
+// everything else (cache keys, singleflight, breakers, batch) comes
+// from the executor.
 type fakeAnalysis struct {
 	name string
 	warm []engine.Params
@@ -69,14 +70,15 @@ func (f *fakeAnalysis) Compute(ctx context.Context, repo *materials.Repository, 
 func (f *fakeAnalysis) WarmParams() []engine.Params { return f.warm }
 
 // newFakeExecutor builds an executor over one fake analysis with the
-// full ladder enabled: cache, breakers (threshold 3), stale serving.
+// full ladder enabled: a one-dataset registry holding the seed corpus,
+// a 16-answer cache and breakers (threshold 3).
 func newFakeExecutor(f *fakeAnalysis) (*engine.Executor, *serving.Cache, *resilience.BreakerSet) {
 	cache := serving.NewCache(16)
 	breakers := resilience.NewBreakerSet(3, time.Minute)
 	e := engine.NewExecutor(engine.NewRegistry(f), engine.ExecutorOptions{
-		Cache:      cache,
-		Breakers:   breakers,
-		StaleServe: true,
+		Datasets: dataset.NewRegistry(nil),
+		Cache:    cache,
+		Breakers: breakers,
 	})
 	return e, cache, breakers
 }
@@ -85,98 +87,116 @@ func vals(key string) url.Values { return url.Values{"key": []string{key}} }
 
 // TestFakeAnalysisFullLadder registers ONE fake analysis and drives it
 // through every serving behaviour the executor promises — miss, hit,
-// stale degradation, circuit breaking, recovery, and batch — proving
-// that an analysis gets the whole ladder from a single registration.
+// held answers under a failing compute and an open circuit, circuit
+// breaking, recovery, eviction, and batch — proving that an analysis
+// gets the whole ladder from a single registration.
 func TestFakeAnalysisFullLadder(t *testing.T) {
 	f := newFake("fake")
 	var computes int32
-	f.set(func(ctx context.Context, p fakeParams) (interface{}, error) {
+	healthy := func(ctx context.Context, p fakeParams) (interface{}, error) {
 		atomic.AddInt32(&computes, 1)
 		return "value:" + p.key, nil
-	})
+	}
+	f.set(healthy)
 	e, cache, breakers := newFakeExecutor(f)
 	ctx := context.Background()
+	run := func(key string) (interface{}, engine.Outcome, error) {
+		return e.Run(ctx, "fake", vals(key))
+	}
 
 	// Miss then hit under the canonical key.
-	v, out, err := e.Run(ctx, "fake", vals("a"))
+	v, out, err := run("a")
 	if err != nil || v != "value:a" || out.Cache != "miss" || out.Key != "fake|a" {
 		t.Fatalf("first run: v=%v out=%+v err=%v", v, out, err)
 	}
-	if _, out, _ := e.Run(ctx, "fake", vals("a")); out.Cache != "hit" {
+	if _, out, _ := run("a"); out.Cache != "hit" {
 		t.Fatalf("second run not a hit: %+v", out)
 	}
 	if n := atomic.LoadInt32(&computes); n != 1 {
 		t.Fatalf("computes = %d, want 1", n)
 	}
 
-	// Break the compute path: the cached key degrades to its stale
-	// last-known-good value after the fresh entry is wiped.
-	cache.Reset()
+	// Break the compute path. The held answer is still a hit: it never
+	// reaches the breaker or the compute.
 	f.set(func(ctx context.Context, p fakeParams) (interface{}, error) {
+		atomic.AddInt32(&computes, 1)
 		return nil, fmt.Errorf("backend exploded")
 	})
 	for i := 0; i < 3; i++ {
-		v, out, err := e.Run(ctx, "fake", vals("a"))
-		if err != nil || v != "value:a" || out.Cache != "stale" || !out.Stale {
-			t.Fatalf("degraded run %d: v=%v out=%+v err=%v", i, v, out, err)
+		if v, out, err := run("a"); err != nil || v != "value:a" || out.Cache != "hit" {
+			t.Fatalf("held run %d: v=%v out=%+v err=%v", i, v, out, err)
 		}
 	}
-	// Each degraded run launched a detached refresh of the same key.
-	// Wait until all six calls have settled — each one either led a
-	// flight, and so left one breaker decision (a failure or a
-	// rejection), or shared a flight — so that no refresh is left to
-	// take the half-open probe the post-recovery run below needs.
-	settled := func() uint64 {
-		bs := breakers.Get("fake").Stats()
-		return bs.Failures + bs.Rejected + cache.Stats().Shared
-	}
-	for deadline := time.Now().Add(10 * time.Second); settled() < 6; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("stale refreshes did not settle: %d of 6 calls", settled())
-		}
+	if n := atomic.LoadInt32(&computes); n != 1 {
+		t.Fatalf("held answers computed: computes = %d, want 1", n)
 	}
 
-	// Three consecutive failures opened the breaker; an uncached key now
-	// fails fast with ErrOpen without touching Compute.
+	// An answer that is not held computes and fails; each failing flight
+	// records exactly one breaker failure, and three open the circuit.
+	for i := 1; i <= 3; i++ {
+		if _, _, err := run("b"); err == nil || errors.Is(err, resilience.ErrOpen) {
+			t.Fatalf("unheld run %d: err = %v, want the compute's error", i, err)
+		}
+		if bs := breakers.Get("fake").Stats(); bs.Failures != uint64(i) {
+			t.Fatalf("after %d failing flights the breaker recorded %d failures", i, bs.Failures)
+		}
+	}
 	if st := breakers.Get("fake").Stats(); st.State != "open" {
 		t.Fatalf("breaker state = %q, want open", st.State)
 	}
+
+	// Open circuit: an uncached key fails fast with ErrOpen without
+	// touching Compute, while the held answer is still a hit.
 	before := atomic.LoadInt32(&computes)
-	_, _, err = e.Run(ctx, "fake", vals("b"))
-	if !errors.Is(err, resilience.ErrOpen) {
+	if _, _, err := run("c"); !errors.Is(err, resilience.ErrOpen) {
 		t.Fatalf("uncached key under open circuit: err = %v", err)
+	}
+	if v, out, err := run("a"); err != nil || v != "value:a" || out.Cache != "hit" {
+		t.Fatalf("held key under open circuit: v=%v out=%+v err=%v", v, out, err)
 	}
 	if atomic.LoadInt32(&computes) != before {
 		t.Fatal("open circuit still invoked Compute")
 	}
-
-	// Stats accounting saw the failures and the stale serves.
-	st := e.Stats().Analyses["fake"]
-	if st.Failures < 3 || st.StaleServed < 3 {
-		t.Fatalf("stats = %+v", st)
+	if st := e.Stats().Analyses["fake"]; st.Failures != 3 || st.Computes != 4 {
+		t.Fatalf("stats = %+v, want 3 failures of 4 computes", st)
 	}
 
 	// Heal and wait out the cooldown: the half-open probe recomputes and
-	// fresh serving resumes.
+	// serving resumes.
 	breakers.SetClock(func() time.Time { return time.Now().Add(2 * time.Minute) })
-	f.set(func(ctx context.Context, p fakeParams) (interface{}, error) {
-		atomic.AddInt32(&computes, 1)
-		return "value:" + p.key, nil
-	})
-	v, out, err = e.Run(ctx, "fake", vals("b"))
+	f.set(healthy)
+	v, out, err = run("b")
 	if err != nil || v != "value:b" || out.Cache != "miss" {
 		t.Fatalf("post-recovery run: v=%v out=%+v err=%v", v, out, err)
 	}
 
-	// The same registration serves batch items with identical semantics.
+	// An answer evicted past the bound is gone: its next read computes
+	// it once, and the one after is a hit.
+	for i := 0; i < cache.Stats().Capacity; i++ {
+		if _, _, err := run(fmt.Sprintf("filler-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = atomic.LoadInt32(&computes)
+	for i, want := range []string{"miss", "hit"} {
+		if v, out, err := run("a"); err != nil || v != "value:a" || out.Cache != want {
+			t.Fatalf("evicted key, read %d: v=%v out=%+v err=%v, want %s", i, v, out, err, want)
+		}
+	}
+	if n := atomic.LoadInt32(&computes) - before; n != 1 {
+		t.Fatalf("the evicted answer was computed %d times, want once", n)
+	}
+
+	// The same registration serves batch items with identical semantics:
+	// b was evicted by the fillers, a was just recomputed.
 	results := e.RunBatch(ctx, []engine.BatchItem{
 		{Analysis: "fake", Params: map[string]string{"key": "a"}},
 		{Analysis: "fake", Params: map[string]string{"key": "b"}},
 	})
-	if results[0].Error != nil || results[0].Cache != "stale" && results[0].Cache != "hit" && results[0].Cache != "miss" {
+	if results[0].Error != nil || results[0].Cache != "hit" || results[0].Data != "value:a" {
 		t.Fatalf("batch[0] = %+v", results[0])
 	}
-	if results[1].Error != nil || results[1].Cache != "hit" || results[1].Data != "value:b" {
+	if results[1].Error != nil || results[1].Cache != "miss" || results[1].Data != "value:b" {
 		t.Fatalf("batch[1] = %+v", results[1])
 	}
 }
@@ -277,11 +297,11 @@ func TestCancellationStopsCompute(t *testing.T) {
 	}
 
 	// Cancellation is not a failure: breaker closed, nothing cached.
-	if st := breakers.Get("fake").Stats(); st.State != "closed" {
-		t.Fatalf("breaker after cancellation = %q", st.State)
+	if st := breakers.Get("fake").Stats(); st.State != "closed" || st.Failures != 0 {
+		t.Fatalf("breaker after cancellation = %+v", st)
 	}
-	if _, ok := cache.Get("fake|a"); ok {
-		t.Fatal("cancelled compute was cached")
+	if st := cache.Stats(); st.Size != 0 {
+		t.Fatalf("cancelled compute was cached: %+v", st)
 	}
 }
 

@@ -19,14 +19,10 @@ import (
 
 // ExecutorOptions configures an Executor.
 type ExecutorOptions struct {
-	// Repo is the course repository handed to every Compute in
-	// single-repository mode. Ignored when Datasets is set.
-	Repo *materials.Repository
-	// Datasets, when non-nil, puts the executor in multi-dataset mode:
-	// every run resolves its repository through the registry, cache
-	// keys gain a "<dataset>@<revision>|" generation prefix, and
-	// breakers, stats, and fault labels partition per
-	// (dataset, analysis).
+	// Datasets is the dataset registry every run resolves its
+	// repository through; required. Cache keys carry a
+	// "<dataset>@<revision>|" generation prefix, and breakers, stats,
+	// and fault labels partition per (dataset, analysis).
 	Datasets *dataset.Registry
 	// Cache is the result cache + singleflight group; required.
 	Cache *serving.Cache
@@ -36,8 +32,8 @@ type ExecutorOptions struct {
 	// Faults injects chaos into compute paths under the label
 	// "compute/<scope>"; nil injects nothing.
 	Faults *faultinject.Injector
-	// StaleServe enables the last-known-good fallback when a compute
-	// fails, times out, or is circuit-broken.
+	// Deprecated: StaleServe has no effect. Every held answer is served
+	// as a cache hit; an answer that is not held is computed or fails.
 	StaleServe bool
 }
 
@@ -46,37 +42,32 @@ type Outcome struct {
 	// Key is the logical cache key, "<name>|<params.CacheKey()>" — the
 	// client-facing identity of the computation, identical across
 	// datasets and revisions. The physical cache key adds the
-	// "<dataset>@<revision>|" generation prefix in multi-dataset mode.
+	// "<dataset>@<revision>|" generation prefix.
 	Key string
 	// Dataset is the dataset the computation resolved against.
 	Dataset string
-	// Revision is the dataset revision served (0 in single-repo mode).
+	// Revision is the dataset revision served.
 	Revision uint64
-	// Cache is "hit" (retained entry or shared flight), "miss" (this
-	// call computed), or "stale" (degraded last-known-good serve).
+	// Cache is "hit" (held answer or shared flight) or "miss" (this call
+	// computed).
 	Cache string
-	// Stale marks a degraded response.
-	Stale bool
 }
 
 // analysisStats counts per-scope executor activity.
 type analysisStats struct {
-	computes    uint64
-	failures    uint64
-	staleServed uint64
-	hits        uint64
-	misses      uint64
+	computes uint64
+	failures uint64
+	hits     uint64
+	misses   uint64
 }
 
-// AnalysisStats is the JSON form of one scope's executor counters. In
-// multi-dataset mode the map key is the scope name: the bare analysis
-// name for the default dataset, "<dataset>/<analysis>" otherwise — so
-// per-dataset serving behaviour is separable in /debug/metrics and
-// /metrics.
+// AnalysisStats is the JSON form of one scope's executor counters. The
+// map key is the scope name: the bare analysis name for the default
+// dataset, "<dataset>/<analysis>" otherwise — so per-dataset serving
+// behaviour is separable in /debug/metrics and /metrics.
 type AnalysisStats struct {
 	Computes    uint64 `json:"computes"`
 	Failures    uint64 `json:"failures"`
-	StaleServed uint64 `json:"stale_served"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 }
@@ -85,8 +76,8 @@ type AnalysisStats struct {
 // accounting plus batch totals.
 type Stats struct {
 	Analyses map[string]AnalysisStats `json:"analyses"`
-	// Refresh breaks down invalidation and warm-start recompute
-	// activity per dataset (absent until a refresh or warm compute
+	// Refresh breaks down invalidation, migration and NNMF iterations
+	// per dataset (absent until a refresh or an iterative compute
 	// happens).
 	Refresh      map[string]RefreshStats `json:"refresh,omitempty"`
 	BatchCalls   uint64                  `json:"batch_calls"`
@@ -94,33 +85,29 @@ type Stats struct {
 	BatchWorkers int                     `json:"batch_workers"`
 }
 
-// Executor runs registered analyses through the serving ladder: fresh
-// cache → breaker-guarded singleflight compute → stale last-known-good
-// fallback. Every surface (HTTP handlers, the batch endpoint, warmup,
-// CLIs) goes through the same entry points, so the semantics of a
-// cache key, a breaker, or a stale serve cannot diverge per caller.
+// Executor runs registered analyses through the serving ladder: cache
+// → breaker-guarded singleflight compute. Every surface (HTTP handlers,
+// the batch endpoint, warmup, CLIs) goes through the same entry points,
+// so the semantics of a cache key or a breaker cannot diverge per
+// caller.
 //
-// In multi-dataset mode (ExecutorOptions.Datasets) the ladder is
-// partitioned per dataset: RunOn/RunParamsOn resolve a snapshot from
-// the registry, physical cache keys carry the snapshot's revision (so
-// an ingest can never race an in-flight compute into a torn or
-// cross-revision read), and breakers/stats/fault labels are scoped
-// "<dataset>/<analysis>" for non-default datasets.
+// The ladder is partitioned per dataset: RunOn/RunParamsOn resolve a
+// snapshot from the registry, physical cache keys carry the snapshot's
+// revision (so an ingest can never race an in-flight compute into a
+// torn or cross-revision read), and breakers/stats/fault labels are
+// scoped "<dataset>/<analysis>" for non-default datasets.
 type Executor struct {
-	reg        *Registry
-	repo       *materials.Repository
-	datasets   *dataset.Registry
-	cache      *serving.Cache
-	breakers   *resilience.BreakerSet
-	faults     *faultinject.Injector
-	staleServe bool
+	reg      *Registry
+	datasets *dataset.Registry
+	cache    *serving.Cache
+	breakers *resilience.BreakerSet
+	faults   *faultinject.Injector
 
 	batchWorkers int
 
 	mu         sync.Mutex
 	stats      map[string]*analysisStats
 	refresh    map[string]*refreshStats
-	priors     map[string]interface{}
 	batchCalls uint64
 	batchItems uint64
 }
@@ -133,49 +120,28 @@ type Executor struct {
 func NewExecutor(reg *Registry, o ExecutorOptions) *Executor {
 	e := &Executor{
 		reg:          reg,
-		repo:         o.Repo,
 		datasets:     o.Datasets,
 		cache:        o.Cache,
 		breakers:     o.Breakers,
 		faults:       o.Faults,
-		staleServe:   o.StaleServe,
 		batchWorkers: DefaultBatchWorkers,
 		stats:        make(map[string]*analysisStats),
 		refresh:      make(map[string]*refreshStats),
-		priors:       make(map[string]interface{}),
 	}
 	if e.breakers != nil {
 		for _, name := range reg.Names() {
 			e.breakers.Get(name)
 		}
 	}
-	if e.datasets != nil && e.cache != nil {
-		// Physical keys carry the dataset generation prefix, so the
-		// cache can partition its budget per dataset: one tenant's fill
-		// evicts only that tenant's entries.
-		e.cache.SetScopeFunc(DatasetScope)
-	}
+	// Physical keys carry the dataset generation prefix, so the cache
+	// can partition its budget per dataset: one tenant's fill evicts
+	// only that tenant's entries.
+	e.cache.SetScopeFunc(DatasetScope)
 	return e
 }
 
 // Registry exposes the analysis registry.
 func (e *Executor) Registry() *Registry { return e.reg }
-
-// Datasets exposes the dataset registry (nil in single-repo mode).
-func (e *Executor) Datasets() *dataset.Registry { return e.datasets }
-
-// Repo exposes the repository analyses compute over: the configured
-// single repository, or the default dataset's current snapshot in
-// multi-dataset mode.
-func (e *Executor) Repo() *materials.Repository {
-	if e.datasets != nil {
-		if snap, ok := e.datasets.Get(dataset.DefaultID); ok {
-			return snap.Repo()
-		}
-		return nil
-	}
-	return e.repo
-}
 
 // scopeName is the per-(dataset, analysis) identifier used for
 // breakers, executor stats, and fault labels. The default dataset
@@ -201,14 +167,8 @@ func SplitScope(scope string) (ds, analysis string) {
 }
 
 // resolve maps a dataset ID to the repository and revision a run
-// computes over. Single-repo executors only know the default dataset.
+// computes over.
 func (e *Executor) resolve(ds string) (*materials.Repository, uint64, error) {
-	if e.datasets == nil {
-		if ds != dataset.DefaultID {
-			return nil, 0, Errorf(404, "not_found", "unknown dataset %q", ds)
-		}
-		return e.repo, 0, nil
-	}
 	if err := dataset.ValidateID(ds); err != nil {
 		return nil, 0, Errorf(400, "bad_request", "%s", err.Error())
 	}
@@ -219,23 +179,19 @@ func (e *Executor) resolve(ds string) (*materials.Repository, uint64, error) {
 	return snap.Repo(), snap.Revision(), nil
 }
 
-// physicalKey derives the cache/singleflight/stale key from the
-// logical key. In multi-dataset mode it is prefixed with the dataset
-// generation ("<dataset>@<revision>|"), so a re-ingested revision can
-// never collide with entries — or in-flight computes — of a previous
-// one, and invalidation can target exactly one dataset's entries.
-// Single-repo executors keep bare logical keys.
-func (e *Executor) physicalKey(ds string, rev uint64, logical string) string {
-	if e.datasets == nil {
-		return logical
-	}
+// physicalKey derives the cache/singleflight key from the logical key:
+// it is prefixed with the dataset generation ("<dataset>@<revision>|"),
+// so a re-ingested revision can never collide with entries — or
+// in-flight computes — of a previous one, and invalidation can target
+// exactly one dataset's entries.
+func physicalKey(ds string, rev uint64, logical string) string {
 	return fmt.Sprintf("%s@%d|%s", ds, rev, logical)
 }
 
 // DatasetScope maps a physical cache key to the dataset that owns it:
 // the "<dataset>@<revision>|<logical>" generation prefix identifies
 // the tenant ('@' and '|' cannot occur in a dataset ID). Keys without
-// a generation prefix (single-repo mode) fall into the shared "" scope.
+// a generation prefix fall into the shared "" scope.
 func DatasetScope(key string) string {
 	at := strings.IndexByte(key, '@')
 	if at <= 0 {
@@ -372,14 +328,13 @@ func (e *Executor) RunParams(ctx context.Context, a Analysis, p Params) (interfa
 // but cannot touch this run — it computes over its resolved snapshot
 // and stores under its resolved revision's key, which post-ingest
 // requests (holding the new revision) never read. There is no torn
-// read and no cross-revision stale serve.
+// read and no cross-revision answer.
 //
-// On a compute failure, timeout, or open circuit, a stale
-// last-known-good value (same dataset, same revision) is returned
-// (Outcome.Stale set) when stale serving is enabled and one exists,
-// while a breaker-gated refresh runs detached in the background.
-// Otherwise the error comes back: resilience.ErrOpen, context errors,
-// an *Error from the analysis, or the raw compute error.
+// A held answer is a hit and never reaches the breaker, the compute or
+// a deadline. Only an answer that is not held does; then a compute
+// failure, timeout, or open circuit comes back as its error:
+// resilience.ErrOpen, context errors, an *Error from the analysis, or
+// the raw compute error.
 // Tracing: when ctx carries an obs.Trace, the ladder walk is recorded
 // as ordered spans — the breaker decision (breaker-allow/breaker-open),
 // the compute (compute/compute-error/compute-canceled), plus the
@@ -387,16 +342,14 @@ func (e *Executor) RunParams(ctx context.Context, a Analysis, p Params) (interfa
 // analysis name and dataset ID for the per-stage histograms. The
 // guarded closure records into the trace of the request that INITIATED
 // the flight (the closure only runs for that caller), never into a
-// joiner's; the detached stale refresh runs a variant bound to an
-// untraced context, so a request's trace record never grows after it
-// is served.
+// joiner's.
 func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Params) (interface{}, Outcome, error) {
 	return value(e.answer(ctx, ds, a, p))
 }
 
 // answer walks RunParamsOn's ladder. The cache holds one
 // *serving.Answer per computed value, and every way out of it (a hit,
-// a shared flight, a stale serve) hands on that same answer.
+// a shared flight) hands on that same answer.
 func (e *Executor) answer(ctx context.Context, ds string, a Analysis, p Params) (*serving.Answer, Outcome, error) {
 	name := a.Name()
 	ctx = obs.WithAnalysis(obs.WithDataset(ctx, ds), name)
@@ -405,92 +358,60 @@ func (e *Executor) answer(ctx context.Context, ds string, a Analysis, p Params) 
 		return nil, Outcome{}, err
 	}
 	logical := Key(a, p)
-	key := e.physicalKey(ds, rev, logical)
 	scope := scopeName(ds, name)
 	var br *resilience.Breaker
 	if e.breakers != nil {
 		br = e.breakers.Get(scope)
 	}
-	// guardedWith binds the breaker-guarded compute to a trace context
-	// (tctx carries the span sink; fctx carries cancellation).
-	guardedWith := func(tctx context.Context) func(context.Context) (interface{}, error) {
-		return func(fctx context.Context) (interface{}, error) {
-			bsp := obs.StartSpan(tctx, "breaker")
-			if br != nil && !br.Allow() {
-				bsp.EndAs("breaker-open")
-				return nil, resilience.ErrOpen
-			}
-			bsp.EndAs("breaker-allow")
-			err := e.faults.ComputeError("compute/" + scope)
-			var v interface{}
-			if err == nil {
-				csp := obs.StartSpan(tctx, "compute")
-				var warm bool
-				v, warm, err = e.computeWithPrior(fctx, ds, scope, a, repo, p, key)
-				switch {
-				case err == nil && warm:
-					e.recordIterations(ds, true, v)
-					csp.EndAs("compute-warm")
-				case err == nil:
-					e.recordIterations(ds, false, v)
-					csp.End()
-				case errors.Is(err, context.Canceled):
-					csp.EndAs("compute-canceled")
-				default:
-					csp.EndAs("compute-error")
-				}
-			}
-			if br != nil {
-				br.Record(!IsServerFailure(err))
-			}
-			if IsServerFailure(err) {
-				e.countFailure(scope)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return serving.NewAnswer(v), nil
+	// guarded runs in the flight (fctx carries its cancellation) and
+	// records into the trace of the request that started it.
+	guarded := func(fctx context.Context) (interface{}, error) {
+		bsp := obs.StartSpan(ctx, "breaker")
+		if br != nil && !br.Allow() {
+			bsp.EndAs("breaker-open")
+			return nil, resilience.ErrOpen
 		}
+		bsp.EndAs("breaker-allow")
+		err := e.faults.ComputeError("compute/" + scope)
+		var v interface{}
+		if err == nil {
+			csp := obs.StartSpan(ctx, "compute")
+			e.countCompute(scope)
+			v, err = a.Compute(fctx, repo, p)
+			switch {
+			case err == nil:
+				e.recordIterations(ds, v)
+				csp.End()
+			case errors.Is(err, context.Canceled):
+				csp.EndAs("compute-canceled")
+			default:
+				csp.EndAs("compute-error")
+			}
+		}
+		if br != nil {
+			br.Record(!IsServerFailure(err))
+		}
+		if IsServerFailure(err) {
+			e.countFailure(scope)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return serving.NewAnswer(v), nil
 	}
-	guarded := guardedWith(ctx)
 
-	v, served, err := e.cache.DoCtxFn(ctx, key, guarded)
-	if err == nil {
-		out := Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "miss"}
-		if served {
-			out.Cache = "hit"
-			e.countHit(scope)
-		} else {
-			e.countMiss(scope)
-		}
-		return v.(*serving.Answer), out, nil
-	}
-	if errors.Is(err, context.Canceled) {
-		// Every waiter left; there is nobody to answer and nothing to
-		// degrade for.
+	v, served, err := e.cache.DoCtxFn(ctx, physicalKey(ds, rev, logical), guarded)
+	if err != nil {
 		return nil, Outcome{}, err
 	}
-
-	if e.staleServe && (errors.Is(err, resilience.ErrOpen) || errors.Is(err, context.DeadlineExceeded) || IsServerFailure(err)) {
-		if sv, ok := e.cache.Stale(key); ok {
-			ans := sv.(*serving.Answer)
-			e.countStale(scope)
-			obs.AddSpan(ctx, "stale-serve", time.Time{})
-			obs.AddSpan(ctx, "stale-refresh", time.Time{}) // detached refresh launched
-			// Seed the refresh with the value being served: the key is
-			// revision-scoped, so the repository is unchanged and a
-			// warm-startable analysis can adopt the last-known-good
-			// result instead of solving cold. Non-warmable analyses
-			// ignore the seed.
-			e.seedPrior(key, ans.Value)
-			refresh := guardedWith(context.Background()) // lint:detach DESIGN §9: the stale refresh must outlive the request that tripped it
-			go func() {
-				_, _, _ = e.cache.Do(key, func() (interface{}, error) { return refresh(context.Background()) }) // lint:detach same blessed refresh, inside the detached flight
-			}()
-			return ans, Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "stale", Stale: true}, nil
-		}
+	out := Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "miss"}
+	if served {
+		out.Cache = "hit"
+		e.countHit(scope)
+	} else {
+		e.countMiss(scope)
 	}
-	return nil, Outcome{}, err
+	return v.(*serving.Answer), out, nil
 }
 
 // Warm pre-computes the default dataset's warmable analyses.
@@ -527,28 +448,16 @@ func (e *Executor) WarmDataset(ctx context.Context, ds string) error {
 	return nil
 }
 
-// InvalidateDataset drops every cache and stale entry belonging to ds
-// except those of revision keep (pass the just-ingested revision, or 0
-// on delete to purge everything), returning the number of entries
+// InvalidateDataset drops every cache entry belonging to ds except
+// those of revision keep (pass the just-ingested revision, or 0 on
+// delete to purge everything), returning the number of entries
 // dropped. Called after an ingest swaps the snapshot, it also sweeps
 // entries stored by computes that were in flight across the swap —
-// their keys carry the old revision and can never be read again. No-op
-// in single-repo mode.
+// their keys carry the old revision and can never be read again.
 func (e *Executor) InvalidateDataset(ds string, keep uint64) int {
-	fresh, stale := e.invalidateDatasetDetail(ds, keep)
-	return fresh + stale
-}
-
-// invalidateDatasetDetail is InvalidateDataset with the fresh and
-// stale drops reported separately (see serving.Cache.InvalidateDetail:
-// the stale count proves the sweep reached stale-only survivors).
-func (e *Executor) invalidateDatasetDetail(ds string, keep uint64) (fresh, stale int) {
-	if e.datasets == nil || e.cache == nil {
-		return 0, 0
-	}
 	prefix := ds + "@"
 	keepPrefix := fmt.Sprintf("%s@%d|", ds, keep)
-	return e.cache.InvalidateDetail(func(key string) bool {
+	return e.cache.Invalidate(func(key string) bool {
 		return strings.HasPrefix(key, prefix) && (keep == 0 || !strings.HasPrefix(key, keepPrefix))
 	})
 }
@@ -558,16 +467,13 @@ func (e *Executor) invalidateDatasetDetail(ds string, keep uint64) (fresh, stale
 // counters (a deleted tenant must vanish from /debug/metrics and the
 // csm_ families, not linger at its last values), executor stats
 // scopes, and "<ds>/<analysis>" breakers. Returns the number of cache
-// entries (fresh + stale) dropped. The default dataset's serving state
-// is never dropped here — it cannot be deleted.
+// entries dropped. The default dataset's serving state is never
+// dropped here — it cannot be deleted.
 func (e *Executor) DropDatasetServingState(ds string) int {
-	if e.datasets == nil || ds == dataset.DefaultID {
+	if ds == dataset.DefaultID {
 		return 0
 	}
-	n := 0
-	if e.cache != nil {
-		n = e.cache.DropScope(ds)
-	}
+	n := e.cache.DropScope(ds)
 	if e.breakers != nil {
 		e.breakers.DropPrefix(ds + "/")
 	}
@@ -578,12 +484,6 @@ func (e *Executor) DropDatasetServingState(ds string) int {
 		}
 	}
 	delete(e.refresh, ds)
-	prefix := ds + "@"
-	for k := range e.priors {
-		if strings.HasPrefix(k, prefix) {
-			delete(e.priors, k)
-		}
-	}
 	e.mu.Unlock()
 	return n
 }
@@ -598,12 +498,6 @@ func (e *Executor) countFailure(scope string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.statLocked(scope).failures++
-}
-
-func (e *Executor) countStale(scope string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.statLocked(scope).staleServed++
 }
 
 func (e *Executor) countHit(scope string) {
@@ -642,7 +536,6 @@ func (e *Executor) Stats() Stats {
 		out.Analyses[scope] = AnalysisStats{
 			Computes:    s.computes,
 			Failures:    s.failures,
-			StaleServed: s.staleServed,
 			CacheHits:   s.hits,
 			CacheMisses: s.misses,
 		}
@@ -652,15 +545,11 @@ func (e *Executor) Stats() Stats {
 			out.Refresh = make(map[string]RefreshStats, len(e.refresh))
 		}
 		out.Refresh[ds] = RefreshStats{
-			Delta:            s.delta,
-			Full:             s.full,
-			InvalidatedFresh: s.invalidatedFresh,
-			InvalidatedStale: s.invalidatedStale,
-			Migrated:         s.migrated,
-			WarmStarts:       s.warmStarts,
-			WarmFallbacks:    s.warmFallbacks,
-			WarmIterations:   s.warmIterations,
-			ColdIterations:   s.coldIterations,
+			Delta:          s.delta,
+			Full:           s.full,
+			Invalidated:    s.invalidated,
+			Migrated:       s.migrated,
+			ColdIterations: s.coldIterations,
 		}
 	}
 	return out

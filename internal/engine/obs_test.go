@@ -86,28 +86,36 @@ func TestTraceSpanSequences(t *testing.T) {
 	}
 }
 
-func TestTraceComputeErrorAndStaleSpans(t *testing.T) {
+// TestTraceComputeErrorSpans: under a failing compute, an answer that
+// is not held walks the ladder to a compute-error span and returns the
+// error, while a held answer records a hit and nothing after it.
+func TestTraceComputeErrorSpans(t *testing.T) {
 	f := newFake("types")
-	e, cache, _ := newFakeExecutor(f)
+	e, _, _ := newFakeExecutor(f)
 	tracer := obs.NewTracer(16, tickClock())
 
-	// Warm the stale store, then fail the compute.
+	// Hold one answer, then fail the compute.
 	if _, err := runTraced(t, tracer, e, "types", url.Values{"key": {"a"}}); err != nil {
 		t.Fatal(err)
 	}
 	f.set(func(ctx context.Context, p fakeParams) (interface{}, error) {
 		return nil, fmt.Errorf("boom")
 	})
-	// Evict the fresh entry so the compute path runs again.
-	cache.Reset()
 
-	spans, err := runTraced(t, tracer, e, "types", url.Values{"key": {"a"}})
-	if err != nil {
-		t.Fatalf("stale serve should mask the failure: %v", err)
+	spans, err := runTraced(t, tracer, e, "types", url.Values{"key": {"b"}})
+	if err == nil {
+		t.Fatal("an answer that is not held must return the compute's error")
 	}
-	want := []string{"parse", "cache-miss", "singleflight-lead", "breaker-allow", "compute-error", "stale-serve", "stale-refresh"}
+	want := []string{"parse", "cache-miss", "singleflight-lead", "breaker-allow", "compute-error"}
 	if !reflect.DeepEqual(spans, want) {
-		t.Fatalf("stale spans = %v, want %v", spans, want)
+		t.Fatalf("compute-error spans = %v, want %v", spans, want)
+	}
+	spans, err = runTraced(t, tracer, e, "types", url.Values{"key": {"a"}})
+	if err != nil {
+		t.Fatalf("held answer under a failing compute: %v", err)
+	}
+	if want := []string{"parse", "cache-hit"}; !reflect.DeepEqual(spans, want) {
+		t.Fatalf("held spans = %v, want %v", spans, want)
 	}
 
 	// The stage histograms saw every labelled stage.
@@ -119,7 +127,7 @@ func TestTraceComputeErrorAndStaleSpans(t *testing.T) {
 		}
 		byStage[s.Stage] = s.Count
 	}
-	for _, stage := range []string{"parse", "cache-miss", "compute", "compute-error", "stale-serve", "store"} {
+	for _, stage := range []string{"parse", "cache-miss", "cache-hit", "compute", "compute-error", "store"} {
 		if byStage[stage] == 0 {
 			t.Fatalf("stage %q missing from aggregates: %v", stage, byStage)
 		}

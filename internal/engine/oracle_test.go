@@ -5,14 +5,15 @@ package engine_test
 // after each Registry.Apply + Executor.ApplyDelta every registered
 // analysis is read over a parameter grid and compared, byte for byte
 // and error for error, with a cold executor over the same snapshot (a
-// fresh cache and no warm-start priors): the refreshed executor's
-// stored answer bytes against the cold answer's value encoded afresh.
-// The whole grid is read before each delta too, so the entries a delta
-// migrates, bytes and all, are the ones checked.
+// fresh cache): the refreshed executor's stored answer bytes against
+// the cold answer's value encoded afresh. The whole grid is read before
+// each delta too, so the entries a delta migrates, bytes and all, are
+// the ones checked. After the sequential reads the grid runs again as
+// one Executor.RunBatch, which must answer item for item, in input
+// order, with the same bytes and errors.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/url"
@@ -23,6 +24,7 @@ import (
 	"csmaterials/internal/engine"
 	"csmaterials/internal/engine/analyses"
 	"csmaterials/internal/materials"
+	"csmaterials/internal/resilience"
 	"csmaterials/internal/serving"
 )
 
@@ -127,11 +129,7 @@ func oracleGrid(t testing.TB, reg *engine.Registry, courses []string) []gridRead
 func readAnswer(exec *engine.Executor, r gridRead, stored bool) string {
 	ans, _, err := exec.AnswerOn(context.Background(), oracleDataset, r.name, r.values)
 	if err != nil {
-		var ee *engine.Error
-		if errors.As(err, &ee) {
-			return fmt.Sprintf("error %d %s: %s", ee.Status, ee.Code, ee.Message)
-		}
-		return "error: " + err.Error()
+		return renderError(engine.AsError(err))
 	}
 	var b []byte
 	if stored {
@@ -143,6 +141,38 @@ func readAnswer(exec *engine.Executor, r gridRead, stored bool) string {
 		return "encode error: " + err.Error()
 	}
 	return string(b)
+}
+
+func renderError(ee *engine.Error) string {
+	return fmt.Sprintf("error %d %s: %s", ee.Status, ee.Code, ee.Message)
+}
+
+// batchAnswers runs the grid as one batch and renders each result as
+// readAnswer renders a read, its value encoded afresh.
+func batchAnswers(exec *engine.Executor, grid []gridRead) []string {
+	items := make([]engine.BatchItem, len(grid))
+	for i, r := range grid {
+		params := make(map[string]string, len(r.values))
+		for k := range r.values {
+			params[k] = r.values.Get(k)
+		}
+		items[i] = engine.BatchItem{Analysis: r.name, Dataset: oracleDataset, Params: params}
+	}
+	results := exec.RunBatch(context.Background(), items)
+	out := make([]string, len(results))
+	for i, res := range results {
+		if res.Error != nil {
+			out[i] = renderError(res.Error)
+			continue
+		}
+		b, err := serving.EncodeData(res.Data)
+		if err != nil {
+			out[i] = "encode error: " + err.Error()
+			continue
+		}
+		out[i] = string(b)
+	}
+	return out
 }
 
 // eventGen draws batches of classification events against the current
@@ -376,12 +406,16 @@ type oracleRun struct {
 	steps, reads      int
 	migrated, dropped int
 	changed           int
+	evicted           uint64
 }
 
 // runDeltaOracle ingests courses, then applies steps generated batches,
 // comparing the executor built over reg with a cold executor after
-// each. It returns the first mismatch.
-func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Course, seed int64, steps int) (oracleRun, error) {
+// each. It returns the first mismatch. A capacity of 0 lets the
+// executor under test hold every answer of the grid; a positive one
+// builds it as the server does, with default breakers and the cache
+// partitioned across the registry's datasets.
+func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Course, seed int64, steps, capacity int) (oracleRun, error) {
 	t.Helper()
 	var run oracleRun
 	datasets := dataset.NewRegistry(nil)
@@ -389,7 +423,14 @@ func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Cou
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := engine.NewExecutor(reg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(1024)})
+	cache := serving.NewCache(1024)
+	var breakers *resilience.BreakerSet
+	if capacity > 0 {
+		cache = serving.NewCache(capacity)
+		cache.Partition(datasets.IDs(), nil)
+		breakers = resilience.NewBreakerSet(resilience.DefaultBreakerThreshold, resilience.DefaultBreakerCooldown)
+	}
+	exec := engine.NewExecutor(reg, engine.ExecutorOptions{Datasets: datasets, Cache: cache, Breakers: breakers})
 	coldReg, err := analyses.Default()
 	if err != nil {
 		t.Fatal(err)
@@ -414,49 +455,66 @@ func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Cou
 				return run, fmt.Errorf("step %d: a delta snapshot refreshed in full", step)
 			}
 			run.migrated += out.Migrated
-			run.dropped += out.InvalidatedFresh
+			run.dropped += out.Invalidated
 			run.changed += len(snap.Delta().TagChanges)
 			run.steps++
 		}
 		cold := engine.NewExecutor(coldReg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(1024)})
-		for _, r := range grid {
+		wants := make([]string, len(grid))
+		for i, r := range grid {
 			got, want := readAnswer(exec, r, true), readAnswer(cold, r, false)
 			run.reads++
 			if got != want {
 				return run, fmt.Errorf("step %d (revision %d), %s:\n got  %.300s\n want %.300s",
 					step, snap.Revision(), r, got, want)
 			}
+			wants[i] = want
+		}
+		for i, got := range batchAnswers(exec, grid) {
+			if got != wants[i] {
+				return run, fmt.Errorf("step %d (revision %d), batch item %d, %s:\n got  %.300s\n want %.300s",
+					step, snap.Revision(), i, grid[i], got, wants[i])
+			}
 		}
 	}
+	run.evicted = cache.Stats().Evictions
 	return run, nil
 }
 
 // TestDeltaOracle runs the oracle over generated batches: many steps
-// on a small corpus that covers every group, a few on the seed corpus.
+// on a small corpus that covers every group, a few on the seed corpus,
+// and a bounded run on the small corpus whose cache holds fewer
+// answers than the grid reads, so reads evict and a delta migrates a
+// partly evicted scope.
 func TestDeltaOracle(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		courses []*materials.Course
-		seed    int64
-		steps   int
+		name     string
+		courses  []*materials.Course
+		seed     int64
+		steps    int
+		capacity int
 	}{
-		{"small corpus", smallCorpus(t), 1801, 40},
-		{"seed corpus", dataset.Courses(), 1802, 4},
+		{"small corpus", smallCorpus(t), 1801, 40, 0},
+		{"seed corpus", dataset.Courses(), 1802, 4, 0},
+		// Two datasets share 48 answers: the oracle's budget is 24, below
+		// the grid's 77 reads.
+		{"small corpus, bounded cache", smallCorpus(t), 1803, 20, 48},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg, err := analyses.Default()
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := runDeltaOracle(t, reg, tc.courses, tc.seed, tc.steps)
+			run, err := runDeltaOracle(t, reg, tc.courses, tc.seed, tc.steps, tc.capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d steps, %d reads: %d entries migrated, %d dropped, %d tag-set changes",
-				run.steps, run.reads, run.migrated, run.dropped, run.changed)
+			t.Logf("%d steps, %d reads: %d entries migrated, %d dropped, %d tag-set changes, %d evictions",
+				run.steps, run.reads, run.migrated, run.dropped, run.changed, run.evicted)
 			// The oracle proves nothing unless deltas both migrated and
-			// dropped entries, and some course's tag set changed.
-			if run.migrated == 0 || run.dropped == 0 || run.changed == 0 {
+			// dropped entries, and some course's tag set changed; a
+			// bounded run also proves nothing unless reads evicted.
+			if run.migrated == 0 || run.dropped == 0 || run.changed == 0 || (tc.capacity > 0 && run.evicted == 0) {
 				t.Fatalf("vacuous run: %+v", run)
 			}
 		})
@@ -504,7 +562,7 @@ func TestDeltaOracleCatchesUnderReporting(t *testing.T) {
 			}
 			a, _ := reg.Get(name)
 			reg.Replace(underReporting{a})
-			if _, err := runDeltaOracle(t, reg, smallCorpus(t), 1801, 40); err == nil {
+			if _, err := runDeltaOracle(t, reg, smallCorpus(t), 1801, 40, 0); err == nil {
 				t.Fatalf("the oracle passed with %s under-reporting", name)
 			} else {
 				t.Logf("caught: %v", err)

@@ -9,10 +9,9 @@ import (
 )
 
 // detachLayers are the package-path suffixes allowed to detach from a
-// caller's context when annotated: the engine executor (the blessed
-// guardedWith stale-refresh detach, DESIGN §9) and the serving cache
-// (detached singleflight flights that must survive a cancelled leader,
-// DESIGN §7). A lint:detach annotation anywhere else is not honored —
+// caller's context when annotated: the engine executor and the serving
+// cache (detached singleflight flights that must survive a cancelled
+// leader, DESIGN §7). A lint:detach annotation anywhere else is not honored —
 // handlers and compute code have no sanctioned reason to detach.
 var detachLayers = []string{"internal/engine", "internal/serving"}
 
@@ -28,9 +27,8 @@ var detachLayers = []string{"internal/engine", "internal/serving"}
 // client is gone and defeats the singleflight/breaker/shutdown
 // plumbing built on ctx. The only sanctioned detach points are lines
 // annotated `// lint:detach <rationale>` inside the engine or serving
-// layer (the guardedWith stale-refresh and the detached singleflight
-// flight); an annotation outside those layers does not suppress the
-// finding.
+// layer (the detached singleflight flight); an annotation outside those
+// layers does not suppress the finding.
 func CtxFlowAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",

@@ -14,7 +14,7 @@
 // while remaining race-clean under concurrent batch workers. All
 // span-recording entry points are nil-safe no-ops when the context
 // carries no trace, so compute paths never pay more than one context
-// lookup when tracing is off (CLIs, background refreshes).
+// lookup when tracing is off (CLIs, warmup).
 //
 // Span taxonomy (the stage names the executor and cache emit):
 //
@@ -24,7 +24,6 @@
 //	breaker-allow | breaker-open
 //	compute | compute-error | compute-canceled
 //	store
-//	stale-serve | stale-refresh
 //	batch-item
 //
 // Finished traces land in the Tracer's fixed-size ring buffer,

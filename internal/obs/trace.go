@@ -15,7 +15,7 @@ const MaxSpans = 512
 // start order under the trace mutex; concurrent writers (batch
 // workers) interleave safely and the sequence records genuine start
 // order. After Finish the trace is sealed: late span starts (e.g. a
-// detached stale refresh that outlives its request) are refused so the
+// singleflight flight that outlives its request) are refused so the
 // ring buffer holds immutable records.
 type Trace struct {
 	id    string

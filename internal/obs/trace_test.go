@@ -35,10 +35,10 @@ func TestSpanSequenceAndRecord(t *testing.T) {
 	cs.End()
 	start := Now(ctx)
 	AddSpan(ctx, "singleflight-join", start)
-	AddSpan(ctx, "stale-serve", time.Time{}) // instantaneous mark
+	AddSpan(ctx, "breaker-open", time.Time{}) // instantaneous mark
 	tr.Finish(trace)
 
-	want := []string{"cache-miss", "compute", "singleflight-join", "stale-serve"}
+	want := []string{"cache-miss", "compute", "singleflight-join", "breaker-open"}
 	if got := trace.SpanNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("span sequence = %v, want %v", got, want)
 	}
@@ -108,7 +108,7 @@ func TestSealedTraceRefusesLateSpans(t *testing.T) {
 	ctx, trace := tr.Start(context.Background(), "r")
 	StartSpan(ctx, "compute").End()
 	tr.Finish(trace)
-	if sp := StartSpan(ctx, "stale-refresh"); sp != nil {
+	if sp := StartSpan(ctx, "store"); sp != nil {
 		t.Fatal("sealed trace accepted a new span")
 	}
 	AddSpan(ctx, "late", time.Time{})

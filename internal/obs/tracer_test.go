@@ -131,9 +131,9 @@ func TestRingBufferConcurrency(t *testing.T) {
 				}
 				inner.Wait()
 				tr.Finish(trace)
-				// A late span from a detached refresh must be refused
-				// without racing the record snapshot.
-				StartSpan(ctx, "stale-refresh").End()
+				// A late span from a flight that outlived its request
+				// must be refused without racing the record snapshot.
+				StartSpan(ctx, "store").End()
 			}
 		}(w)
 	}

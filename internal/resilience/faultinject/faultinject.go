@@ -4,8 +4,8 @@
 // seeded RNG so a given seed always injects the same fault sequence.
 //
 // Tests and examples use it to prove the resilience ladder engages:
-// hold a request to overload the shedder, fail a compute path until
-// its breaker opens, and watch stale degradation take over.
+// hold a request to overload the shedder, and fail a compute path until
+// its breaker opens.
 package faultinject
 
 import (

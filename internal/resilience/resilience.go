@@ -1,8 +1,8 @@
 // Package resilience implements the degradation ladder the API walks
 // when the system is unhealthy: shed load first (reject excess work
-// fast with 429), break circuits second (stop calling a compute path
-// that keeps failing), and degrade third (serve last-known-good stale
-// results instead of errors, via internal/serving's stale store).
+// fast with 429), then break circuits (stop calling a compute path
+// that keeps failing). An answer the cache already holds is a hit and
+// never reaches either rung.
 //
 // The package is deliberately stdlib-only and HTTP-agnostic at its
 // core: TenantLimiter and Breaker expose Acquire/Release and

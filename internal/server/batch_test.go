@@ -17,7 +17,6 @@ type batchEnv struct {
 		Analysis string          `json:"analysis"`
 		Key      string          `json:"key"`
 		Cache    string          `json:"cache"`
-		Stale    bool            `json:"stale"`
 		Data     json.RawMessage `json:"data"`
 		Error    *struct {
 			Status  int    `json:"status"`

@@ -32,8 +32,8 @@ const MaxPatchBody = 1 << 20
 
 // IngestMeta is the meta block of PUT /api/v1/datasets/{ds} responses.
 type IngestMeta struct {
-	// Invalidated counts the cache entries (fresh + stale) of the
-	// dataset's previous revisions dropped by this ingest.
+	// Invalidated counts the cache entries of the dataset's previous
+	// revisions dropped by this ingest.
 	Invalidated int `json:"invalidated"`
 }
 
@@ -59,8 +59,7 @@ type PatchMeta struct {
 // DatasetDeleted is the DELETE /api/v1/datasets/{ds} data payload.
 type DatasetDeleted struct {
 	ID string `json:"id"`
-	// Invalidated counts the dataset's cache entries (fresh + stale)
-	// dropped with it.
+	// Invalidated counts the dataset's cache entries dropped with it.
 	Invalidated int `json:"invalidated"`
 }
 
@@ -140,7 +139,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	if !ok { // deleted in the same instant; report the revision ingested
 		meta = snap.Meta()
 	}
-	writeData(w, http.StatusOK, meta, IngestMeta{Invalidated: outcome.Invalidated()})
+	writeData(w, http.StatusOK, meta, IngestMeta{Invalidated: outcome.Invalidated})
 }
 
 // handleDatasetPatch applies a delta — an ordered event list — on top

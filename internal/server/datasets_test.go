@@ -35,7 +35,6 @@ type dsEnv struct {
 	Meta struct {
 		Cache    string `json:"cache"`
 		Key      string `json:"key"`
-		Stale    bool   `json:"stale"`
 		Dataset  string `json:"dataset"`
 		Revision uint64 `json:"revision"`
 	} `json:"meta"`

@@ -118,7 +118,7 @@ func (s *Server) fleetForward(w http.ResponseWriter, r *http.Request, owner stri
 	defer resp.Body.Close()
 	sp.End()
 	w.Header().Set(fleet.OwnerHeader, owner)
-	for _, h := range []string{"Content-Type", "X-Served-Stale", "Retry-After"} {
+	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

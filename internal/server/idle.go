@@ -12,7 +12,7 @@ import (
 // positive, datasets (except the default — it backs the un-scoped
 // aliases and gates /readyz) that have gone unqueried for the TTL have
 // both reclaimed: the search index is dropped, the dataset's cache
-// entries (fresh + stale, all revisions) are invalidated, and /readyz
+// entries (all revisions) are invalidated, and /readyz
 // reports the dataset "idle". Per-scope cache counters survive — the
 // dataset still exists; only its warm state is released. The next
 // query rebuilds lazily and flips the state back to "ready". The clock

@@ -51,7 +51,6 @@ type requestEvent struct {
 	Query   string      `json:"query,omitempty"`
 	Route   string      `json:"route"`
 	Spans   []eventSpan `json:"spans"`
-	Stale   bool        `json:"stale,omitempty"`
 	Status  int         `json:"status"`
 	Trace   string      `json:"trace"`
 	TS      string      `json:"ts"`
@@ -110,17 +109,14 @@ func (s *Server) logWideEvent(route string, r *http.Request, sw *serving.StatusW
 	if hasSpan(rec, "breaker-open") {
 		ev.Breaker = "open"
 	}
-	ev.Stale = hasSpan(rec, "stale-serve")
 	s.events.Encode(&ev, &ev.TS)
 }
 
-// traceOutcome classifies how the ladder answered: "stale" dominates,
-// then "hit" (fresh cache or shared flight), then "miss" (computed
-// here); "" when the request never touched the cache (lists, health).
+// traceOutcome classifies how the ladder answered: "hit" (held answer
+// or shared flight), then "miss" (computed here); "" when the request
+// never touched the cache (lists, health).
 func traceOutcome(rec obs.TraceRecord) string {
 	switch {
-	case hasSpan(rec, "stale-serve"):
-		return "stale"
 	case hasSpan(rec, "cache-hit"), hasSpan(rec, "singleflight-join"):
 		return "hit"
 	case hasSpan(rec, "cache-miss"):

@@ -167,7 +167,6 @@ func TestPromExposition(t *testing.T) {
 		"# TYPE csm_cache_misses_total counter",
 		"# TYPE csm_cache_shared_flights_total counter",
 		"# TYPE csm_cache_evictions_total counter",
-		"# TYPE csm_cache_stale_served_total counter",
 		"# TYPE csm_cache_size gauge",
 		"# TYPE csm_shed_max_in_flight gauge",
 		"# TYPE csm_shed_admitted_total counter",
@@ -321,18 +320,18 @@ func TestWideEventGolden(t *testing.T) {
 	}
 
 	// Sampled, with every conditional key present: a dataset, a query,
-	// and a stale serve behind an open breaker.
+	// and a miss that an open breaker rejects.
 	serve("GET /api/v1/datasets/{id}/agreement", "/api/v1/datasets/pdc-2024/agreement", query,
 		func(w http.ResponseWriter, r *http.Request) {
 			an := obs.WithAnalysis(r.Context(), "agreement")
 			ds := obs.WithDataset(an, "pdc-2024")
 			step(r.Context(), "parse", 125*time.Microsecond)
-			step(ds, "cache-hit", 2*time.Microsecond)
+			step(ds, "cache-miss", 2*time.Microsecond)
 			obs.AddSpan(an, "breaker-open", time.Time{})
-			step(ds, "stale-serve", 1250*time.Microsecond)
-			clk.Advance(333 * time.Microsecond)
+			clk.Advance(1583 * time.Microsecond)
 			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"data":1}`))
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_, _ = w.Write([]byte(`{"error":1}`))
 		})
 	// Sampled, with every conditional key absent and no spans.
 	serve("GET /healthz", "/healthz", "", func(w http.ResponseWriter, r *http.Request) {
@@ -346,7 +345,7 @@ func TestWideEventGolden(t *testing.T) {
 		_, _ = w.Write([]byte("bad"))
 	})
 
-	want := `{"breaker":"open","bytes":10,"cache":"stale","dataset":"pdc-2024","dur_ms":1.71,"event":"request","method":"GET","path":"/api/v1/datasets/pdc-2024/agreement","query":"group=cs1\u0026q=\u003cb\u003e\"x\"\\y\u2028z","route":"GET /api/v1/datasets/{id}/agreement","spans":[{"ms":0.125,"name":"parse"},{"analysis":"agreement","dataset":"pdc-2024","ms":0.002,"name":"cache-hit"},{"analysis":"agreement","ms":0,"name":"breaker-open"},{"analysis":"agreement","dataset":"pdc-2024","ms":1.25,"name":"stale-serve"}],"stale":true,"status":200,"trace":"00000001","ts":"2026-10-17T12:00:00.123456789Z"}
+	want := `{"breaker":"open","bytes":11,"cache":"miss","dataset":"pdc-2024","dur_ms":1.71,"event":"request","method":"GET","path":"/api/v1/datasets/pdc-2024/agreement","query":"group=cs1\u0026q=\u003cb\u003e\"x\"\\y\u2028z","route":"GET /api/v1/datasets/{id}/agreement","spans":[{"ms":0.125,"name":"parse"},{"analysis":"agreement","dataset":"pdc-2024","ms":0.002,"name":"cache-miss"},{"analysis":"agreement","ms":0,"name":"breaker-open"}],"status":503,"trace":"00000001","ts":"2026-10-17T12:00:00.123456789Z"}
 {"bytes":0,"dur_ms":1,"event":"request","method":"GET","path":"/healthz","route":"GET /healthz","spans":[],"status":204,"trace":"00000002","ts":"2026-10-17T12:00:00.123456789Z"}
 {"bytes":3,"event":"request","method":"GET","path":"/api/v1/search","query":"group=cs1\u0026q=\u003cb\u003e\"x\"\\y\u2028z","route":"GET /api/v1/search","sampled":false,"status":400,"ts":"2026-10-17T12:00:00.123456789Z"}
 `

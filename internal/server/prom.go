@@ -65,14 +65,12 @@ func (s *Server) promFamilies() []obs.Family {
 	// tenant's budget pressure is visible in isolation.
 	cs := s.cache.Stats()
 	fams = append(fams,
-		counterFam("csm_cache_hits_total", "Fresh-cache hits.", cs.Hits),
-		counterFam("csm_cache_misses_total", "Fresh-cache misses.", cs.Misses),
+		counterFam("csm_cache_hits_total", "Lookups that found a held answer.", cs.Hits),
+		counterFam("csm_cache_misses_total", "Lookups that found no held answer.", cs.Misses),
 		counterFam("csm_cache_shared_flights_total", "Requests answered by another caller's singleflight.", cs.Shared),
-		counterFam("csm_cache_evictions_total", "Fresh-cache LRU evictions.", cs.Evictions),
-		counterFam("csm_cache_stale_served_total", "Degraded last-known-good serves.", cs.StaleServed),
-		gaugeFam("csm_cache_size", "Fresh entries currently retained.", float64(cs.Size)),
-		gaugeFam("csm_cache_capacity", "Fresh-cache capacity.", float64(cs.Capacity)),
-		gaugeFam("csm_cache_stale_size", "Stale last-known-good entries retained.", float64(cs.StaleSize)),
+		counterFam("csm_cache_evictions_total", "LRU evictions.", cs.Evictions),
+		gaugeFam("csm_cache_size", "Answers currently held.", float64(cs.Size)),
+		gaugeFam("csm_cache_capacity", "Cache capacity in answers.", float64(cs.Capacity)),
 	)
 	// As with the tenant families below, a single-tenant deployment
 	// (only the default dataset's scope) keeps the legacy exposition.
@@ -83,25 +81,21 @@ func (s *Server) promFamilies() []obs.Family {
 			scopes = append(scopes, scope)
 		}
 		sort.Strings(scopes)
-		dcBudget := obs.Family{Name: "csm_dataset_cache_budget", Help: "Fresh-entry cache budget per dataset.", Type: obs.Gauge}
-		dcSize := obs.Family{Name: "csm_dataset_cache_size", Help: "Fresh entries retained per dataset.", Type: obs.Gauge}
-		dcStale := obs.Family{Name: "csm_dataset_cache_stale_size", Help: "Stale entries retained per dataset.", Type: obs.Gauge}
-		dcHits := obs.Family{Name: "csm_dataset_cache_hits_total", Help: "Fresh-cache hits per dataset.", Type: obs.Counter}
-		dcMisses := obs.Family{Name: "csm_dataset_cache_misses_total", Help: "Fresh-cache misses per dataset.", Type: obs.Counter}
+		dcBudget := obs.Family{Name: "csm_dataset_cache_budget", Help: "Cache budget in answers per dataset.", Type: obs.Gauge}
+		dcSize := obs.Family{Name: "csm_dataset_cache_size", Help: "Answers held per dataset.", Type: obs.Gauge}
+		dcHits := obs.Family{Name: "csm_dataset_cache_hits_total", Help: "Lookups that found a held answer per dataset.", Type: obs.Counter}
+		dcMisses := obs.Family{Name: "csm_dataset_cache_misses_total", Help: "Lookups that found no held answer per dataset.", Type: obs.Counter}
 		dcEvict := obs.Family{Name: "csm_dataset_cache_evictions_total", Help: "Budget-scoped LRU evictions per dataset.", Type: obs.Counter}
-		dcStaleServed := obs.Family{Name: "csm_dataset_cache_stale_served_total", Help: "Degraded stale serves per dataset.", Type: obs.Counter}
 		for _, scope := range scopes {
 			sc := cs.Scopes[scope]
 			l := []obs.Label{{Name: "dataset", Value: scope}}
 			dcBudget.Samples = append(dcBudget.Samples, obs.Sample{Labels: l, Value: float64(sc.Budget)})
 			dcSize.Samples = append(dcSize.Samples, obs.Sample{Labels: l, Value: float64(sc.Size)})
-			dcStale.Samples = append(dcStale.Samples, obs.Sample{Labels: l, Value: float64(sc.StaleSize)})
 			dcHits.Samples = append(dcHits.Samples, obs.Sample{Labels: l, Value: float64(sc.Hits)})
 			dcMisses.Samples = append(dcMisses.Samples, obs.Sample{Labels: l, Value: float64(sc.Misses)})
 			dcEvict.Samples = append(dcEvict.Samples, obs.Sample{Labels: l, Value: float64(sc.Evictions)})
-			dcStaleServed.Samples = append(dcStaleServed.Samples, obs.Sample{Labels: l, Value: float64(sc.StaleServed)})
 		}
-		fams = append(fams, dcBudget, dcSize, dcStale, dcHits, dcMisses, dcEvict, dcStaleServed)
+		fams = append(fams, dcBudget, dcSize, dcHits, dcMisses, dcEvict)
 	}
 
 	// Resilience: two-level admission limiter (global + per-tenant
@@ -175,7 +169,6 @@ func (s *Server) promFamilies() []obs.Family {
 	sort.Strings(names)
 	computes := obs.Family{Name: "csm_analysis_computes_total", Help: "Computes started per (dataset, analysis).", Type: obs.Counter}
 	failures := obs.Family{Name: "csm_analysis_failures_total", Help: "Compute failures per (dataset, analysis).", Type: obs.Counter}
-	stale := obs.Family{Name: "csm_analysis_stale_served_total", Help: "Stale serves per (dataset, analysis).", Type: obs.Counter}
 	hits := obs.Family{Name: "csm_analysis_cache_hits_total", Help: "Requests served from cache or a shared flight per (dataset, analysis).", Type: obs.Counter}
 	misses := obs.Family{Name: "csm_analysis_cache_misses_total", Help: "Requests that computed per (dataset, analysis).", Type: obs.Counter}
 	for _, name := range names {
@@ -183,19 +176,17 @@ func (s *Server) promFamilies() []obs.Family {
 		l := scopeLabels(name)
 		computes.Samples = append(computes.Samples, obs.Sample{Labels: l, Value: float64(a.Computes)})
 		failures.Samples = append(failures.Samples, obs.Sample{Labels: l, Value: float64(a.Failures)})
-		stale.Samples = append(stale.Samples, obs.Sample{Labels: l, Value: float64(a.StaleServed)})
 		hits.Samples = append(hits.Samples, obs.Sample{Labels: l, Value: float64(a.CacheHits)})
 		misses.Samples = append(misses.Samples, obs.Sample{Labels: l, Value: float64(a.CacheMisses)})
 	}
-	fams = append(fams, computes, failures, stale, hits, misses,
+	fams = append(fams, computes, failures, hits, misses,
 		counterFam("csm_batch_calls_total", "Batch requests served.", es.BatchCalls),
 		counterFam("csm_batch_items_total", "Batch items executed.", es.BatchItems),
 		gaugeFam("csm_batch_workers", "Configured batch worker-pool size.", float64(es.BatchWorkers)),
 	)
 
 	// Incremental refresh: per-dataset delta/full refresh accounting,
-	// invalidation precision, stale-refresh warm starts and NNMF
-	// iterations. Emitted only once a dataset has refreshed, so cold
+	// invalidation precision and NNMF iterations. Emitted only once a dataset has refreshed, so cold
 	// single-tenant scrapes keep the legacy exposition.
 	if len(es.Refresh) > 0 {
 		refreshIDs := make([]string, 0, len(es.Refresh))
@@ -204,10 +195,8 @@ func (s *Server) promFamilies() []obs.Family {
 		}
 		sort.Strings(refreshIDs)
 		rfTotal := obs.Family{Name: "csm_refresh_total", Help: "Serving-layer refreshes per dataset by kind (delta = event-driven, full = whole-dataset invalidation).", Type: obs.Counter}
-		rfInval := obs.Family{Name: "csm_refresh_invalidated_total", Help: "Cache entries dropped by refreshes per dataset, by store.", Type: obs.Counter}
+		rfInval := obs.Family{Name: "csm_refresh_invalidated_total", Help: "Cache entries dropped by refreshes per dataset.", Type: obs.Counter}
 		rfMigrated := obs.Family{Name: "csm_refresh_migrated_total", Help: "Cache entries migrated to a new revision unchanged per dataset.", Type: obs.Counter}
-		rfWarm := obs.Family{Name: "csm_refresh_warm_starts_total", Help: "Stale refreshes answered warm from the value being served per dataset.", Type: obs.Counter}
-		rfFallback := obs.Family{Name: "csm_refresh_warm_fallbacks_total", Help: "Stale-refresh priors declined (cold recompute ran) per dataset.", Type: obs.Counter}
 		rfIters := obs.Family{Name: "csm_refresh_iterations_total", Help: "Iterations-to-converge accumulated per dataset by compute mode.", Type: obs.Counter}
 		for _, id := range refreshIDs {
 			rs := es.Refresh[id]
@@ -215,17 +204,12 @@ func (s *Server) promFamilies() []obs.Family {
 			rfTotal.Samples = append(rfTotal.Samples,
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "kind", Value: "delta"}}, Value: float64(rs.Delta)},
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "kind", Value: "full"}}, Value: float64(rs.Full)})
-			rfInval.Samples = append(rfInval.Samples,
-				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "store", Value: "fresh"}}, Value: float64(rs.InvalidatedFresh)},
-				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "store", Value: "stale"}}, Value: float64(rs.InvalidatedStale)})
+			rfInval.Samples = append(rfInval.Samples, obs.Sample{Labels: l, Value: float64(rs.Invalidated)})
 			rfMigrated.Samples = append(rfMigrated.Samples, obs.Sample{Labels: l, Value: float64(rs.Migrated)})
-			rfWarm.Samples = append(rfWarm.Samples, obs.Sample{Labels: l, Value: float64(rs.WarmStarts)})
-			rfFallback.Samples = append(rfFallback.Samples, obs.Sample{Labels: l, Value: float64(rs.WarmFallbacks)})
 			rfIters.Samples = append(rfIters.Samples,
-				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "cold"}}, Value: float64(rs.ColdIterations)},
-				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "warm"}}, Value: float64(rs.WarmIterations)})
+				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "cold"}}, Value: float64(rs.ColdIterations)})
 		}
-		fams = append(fams, rfTotal, rfInval, rfMigrated, rfWarm, rfFallback, rfIters)
+		fams = append(fams, rfTotal, rfInval, rfMigrated, rfIters)
 	}
 
 	// Dataset registry: one gauge set per registered dataset.

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"csmaterials/internal/resilience"
 	"csmaterials/internal/resilience/faultinject"
 	"csmaterials/internal/serving"
 )
@@ -116,12 +120,30 @@ func TestShedderRejects429UnderOverload(t *testing.T) {
 	}
 }
 
-// TestBreakerAndStaleDegradation walks stages 2 and 3 of the ladder
-// end to end under injected compute failures: stale serving while the
-// compute path fails, the circuit opening after the failure threshold,
-// fail-fast 503s for keys with no stale fallback, and half-open probe
-// recovery once the faults clear and the cooldown elapses.
-func TestBreakerAndStaleDegradation(t *testing.T) {
+// metricValue scrapes /metrics and returns the value of one series,
+// named exactly as the exposition writes it.
+func metricValue(t *testing.T, ts *httptest.Server, series string) string {
+	t.Helper()
+	_, body := get(t, ts, "/metrics")
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return ""
+}
+
+// TestBreakerServesHeldAnswers walks stage 2 of the ladder end to end
+// under injected compute failures. A held answer is a hit whatever the
+// compute path does: its exact bytes, meta.cache "hit", no compute and
+// no breaker decision, before and after the circuit opens. An answer
+// that is not held computes and fails; each failing flight records one
+// breaker failure, the threshold opens the circuit, and then such an
+// answer fails fast with 503 circuit_open + Retry-After. After recovery
+// the half-open probe closes the circuit, and an answer evicted past
+// the cache bound is computed exactly once more.
+func TestBreakerServesHeldAnswers(t *testing.T) {
 	clk := newFakeClock()
 	inj := faultinject.New(1)
 	s, err := NewWithOptions(Options{
@@ -140,40 +162,61 @@ func TestBreakerAndStaleDegradation(t *testing.T) {
 	s.warmup(context.Background()) // synchronous: /readyz is usable for breaker reporting
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	const held, computes = "/api/v1/types?group=cs1&k=3", `csm_analysis_computes_total{analysis="types",dataset="default"}`
+	typesBreaker := func() resilience.BreakerStats { return s.breakers.Get("types").Stats() }
 
-	// Healthy: prime the cache, then wipe the fresh entries so the
-	// only remaining copy is the stale last-known-good one.
-	e := getEnvelope(t, ts, "/api/v1/types?group=cs1&k=3", 200)
-	if e.Meta.Cache != "miss" || e.Meta.Stale {
-		t.Fatalf("prime meta = %+v", e.Meta)
+	// Healthy: hold one answer.
+	resp, primed := get(t, ts, held)
+	var pe env
+	decode(t, primed, &pe)
+	if resp.StatusCode != 200 || pe.Meta.Cache != "miss" {
+		t.Fatalf("prime: status %d meta %+v", resp.StatusCode, pe.Meta)
 	}
-	s.Cache().Reset()
+	// checkHeld asserts the held answer is served byte-exact as a hit,
+	// with no compute and no breaker decision.
+	checkHeld := func(when string) {
+		t.Helper()
+		before, breaker := metricValue(t, ts, computes), typesBreaker()
+		resp, body := get(t, ts, held)
+		var e env
+		decode(t, body, &e)
+		if resp.StatusCode != 200 || e.Meta.Cache != "hit" || !bytes.Equal(e.Data, pe.Data) {
+			t.Fatalf("%s: held answer status %d meta %+v, want its primed bytes as a hit", when, resp.StatusCode, e.Meta)
+		}
+		if h := resp.Header.Get("X-Served-Stale"); h != "" || bytes.Contains(body, []byte(`"stale"`)) {
+			t.Fatalf("%s: a held answer is marked degraded (header %q)\n%s", when, h, body)
+		}
+		if after := metricValue(t, ts, computes); after != before {
+			t.Fatalf("%s: csm_analysis_computes_total moved %s -> %s on a held answer", when, before, after)
+		}
+		if after := typesBreaker(); after.Failures != breaker.Failures || after.Successes != breaker.Successes || after.Rejected != breaker.Rejected {
+			t.Fatalf("%s: a held answer reached the breaker: %+v -> %+v", when, breaker, after)
+		}
+	}
 
-	// Stage: compute failures. Every types compute now fails before
-	// reaching factorize.Analyze.
+	// Every types compute now fails before reaching factorize.Analyze.
 	inj.SetRules(faultinject.Rule{Match: "compute/types", Probability: 1, Status: 500})
+	checkHeld("compute failing")
 
-	// Failing computes degrade to the stale copy instead of erroring.
-	for i := 0; i < 3; i++ {
-		resp, body := get(t, ts, "/api/v1/types?group=cs1&k=3")
-		if resp.StatusCode != 200 {
-			t.Fatalf("request %d during failures: status %d\n%s", i, resp.StatusCode, body)
+	// An answer that is not held fails with the compute's error; each
+	// failing flight records exactly one breaker failure.
+	for i := 1; i <= 3; i++ {
+		resp, body := get(t, ts, "/api/v1/types?group=cs1&k=4")
+		var ee errEnv
+		decode(t, body, &ee)
+		if resp.StatusCode != http.StatusInternalServerError || ee.Error.Code != "internal" {
+			t.Fatalf("failing request %d: status %d\n%s", i, resp.StatusCode, body)
 		}
-		if resp.Header.Get("X-Served-Stale") != "true" {
-			t.Fatalf("request %d: no X-Served-Stale header", i)
-		}
-		var se env
-		decode(t, body, &se)
-		if se.Meta.Cache != "stale" || !se.Meta.Stale {
-			t.Fatalf("request %d meta = %+v", i, se.Meta)
+		if bs := typesBreaker(); bs.Failures != uint64(i) {
+			t.Fatalf("after %d failing flights the breaker recorded %d failures", i, bs.Failures)
 		}
 	}
 
 	// Three consecutive failures: the types circuit is open, and
 	// /readyz reports it.
-	waitFor(t, "types breaker open", func() bool {
-		return s.breakers.Get("types").Stats().State == "open"
-	})
+	if st := typesBreaker().State; st != "open" {
+		t.Fatalf("types breaker = %q, want open", st)
+	}
 	re := getEnvelope(t, ts, "/readyz", 200)
 	var ready struct {
 		Status   string `json:"status"`
@@ -186,11 +229,11 @@ func TestBreakerAndStaleDegradation(t *testing.T) {
 		t.Fatalf("readyz = %+v", ready)
 	}
 
-	// Open circuit, no stale fallback for this key: fail fast with 503
-	// + Retry-After, without attempting the compute.
+	// Open circuit, answer not held: fail fast with 503 + Retry-After,
+	// without attempting the compute.
 	resp, body := get(t, ts, "/api/v1/types?group=cs1&k=5")
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("uncached key under open circuit: status %d\n%s", resp.StatusCode, body)
+		t.Fatalf("unheld key under open circuit: status %d\n%s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("circuit_open 503 without Retry-After")
@@ -201,12 +244,9 @@ func TestBreakerAndStaleDegradation(t *testing.T) {
 		t.Fatalf("error envelope = %+v", ee)
 	}
 
-	// The stale key still serves while open; other analyses' breakers
+	// The held answer still serves while open; other analyses' breakers
 	// are untouched (independent circuits).
-	resp, _ = get(t, ts, "/api/v1/types?group=cs1&k=3")
-	if resp.StatusCode != 200 || resp.Header.Get("X-Served-Stale") != "true" {
-		t.Fatalf("stale serve under open circuit: status %d stale=%q", resp.StatusCode, resp.Header.Get("X-Served-Stale"))
-	}
+	checkHeld("circuit open")
 	if getEnvelope(t, ts, "/api/v1/cluster?group=cs1&k=2", 200); s.breakers.Get("cluster").Stats().State != "closed" {
 		t.Fatal("cluster breaker affected by types failures")
 	}
@@ -214,44 +254,56 @@ func TestBreakerAndStaleDegradation(t *testing.T) {
 		t.Fatalf("types Compute ran %d times; the breaker/injector should have kept it at the 1 priming call", n)
 	}
 
-	// /debug/metrics exposes breaker state and the stale-served count.
+	// /debug/metrics exposes breaker state.
 	var snap serving.Snapshot
 	_, mbody := get(t, ts, "/debug/metrics")
 	decode(t, mbody, &snap)
 	if snap.Resilience == nil || snap.Resilience.Breakers["types"].State != "open" {
 		t.Fatalf("metrics breakers = %+v", snap.Resilience)
 	}
-	if snap.Cache == nil || snap.Cache.StaleServed < 4 {
-		t.Fatalf("metrics cache = %+v", snap.Cache)
-	}
 
-	// Recovery: faults clear and the cooldown elapses. The next
-	// request is admitted as the half-open probe, succeeds, and closes
-	// the circuit; responses are fresh again.
+	// Recovery: faults clear and the cooldown elapses. The next miss is
+	// admitted as the half-open probe, succeeds, and closes the circuit.
 	inj.SetRules()
 	clk.Advance(time.Minute + time.Second)
-	waitFor(t, "fresh non-stale response after recovery", func() bool {
-		resp, body := get(t, ts, "/api/v1/types?group=cs1&k=3")
-		if resp.StatusCode != 200 || resp.Header.Get("X-Served-Stale") == "true" {
-			return false
-		}
-		var fe env
-		decode(t, body, &fe)
-		return !fe.Meta.Stale
-	})
-	if st := s.breakers.Get("types").Stats(); st.State != "closed" {
+	if e := getEnvelope(t, ts, "/api/v1/types?group=cs1&k=4", 200); e.Meta.Cache != "miss" {
+		t.Fatalf("recovery probe meta = %+v", e.Meta)
+	}
+	if st := typesBreaker(); st.State != "closed" {
 		t.Fatalf("breaker after successful probe = %+v", st)
 	}
 	if n := atomic.LoadInt32(&calls); n != 2 {
 		t.Fatalf("types Compute ran %d times, want 2 (prime + recovery probe)", n)
 	}
+
+	// Eight agreement reads push the held answer past the bound. It is not
+	// served from anywhere: under a failing compute it fails, and once
+	// the compute heals it is computed exactly once more.
+	for th := 2; th < 10; th++ {
+		getEnvelope(t, ts, fmt.Sprintf("/api/v1/agreement?group=all&threshold=%d", th), 200)
+	}
+	inj.SetRules(faultinject.Rule{Match: "compute/types", Probability: 1, Status: 500})
+	if resp, body := get(t, ts, held); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("evicted answer under a failing compute: status %d\n%s", resp.StatusCode, body)
+	}
+	inj.SetRules()
+	for _, want := range []string{"miss", "hit"} {
+		if e := getEnvelope(t, ts, held, 200); e.Meta.Cache != want || !bytes.Equal(e.Data, pe.Data) {
+			t.Fatalf("evicted answer: meta %+v, want its primed bytes as a %s", e.Meta, want)
+		}
+	}
+	if n := atomic.LoadInt32(&calls); n != 3 {
+		t.Fatalf("types Compute ran %d times, want 3: the evicted answer recomputed once", n)
+	}
 }
 
-// TestStaleServeDisabled: with DisableStaleServe the same failure
-// surfaces as an error instead of a degraded 200.
+// TestStaleServeDisabled: no answer is ever served degraded. A failing
+// compute of an answer the cache does not hold surfaces as its error,
+// with no X-Served-Stale header, even though the same answer was
+// computed before.
 func TestStaleServeDisabled(t *testing.T) {
 	inj := faultinject.New(1)
-	s, err := NewWithOptions(Options{DisableStaleServe: true, Faults: inj, disableWarmup: true})
+	s, err := NewWithOptions(Options{Faults: inj, disableWarmup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +311,19 @@ func TestStaleServeDisabled(t *testing.T) {
 	defer ts.Close()
 
 	getEnvelope(t, ts, "/api/v1/cluster?group=cs1&k=2", 200)
-	s.Cache().Reset()
+	if n := s.Cache().Invalidate(func(string) bool { return true }); n != 1 {
+		t.Fatalf("dropped %d answers, want the one cluster answer", n)
+	}
 	inj.SetRules(faultinject.Rule{Match: "compute/cluster", Probability: 1, Status: 500})
 	resp, body := get(t, ts, "/api/v1/cluster?group=cs1&k=2")
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500 with stale serving disabled\n%s", resp.StatusCode, body)
+		t.Fatalf("status %d, want 500\n%s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("X-Served-Stale") != "" {
 		t.Fatal("X-Served-Stale set on an error response")
+	}
+	if bs := s.breakers.Get("cluster").Stats(); bs.Failures != 1 {
+		t.Fatalf("one failing flight recorded %d breaker failures, want 1", bs.Failures)
 	}
 }
 

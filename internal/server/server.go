@@ -11,9 +11,8 @@
 //
 // Every analysis endpoint is a thin dispatch into internal/engine: the
 // analyses register in an engine.Registry, and one executor runs them
-// all through the serving ladder (fresh cache → breaker-guarded
-// singleflight compute → stale last-known-good fallback). The server
-// wires no cache keys, breakers, or stale semantics per analysis —
+// all through the serving ladder (cache → breaker-guarded singleflight
+// compute). The server wires no cache keys or breakers per analysis —
 // adding an analysis to the API is one registration in
 // internal/engine/analyses. Routes, warmup, readiness, and metrics all
 // iterate the registry.
@@ -68,8 +67,8 @@ import (
 )
 
 // DefaultCacheSize bounds the analysis result cache when Options does
-// not say otherwise.
-const DefaultCacheSize = 256
+// not say otherwise: every answer the server holds counts against it.
+const DefaultCacheSize = 512
 
 // DefaultMaxInFlight bounds concurrently served API requests when
 // Options does not say otherwise.
@@ -97,9 +96,6 @@ type Options struct {
 	// half-opening for a probe. Zero means
 	// resilience.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// DisableStaleServe turns off last-known-good degradation: compute
-	// failures become errors instead of stale responses.
-	DisableStaleServe bool
 	// BatchWorkers bounds the POST /api/v1/batch worker pool. Zero or
 	// negative means engine.DefaultBatchWorkers.
 	BatchWorkers int
@@ -276,11 +272,10 @@ func NewWithOptions(o Options) (*Server, error) {
 		s.breakers = resilience.NewBreakerSet(o.BreakerThreshold, o.BreakerCooldown)
 	}
 	s.exec = engine.NewExecutor(reg, engine.ExecutorOptions{
-		Datasets:   s.datasets,
-		Cache:      s.cache,
-		Breakers:   s.breakers,
-		Faults:     o.Faults,
-		StaleServe: !o.DisableStaleServe,
+		Datasets: s.datasets,
+		Cache:    s.cache,
+		Breakers: s.breakers,
+		Faults:   o.Faults,
 	})
 	s.exec.SetBatchWorkers(o.BatchWorkers)
 	s.retuneTenancy()
@@ -509,14 +504,10 @@ type ListMeta struct {
 // CacheMeta is the meta block of cached analysis endpoints.
 type CacheMeta struct {
 	// Cache is "hit" when the result was served without recomputing
-	// (retained entry or shared singleflight), "miss" when this
-	// request computed it, and "stale" when a last-known-good value
-	// was served because the compute path is failing or circuit-broken.
+	// (held answer or shared singleflight) and "miss" when this request
+	// computed it.
 	Cache string `json:"cache"`
 	Key   string `json:"key"`
-	// Stale marks a degraded response; stale responses also carry an
-	// X-Served-Stale: true header.
-	Stale bool `json:"stale,omitempty"`
 }
 
 // DatasetCacheMeta is CacheMeta plus dataset identity — the meta block
@@ -632,9 +623,6 @@ func (s *Server) execAnalysis(w http.ResponseWriter, r *http.Request, ds, name s
 	s.touchDataset(ds)
 	ans, out, err := s.exec.AnswerOn(r.Context(), ds, name, values)
 	if err == nil {
-		if out.Stale {
-			w.Header().Set("X-Served-Stale", "true")
-		}
 		return ans, out, true
 	}
 	if errors.Is(err, context.Canceled) {
@@ -666,7 +654,7 @@ func (s *Server) runAnalysis(w http.ResponseWriter, r *http.Request, name string
 	if !ok {
 		return nil, nil, false
 	}
-	cm := CacheMeta{Cache: out.Cache, Key: out.Key, Stale: out.Stale}
+	cm := CacheMeta{Cache: out.Cache, Key: out.Key}
 	if scoped {
 		return ans, DatasetCacheMeta{CacheMeta: cm, Dataset: out.Dataset, Revision: out.Revision}, true
 	}

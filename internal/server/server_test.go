@@ -47,7 +47,6 @@ type env struct {
 		Offset int    `json:"offset"`
 		Cache  string `json:"cache"`
 		Key    string `json:"key"`
-		Stale  bool   `json:"stale"`
 	} `json:"meta"`
 }
 

@@ -10,20 +10,16 @@ import (
 )
 
 // Cache is a bounded LRU result cache with singleflight deduplication:
-// concurrent Do calls for the same key share one computation, and
+// concurrent DoCtxFn calls for the same key share one computation, and
 // completed results are retained (most recently used first) up to the
-// configured capacity. Errors are never cached.
-//
-// Alongside the fresh LRU the cache keeps a stale store of
-// last-known-good values, bounded at twice the fresh capacity and
-// ordered by recency of use, so an entry evicted from the fresh LRU
-// remains available for degraded serving (Stale) for a while longer.
-// The stale store only ever holds values that were at some point
-// computed successfully.
+// configured capacity. Errors are never cached. Every lookup that finds
+// its key is a hit: a key names one revision of a deterministic
+// computation, so a held answer is exactly what a recompute would
+// return.
 //
 // The cache is tenant-partitionable: a scope function (SetScopeFunc)
 // maps every key to a scope — in the multi-dataset engine, the dataset
-// ID — and each scope owns its own LRU lists, counters, and capacity
+// ID — and each scope owns its own LRU list, counters, and capacity
 // budget. Eviction is scoped: a tenant filling its budget evicts only
 // its own entries, never another tenant's. Budgets default to a fair
 // share of the global capacity across the scopes declared with
@@ -31,9 +27,8 @@ import (
 // every key lands in the single "" scope with the full capacity as its
 // budget, which is exactly the pre-partitioned behaviour.
 //
-// A capacity <= 0 disables retention — every Do misses and nothing is
-// kept for stale serving — but singleflight deduplication still
-// collapses concurrent callers.
+// A capacity <= 0 disables retention — every lookup misses — but
+// singleflight deduplication still collapses concurrent callers.
 type Cache struct {
 	capacity int
 	group    Group
@@ -47,29 +42,20 @@ type Cache struct {
 	shared uint64
 }
 
-// scopeStore is one scope's partition: its own fresh LRU, stale store,
-// and accounting, so tenants cannot observe (or disturb) each other
-// through shared lists or counters.
+// scopeStore is one scope's partition: its own LRU and accounting, so
+// tenants cannot observe (or disturb) each other through a shared list
+// or counters.
 type scopeStore struct {
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	staleLL    *list.List // front = most recently written/used
-	staleItems map[string]*list.Element
-
-	hits        uint64
-	misses      uint64
-	evictions   uint64
-	staleServed uint64
+	hits      uint64
+	misses    uint64
+	evictions uint64
 }
 
 func newScopeStore() *scopeStore {
-	return &scopeStore{
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-		staleLL:    list.New(),
-		staleItems: make(map[string]*list.Element),
-	}
+	return &scopeStore{ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 type cacheEntry struct {
@@ -77,9 +63,8 @@ type cacheEntry struct {
 	val interface{}
 }
 
-// NewCache returns a cache holding at most capacity fresh entries and
-// 2*capacity stale last-known-good entries, all in one unpartitioned
-// scope until SetScopeFunc/Partition carve it up.
+// NewCache returns a cache holding at most capacity entries, all in one
+// unpartitioned scope until SetScopeFunc/Partition carve it up.
 func NewCache(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
@@ -133,7 +118,7 @@ func (c *Cache) scopeLocked(key string) (string, *scopeStore) {
 	return scope, st
 }
 
-// budgetLocked is scope's fresh-entry budget: its override when one is
+// budgetLocked is scope's entry budget: its override when one is
 // set, otherwise an equal share of the capacity the overrides leave
 // free, split across the declared scopes without overrides (never below
 // one entry, so a tenant can always retain something). With no declared
@@ -165,7 +150,7 @@ func (c *Cache) budgetLocked(scope string) int {
 }
 
 // enforceLocked evicts scope's least-recently-used entries until it is
-// within budget (fresh) and twice budget (stale); callers hold c.mu.
+// within budget; callers hold c.mu.
 func (c *Cache) enforceLocked(scope string, st *scopeStore) {
 	budget := c.budgetLocked(scope)
 	for st.ll.Len() > budget {
@@ -173,11 +158,6 @@ func (c *Cache) enforceLocked(scope string, st *scopeStore) {
 		st.ll.Remove(oldest)
 		delete(st.items, oldest.Value.(*cacheEntry).key)
 		st.evictions++
-	}
-	for st.staleLL.Len() > 2*budget {
-		oldest := st.staleLL.Back()
-		st.staleLL.Remove(oldest)
-		delete(st.staleItems, oldest.Value.(*cacheEntry).key)
 	}
 }
 
@@ -188,7 +168,6 @@ func (c *Cache) Get(key string) (interface{}, bool) {
 	_, st := c.scopeLocked(key)
 	if el, ok := st.items[key]; ok {
 		st.ll.MoveToFront(el)
-		touchStale(st, key) // keep the stale copy as warm as the fresh one
 		st.hits++
 		return el.Value.(*cacheEntry).val, true
 	}
@@ -196,9 +175,8 @@ func (c *Cache) Get(key string) (interface{}, bool) {
 	return nil, false
 }
 
-// put stores key→val in its scope's fresh LRU and stale store,
-// evicting least-recently-used entries of THAT SCOPE when over its
-// budget.
+// put stores key→val in its scope's LRU, evicting least-recently-used
+// entries of THAT SCOPE when over its budget.
 func (c *Cache) put(key string, val interface{}) {
 	if c.capacity <= 0 {
 		return
@@ -206,7 +184,6 @@ func (c *Cache) put(key string, val interface{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	scope, st := c.scopeLocked(key)
-	putStale(st, key, val)
 	if el, ok := st.items[key]; ok {
 		el.Value.(*cacheEntry).val = val
 		st.ll.MoveToFront(el)
@@ -215,41 +192,6 @@ func (c *Cache) put(key string, val interface{}) {
 	}
 	st.items[key] = st.ll.PushFront(&cacheEntry{key: key, val: val})
 	c.enforceLocked(scope, st)
-}
-
-// putStale upserts key→val into the scope's stale store; callers hold
-// c.mu (the bound is enforced by enforceLocked).
-func putStale(st *scopeStore, key string, val interface{}) {
-	if el, ok := st.staleItems[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		st.staleLL.MoveToFront(el)
-		return
-	}
-	st.staleItems[key] = st.staleLL.PushFront(&cacheEntry{key: key, val: val})
-}
-
-// touchStale marks key's stale copy recently used; callers hold c.mu.
-func touchStale(st *scopeStore, key string) {
-	if el, ok := st.staleItems[key]; ok {
-		st.staleLL.MoveToFront(el)
-	}
-}
-
-// Stale returns the last-known-good value for key from its scope's
-// stale store, counting a stale serve when found. Callers use it as the
-// degraded fallback after Do failed (or was rejected by an open
-// circuit); a found entry is marked recently used so actively
-// degraded keys are the last to fall out.
-func (c *Cache) Stale(key string) (interface{}, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, st := c.scopeLocked(key)
-	if el, ok := st.staleItems[key]; ok {
-		st.staleLL.MoveToFront(el)
-		st.staleServed++
-		return el.Value.(*cacheEntry).val, true
-	}
-	return nil, false
 }
 
 // DoCtxFn returns the cached value for key or computes it,
@@ -315,7 +257,7 @@ func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Co
 // instead of computing it.
 type storedValue struct{ v interface{} }
 
-// stored returns key's fresh value, if any, without counting a lookup:
+// stored returns key's value, if any, without counting a lookup:
 // the caller counted its miss already.
 func (c *Cache) stored(key string) (interface{}, bool) {
 	c.mu.Lock()
@@ -327,168 +269,93 @@ func (c *Cache) stored(key string) (interface{}, bool) {
 	return nil, false
 }
 
-// DoCtx is DoCtxFn for computations that do not take a context: the
-// flight is fully detached and always runs to completion once started,
-// even if every waiting caller's ctx is cancelled first.
-func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (interface{}, error)) (interface{}, bool, error) {
-	return c.DoCtxFn(ctx, key, func(context.Context) (interface{}, error) { return compute() })
-}
-
-// Do is DoCtx with a background context.
-func (c *Cache) Do(key string, compute func() (interface{}, error)) (interface{}, bool, error) {
-	return c.DoCtx(context.Background(), key, compute) // lint:detach stale-refresh flights run to completion regardless of the triggering request
-}
-
-// Invalidate removes every fresh AND stale entry (across all scopes)
-// whose key satisfies match, returning the number of entries dropped
-// across both stores. Unlike Reset it also purges the stale store: an
-// invalidated key must not resurface as a degraded last-known-good
-// serve (the caller knows the value is wrong, not merely old). Scope
-// counters are untouched — invalidation is a corpus event, not a
-// tenant teardown (that is DropScope). In-flight singleflight
-// computations are unaffected — they complete for their waiters and
-// store under their (now unmatched or re-matched) keys.
+// Invalidate removes every entry (across all scopes) whose key
+// satisfies match, returning the number of entries dropped. Scope
+// counters are untouched — invalidation is a corpus event, not a tenant
+// teardown (that is DropScope). In-flight singleflight computations are
+// unaffected — they complete for their waiters and store under their
+// (now unmatched or re-matched) keys.
 func (c *Cache) Invalidate(match func(key string) bool) int {
-	fresh, stale := c.InvalidateDetail(match)
-	return fresh + stale
-}
-
-// InvalidateDetail is Invalidate with the two stores reported
-// separately: entries dropped from the fresh LRUs and entries dropped
-// from the stale last-known-good stores. The split matters for
-// revision sweeps: a scope can hold STALE-ONLY entries — every fresh
-// copy already evicted — and those are exactly the copies that would
-// otherwise surface a dead revision's value through degraded serving.
-// The stale count proves the sweep reached them.
-func (c *Cache) InvalidateDetail(match func(key string) bool) (fresh, stale int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n := 0
 	for _, st := range c.scopes {
 		for el := st.ll.Front(); el != nil; {
 			next := el.Next()
 			if e := el.Value.(*cacheEntry); match(e.key) {
 				st.ll.Remove(el)
 				delete(st.items, e.key)
-				fresh++
-			}
-			el = next
-		}
-		for el := st.staleLL.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*cacheEntry); match(e.key) {
-				st.staleLL.Remove(el)
-				delete(st.staleItems, e.key)
-				stale++
+				n++
 			}
 			el = next
 		}
 	}
-	return fresh, stale
+	return n
 }
 
 // Rekeyed summarizes a Rekey sweep.
 type Rekeyed struct {
-	MovedFresh   int
-	MovedStale   int
-	DroppedFresh int
-	DroppedStale int
+	Moved   int
+	Dropped int
 }
 
-// Rekey rewrites or removes entries key by key: for every fresh and
-// stale entry, mapper(key) returns the entry's new key — the same key
-// to leave it untouched, "" to drop it, or a different key to migrate
-// the entry in place. This is how a revision bump carries provably
-// unaffected results forward: the value survives under the new
-// revision's key, keeping its LRU position, instead of being thrown
-// away and recomputed. If the new key already exists the existing
-// entry wins and the source is dropped; an entry whose new key maps to
-// a different scope is re-inserted there (most recently used) under
-// that scope's budget. mapper must be pure and fast — it runs under
-// the cache lock. A migrated entry keeps its value, the same pointer,
-// so whatever the value carries (an Answer's encoded bytes) moves with
-// it.
+// Rekey rewrites or removes entries key by key: for every entry,
+// mapper(key) returns the entry's new key — the same key to leave it
+// untouched, "" to drop it, or a different key to migrate the entry in
+// place. This is how a revision bump carries provably unaffected
+// results forward: the value survives under the new revision's key,
+// keeping its LRU position, instead of being thrown away and
+// recomputed. If the new key already exists the existing entry wins and
+// the source is dropped; an entry whose new key maps to a different
+// scope is re-inserted there (most recently used) under that scope's
+// budget. mapper must be pure and fast — it runs under the cache lock.
+// A migrated entry keeps its value, the same pointer, so whatever the
+// value carries (an Answer's encoded bytes) moves with it.
 func (c *Cache) Rekey(mapper func(key string) string) Rekeyed {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum Rekeyed
-	for scope, st := range c.scopes {
-		c.rekeyList(scope, st, false, mapper, &sum)
-		c.rekeyList(scope, st, true, mapper, &sum)
+	for _, st := range c.scopes {
+		for el := st.ll.Front(); el != nil; {
+			next := el.Next()
+			e := el.Value.(*cacheEntry)
+			switch newKey := mapper(e.key); {
+			case newKey == e.key:
+				// untouched
+			case newKey == "":
+				st.ll.Remove(el)
+				delete(st.items, e.key)
+				sum.Dropped++
+			default:
+				target, tst := c.scopeLocked(newKey)
+				if _, exists := tst.items[newKey]; exists {
+					st.ll.Remove(el)
+					delete(st.items, e.key)
+					sum.Dropped++
+					break
+				}
+				delete(st.items, e.key)
+				e.key = newKey
+				if tst == st {
+					st.items[newKey] = el
+				} else {
+					st.ll.Remove(el)
+					tst.items[newKey] = tst.ll.PushFront(e)
+					c.enforceLocked(target, tst)
+				}
+				sum.Moved++
+			}
+			el = next
+		}
 	}
 	return sum
 }
 
-// rekeyList applies mapper to one scope's fresh or stale list; callers
-// hold c.mu.
-func (c *Cache) rekeyList(scope string, st *scopeStore, stale bool, mapper func(key string) string, sum *Rekeyed) {
-	ll, items := st.ll, st.items
-	if stale {
-		ll, items = st.staleLL, st.staleItems
-	}
-	countMove, countDrop := &sum.MovedFresh, &sum.DroppedFresh
-	if stale {
-		countMove, countDrop = &sum.MovedStale, &sum.DroppedStale
-	}
-	for el := ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		newKey := mapper(e.key)
-		switch {
-		case newKey == e.key:
-			// untouched
-		case newKey == "":
-			ll.Remove(el)
-			delete(items, e.key)
-			*countDrop++
-		default:
-			target := scope
-			if c.scopeOf != nil {
-				target = c.scopeOf(newKey)
-			}
-			tst := st
-			if target != scope {
-				ts, ok := c.scopes[target]
-				if !ok {
-					ts = newScopeStore()
-					c.scopes[target] = ts
-				}
-				tst = ts
-			}
-			tItems := tst.items
-			if stale {
-				tItems = tst.staleItems
-			}
-			if _, exists := tItems[newKey]; exists {
-				ll.Remove(el)
-				delete(items, e.key)
-				*countDrop++
-				break
-			}
-			delete(items, e.key)
-			if tst == st {
-				e.key = newKey
-				items[newKey] = el
-			} else {
-				ll.Remove(el)
-				e.key = newKey
-				if stale {
-					tst.staleItems[newKey] = tst.staleLL.PushFront(e)
-				} else {
-					tst.items[newKey] = tst.ll.PushFront(e)
-				}
-				c.enforceLocked(target, tst)
-			}
-			*countMove++
-		}
-		el = next
-	}
-}
-
-// DropScope tears down one scope's whole partition — fresh entries,
-// stale entries, AND counters — returning the number of entries
-// dropped. This is the tenant-deletion path: after it, snapshots and
-// /metrics no longer report the scope at all, rather than carrying a
-// ghost tenant's stats forever.
+// DropScope tears down one scope's whole partition — entries AND
+// counters — returning the number of entries dropped. This is the
+// tenant-deletion path: after it, snapshots and /metrics no longer
+// report the scope at all, rather than carrying a ghost tenant's stats
+// forever.
 func (c *Cache) DropScope(scope string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -496,32 +363,17 @@ func (c *Cache) DropScope(scope string) int {
 	if !ok {
 		return 0
 	}
-	n := st.ll.Len() + st.staleLL.Len()
 	delete(c.scopes, scope)
-	return n
-}
-
-// Reset drops all retained fresh entries in every scope; the stale
-// last-known-good stores and the counters are preserved, so a reset
-// (like any other fresh-cache miss) can still degrade to stale serving.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, st := range c.scopes {
-		st.ll.Init()
-		st.items = make(map[string]*list.Element)
-	}
+	return st.ll.Len()
 }
 
 // ScopeCacheStats is one scope's slice of the cache accounting.
 type ScopeCacheStats struct {
-	Budget      int    `json:"budget"`
-	Size        int    `json:"size"`
-	StaleSize   int    `json:"stale_size"`
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Evictions   uint64 `json:"evictions"`
-	StaleServed uint64 `json:"stale_served"`
+	Budget    int    `json:"budget"`
+	Size      int    `json:"size"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters. The
@@ -529,19 +381,17 @@ type ScopeCacheStats struct {
 // accounting down per named partition (absent while the cache is
 // unpartitioned, so the single-tenant snapshot keeps its old shape).
 type CacheStats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Shared      uint64 `json:"shared_flights"`
-	Evictions   uint64 `json:"evictions"`
-	Size        int    `json:"size"`
-	Capacity    int    `json:"capacity"`
-	StaleSize   int    `json:"stale_size"`
-	StaleServed uint64 `json:"stale_served"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Shared    uint64 `json:"shared_flights"`
+	Evictions uint64 `json:"evictions"`
+	Size      int    `json:"size"`
+	Capacity  int    `json:"capacity"`
 
 	Scopes map[string]ScopeCacheStats `json:"scopes,omitempty"`
 }
 
-// Stats snapshots the hit/miss/eviction/stale accounting, aggregated
+// Stats snapshots the hit/miss/eviction accounting, aggregated
 // and per scope.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -552,8 +402,6 @@ func (c *Cache) Stats() CacheStats {
 		out.Misses += st.misses
 		out.Evictions += st.evictions
 		out.Size += st.ll.Len()
-		out.StaleSize += st.staleLL.Len()
-		out.StaleServed += st.staleServed
 		if scope == "" {
 			continue // the unpartitioned scope is the aggregate itself
 		}
@@ -561,19 +409,17 @@ func (c *Cache) Stats() CacheStats {
 			out.Scopes = make(map[string]ScopeCacheStats)
 		}
 		out.Scopes[scope] = ScopeCacheStats{
-			Budget:      c.budgetLocked(scope),
-			Size:        st.ll.Len(),
-			StaleSize:   st.staleLL.Len(),
-			Hits:        st.hits,
-			Misses:      st.misses,
-			Evictions:   st.evictions,
-			StaleServed: st.staleServed,
+			Budget:    c.budgetLocked(scope),
+			Size:      st.ll.Len(),
+			Hits:      st.hits,
+			Misses:    st.misses,
+			Evictions: st.evictions,
 		}
 	}
 	return out
 }
 
-// ScopeBudget reports the current fresh-entry budget of scope (the
+// ScopeBudget reports the current entry budget of scope (the
 // override when set, the fair share otherwise).
 func (c *Cache) ScopeBudget(scope string) int {
 	c.mu.Lock()

@@ -11,6 +11,18 @@ import (
 	"csmaterials/internal/obs"
 )
 
+// do runs compute through c's lookup and singleflight with a
+// background context; compute ignores the flight context, so the flight
+// runs to completion once started.
+func (c *Cache) do(key string, compute func() (interface{}, error)) (interface{}, bool, error) {
+	return c.doCtx(context.Background(), key, compute)
+}
+
+// doCtx is do for a caller with its own context.
+func (c *Cache) doCtx(ctx context.Context, key string, compute func() (interface{}, error)) (interface{}, bool, error) {
+	return c.DoCtxFn(ctx, key, func(context.Context) (interface{}, error) { return compute() })
+}
+
 // waitFor polls cond until true or the test deadline budget runs out.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
@@ -28,11 +40,11 @@ func TestCacheHitMiss(t *testing.T) {
 	calls := 0
 	compute := func() (interface{}, error) { calls++; return "v", nil }
 
-	v, served, err := c.Do("k", compute)
+	v, served, err := c.do("k", compute)
 	if err != nil || served || v.(string) != "v" {
 		t.Fatalf("first Do: v=%v served=%v err=%v", v, served, err)
 	}
-	v, served, err = c.Do("k", compute)
+	v, served, err = c.do("k", compute)
 	if err != nil || !served || v.(string) != "v" {
 		t.Fatalf("second Do: v=%v served=%v err=%v", v, served, err)
 	}
@@ -48,7 +60,7 @@ func TestCacheHitMiss(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
+		if _, _, err := c.do(k, func() (interface{}, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,16 +88,31 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := NewCache(4)
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := c.Do("k", func() (interface{}, error) { calls++; return nil, boom })
+	_, _, err := c.do("k", func() (interface{}, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, served, err := c.Do("k", func() (interface{}, error) { calls++; return 7, nil })
+	v, served, err := c.do("k", func() (interface{}, error) { calls++; return 7, nil })
 	if err != nil || served || v.(int) != 7 {
 		t.Fatalf("retry: v=%v served=%v err=%v", v, served, err)
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (errors must not be cached)", calls)
+	}
+}
+
+// TestCacheDisabledHasNoStale: a capacity <= 0 cache holds no answer,
+// so nothing it computed is ever served again.
+func TestCacheDisabledHasNoStale(t *testing.T) {
+	c := NewCache(0)
+	if _, _, err := c.do("k", func() (interface{}, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.stored("k"); ok {
+		t.Fatal("disabled cache retained an answer")
+	}
+	if st := c.Stats(); st.Size != 0 || st.Hits != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -98,7 +125,7 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Do("k", func() (interface{}, error) {
+		c.do("k", func() (interface{}, error) {
 			atomic.AddInt32(&calls, 1)
 			close(started)
 			<-block
@@ -111,7 +138,7 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Do("k", func() (interface{}, error) {
+			c.do("k", func() (interface{}, error) {
 				atomic.AddInt32(&calls, 1)
 				return 1, nil
 			})
@@ -124,21 +151,28 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 1", n)
 	}
 	// Nothing retained: the next sequential Do recomputes.
-	_, served, _ := c.Do("k", func() (interface{}, error) { return 1, nil })
+	_, served, _ := c.do("k", func() (interface{}, error) { return 1, nil })
 	if served {
 		t.Fatal("capacity-0 cache retained an entry")
 	}
 }
 
+// TestCacheReset: invalidating every key empties the cache, and the
+// next lookup of a dropped key computes again.
 func TestCacheReset(t *testing.T) {
 	c := NewCache(4)
-	c.Do("k", func() (interface{}, error) { return 1, nil })
-	c.Reset()
+	c.do("k", func() (interface{}, error) { return 1, nil })
+	if n := c.Invalidate(func(string) bool { return true }); n != 1 {
+		t.Fatalf("Invalidate dropped %d entries, want 1", n)
+	}
 	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived Reset")
+		t.Fatal("entry survived the reset")
 	}
 	if st := c.Stats(); st.Size != 0 {
-		t.Fatalf("size = %d after Reset", st.Size)
+		t.Fatalf("size = %d after the reset", st.Size)
+	}
+	if _, served, _ := c.do("k", func() (interface{}, error) { return 2, nil }); served {
+		t.Fatal("a dropped key was served without computing")
 	}
 }
 
@@ -151,7 +185,7 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.Do(key, func() (interface{}, error) { return key, nil })
+			v, _, err := c.do(key, func() (interface{}, error) { return key, nil })
 			if err != nil || v.(string) != key {
 				t.Errorf("Do(%q) = %v, %v", key, v, err)
 			}
@@ -177,7 +211,7 @@ func TestCacheDoCtxClientDisconnect(t *testing.T) {
 	var calls int32
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := c.DoCtx(ctx, "k", func() (interface{}, error) {
+		_, _, err := c.doCtx(ctx, "k", func() (interface{}, error) {
 			atomic.AddInt32(&calls, 1)
 			close(started)
 			<-block
@@ -195,7 +229,7 @@ func TestCacheDoCtxClientDisconnect(t *testing.T) {
 	// The detached flight completes and caches: the next request is a
 	// pure hit with no recompute.
 	waitFor(t, func() bool { _, ok := c.Get("k"); return ok })
-	v, served, err := c.Do("k", func() (interface{}, error) {
+	v, served, err := c.do("k", func() (interface{}, error) {
 		atomic.AddInt32(&calls, 1)
 		return "other", nil
 	})
@@ -207,88 +241,64 @@ func TestCacheDoCtxClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestCacheStaleSurvivesEviction: the stale store (2x capacity) keeps
-// serving last-known-good values for entries the fresh LRU has already
-// dropped, and evicts in LRU order itself.
-func TestCacheStaleSurvivesEviction(t *testing.T) {
-	c := NewCache(1) // stale capacity 2
-	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return "val-" + k, nil }); err != nil {
+// TestCacheEvictedAnswerIsGone: the cache holds at most its capacity
+// of answers, and an answer evicted past the bound is not served from
+// anywhere: the next lookup of its key misses and computes it once.
+func TestCacheEvictedAnswerIsGone(t *testing.T) {
+	c := NewCache(2)
+	computes := map[string]int{}
+	put := func(k string) (bool, error) {
+		_, served, err := c.do(k, func() (interface{}, error) { computes[k]++; return "val-" + k, nil })
+		return served, err
+	}
+	for _, k := range []string{"a", "b", "c"} { // c evicts a
+		if _, err := put(k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	put("a")
-	put("b") // evicts a from fresh; stale = {b, a}
-	put("c") // evicts b from fresh; stale = {c, b}, a falls out
+	if st := c.Stats(); st.Size != 2 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 held and 1 eviction", st)
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("evicted a is still held")
+	}
+	if _, ok := c.stored("a"); ok {
+		t.Fatal("evicted a is still stored")
+	}
+	if served, err := put("a"); err != nil || served {
+		t.Fatalf("evicted a: served=%v err=%v, want a recompute", served, err)
+	}
+	if served, err := put("a"); err != nil || !served {
+		t.Fatalf("recomputed a: served=%v err=%v, want a hit", served, err)
+	}
+	if computes["a"] != 2 {
+		t.Fatalf("a computed %d times, want twice: once cold, once after its eviction", computes["a"])
+	}
+}
+
+// TestCacheEvictionFollowsUse: a hit refreshes an answer's position, so
+// a hot answer outlives colder, newer ones.
+func TestCacheEvictionFollowsUse(t *testing.T) {
+	c := NewCache(4)
+	fill := func(keys ...string) {
+		for _, k := range keys {
+			k := k
+			if _, _, err := c.do(k, func() (interface{}, error) { return k, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill("a", "b")
+	c.Get("a")          // order: a, b
+	fill("c", "d", "e") // capacity 4: evicts the coldest — b, not the touched a
 
 	if _, ok := c.Get("b"); ok {
-		t.Fatal("b still fresh after eviction")
-	}
-	if v, ok := c.Stale("b"); !ok || v.(string) != "val-b" {
-		t.Fatalf("stale b = %v, %v", v, ok)
-	}
-	if _, ok := c.Stale("a"); ok {
-		t.Fatal("a survived stale eviction out of order (want oldest-first)")
-	}
-	st := c.Stats()
-	if st.StaleSize != 2 || st.StaleServed != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestCacheStaleOrderingFollowsUse: fresh hits refresh the stale
-// copy's position, so a hot entry outlives a colder, newer one in the
-// stale store.
-func TestCacheStaleOrderingFollowsUse(t *testing.T) {
-	c := NewCache(2) // stale capacity 4
-	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("a")
-	put("b")
-	c.Get("a") // touches a in both stores: stale order a, b
-	put("c")
-	put("d")
-	put("e") // stale capacity 4: evicts the coldest — b, not the touched a
-
-	if _, ok := c.Stale("b"); ok {
 		t.Fatal("cold b survived over touched a")
 	}
-	if _, ok := c.Stale("a"); !ok {
-		t.Fatal("touched a was stale-evicted")
-	}
-}
-
-// TestCacheResetKeepsStale: Reset drops the fresh entries only; the
-// last-known-good store still answers, which is what lets a restarted
-// (or wiped) fresh cache degrade gracefully while computes fail.
-func TestCacheResetKeepsStale(t *testing.T) {
-	c := NewCache(4)
-	if _, _, err := c.Do("k", func() (interface{}, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("fresh entry survived Reset")
-	}
-	if v, ok := c.Stale("k"); !ok || v.(int) != 1 {
-		t.Fatalf("stale entry lost on Reset: %v, %v", v, ok)
-	}
-}
-
-// TestCacheDisabledHasNoStale: capacity <= 0 disables both stores.
-func TestCacheDisabledHasNoStale(t *testing.T) {
-	c := NewCache(0)
-	if _, _, err := c.Do("k", func() (interface{}, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Stale("k"); ok {
-		t.Fatal("disabled cache retained a stale entry")
-	}
-	if st := c.Stats(); st.StaleSize != 0 {
-		t.Fatalf("stats = %+v", st)
+	for _, k := range []string{"a", "c", "d", "e"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("%s was evicted", k)
+		}
 	}
 }
 
@@ -316,7 +326,7 @@ func fill(t *testing.T, c *Cache, keys ...string) {
 	t.Helper()
 	for _, k := range keys {
 		k := k
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
+		if _, _, err := c.do(k, func() (interface{}, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,20 +393,25 @@ func TestCacheRepartitionShrinkEvicts(t *testing.T) {
 	}
 }
 
-// TestCacheStaleStoreInheritsPartition: each scope's stale store is
-// bounded at twice its budget, independently of other tenants.
-func TestCacheStaleStoreInheritsPartition(t *testing.T) {
-	c := newPartitioned(4, nil, "a", "b") // 2 each, stale 4 each
+// TestCachePartitionBoundsHeldAnswers: each scope holds at most its
+// budget of answers, whatever another tenant's churn.
+func TestCachePartitionBoundsHeldAnswers(t *testing.T) {
+	c := newPartitioned(4, nil, "a", "b") // 2 each
 	fill(t, c, "b:1", "b:2")
 	for i := 0; i < 10; i++ {
 		fill(t, c, "a:"+string(rune('0'+i)))
 	}
 	st := c.Stats()
-	if a := st.Scopes["a"]; a.StaleSize != 4 {
-		t.Fatalf("scope a stale size = %d, want 2x budget = 4", a.StaleSize)
+	if a := st.Scopes["a"]; a.Size != 2 || a.Evictions != 8 {
+		t.Fatalf("scope a = %+v, want its budget of 2 held and 8 evictions", a)
 	}
-	if _, ok := c.Stale("b:1"); !ok {
-		t.Fatal("b's stale entry displaced by a's churn")
+	if st.Size != 4 {
+		t.Fatalf("cache holds %d answers, want its capacity of 4", st.Size)
+	}
+	for _, k := range []string{"b:1", "b:2"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("b's answer %q displaced by a's churn", k)
+		}
 	}
 }
 
@@ -408,8 +423,8 @@ func TestCacheDropScopeResetsCounters(t *testing.T) {
 	fill(t, c, "a:1", "a:2", "b:1")
 	c.Get("a:1")
 	n := c.DropScope("a")
-	if n != 4 { // 2 fresh + 2 stale
-		t.Fatalf("DropScope dropped %d entries, want 4", n)
+	if n != 2 {
+		t.Fatalf("DropScope dropped %d entries, want 2", n)
 	}
 	st := c.Stats()
 	if _, ok := st.Scopes["a"]; ok {
@@ -434,11 +449,11 @@ func TestCacheInvalidateKeepsScopeCounters(t *testing.T) {
 	fill(t, c, "a:1", "a:2")
 	c.Get("a:1")
 	dropped := c.Invalidate(func(key string) bool { return tenantScope(key) == "a" })
-	if dropped != 4 {
-		t.Fatalf("Invalidate dropped %d, want 4", dropped)
+	if dropped != 2 {
+		t.Fatalf("Invalidate dropped %d, want 2", dropped)
 	}
 	a := c.Stats().Scopes["a"]
-	if a.Size != 0 || a.StaleSize != 0 {
+	if a.Size != 0 {
 		t.Fatalf("scope a entries survived: %+v", a)
 	}
 	if a.Hits != 1 || a.Misses != 2 {
@@ -467,7 +482,7 @@ func TestCacheConcurrentInvalidateDoCtxEvictionRace(t *testing.T) {
 			default:
 			}
 			k := keys[i%len(keys)]
-			if _, _, err := c.DoCtx(ctx, k, func() (interface{}, error) { return i, nil }); err != nil {
+			if _, _, err := c.doCtx(ctx, k, func() (interface{}, error) { return i, nil }); err != nil {
 				t.Errorf("DoCtx(%q): %v", k, err)
 				return
 			}
@@ -499,9 +514,6 @@ func TestCacheConcurrentInvalidateDoCtxEvictionRace(t *testing.T) {
 		if sc.Size > c.ScopeBudget(scope) {
 			t.Fatalf("scope %s over budget: %+v", scope, sc)
 		}
-		if sc.StaleSize > 2*c.ScopeBudget(scope) {
-			t.Fatalf("scope %s stale over bound: %+v", scope, sc)
-		}
 	}
 	// b was never invalidated and never contended for a's budget: its
 	// three keys rotate through a budget of two, nothing more.
@@ -524,48 +536,36 @@ func TestCacheUnpartitionedScopeExcludedFromScopes(t *testing.T) {
 	}
 }
 
-func TestInvalidateDetailSweepsStaleOnlyScopes(t *testing.T) {
+// TestInvalidateCountsEachAnswerOnce: an invalidation reports each
+// held answer it drops once, an evicted answer is not held to drop,
+// and nothing it dropped is served afterwards.
+func TestInvalidateCountsEachAnswerOnce(t *testing.T) {
 	c := NewCache(1)
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
+		if _, _, err := c.do(k, func() (interface{}, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Capacity 1: storing a second key evicts the first from the fresh
-	// LRU but leaves its stale copy behind.
+	// Capacity 1: storing a second key evicts the first.
 	put("old@1|a")
 	put("old@1|b")
-	if _, ok := c.Get("old@1|a"); ok {
-		t.Fatal("a should be evicted from fresh")
+	if n := c.Invalidate(func(k string) bool { return true }); n != 1 {
+		t.Fatalf("Invalidate = %d, want 1: only b is held", n)
 	}
-	if _, ok := c.Stale("old@1|a"); !ok {
-		t.Fatal("a should survive as stale")
+	for _, k := range []string{"old@1|a", "old@1|b"} {
+		if _, ok := c.stored(k); ok {
+			t.Errorf("%s survived invalidation", k)
+		}
 	}
-
-	fresh, stale := c.InvalidateDetail(func(k string) bool { return true })
-	if fresh != 1 || stale != 2 {
-		t.Fatalf("InvalidateDetail = (%d fresh, %d stale), want (1, 2)", fresh, stale)
-	}
-	// The evicted-but-stale key must be gone for good: a revision sweep
-	// that misses it would stale-serve a dead revision's value.
-	if _, ok := c.Stale("old@1|a"); ok {
-		t.Error("stale-only entry survived invalidation")
-	}
-	if _, ok := c.Stale("old@1|b"); ok {
-		t.Error("stale entry of fresh key survived invalidation")
-	}
-	// Invalidate reports the same total.
-	put("x")
-	put("y")
-	if n := c.Invalidate(func(string) bool { return true }); n != 3 {
-		t.Errorf("Invalidate = %d, want 1 fresh + 2 stale = 3", n)
+	if st := c.Stats(); st.Size != 0 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want nothing held and 1 eviction", st)
 	}
 }
 
 func TestRekeyMigratesAndDrops(t *testing.T) {
 	c := NewCache(8)
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return "val-" + k, nil }); err != nil {
+		if _, _, err := c.do(k, func() (interface{}, error) { return "val-" + k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -583,8 +583,7 @@ func TestRekeyMigratesAndDrops(t *testing.T) {
 			return k
 		}
 	})
-	// Each key exists fresh AND stale, so counts double.
-	if sum.MovedFresh != 1 || sum.MovedStale != 1 || sum.DroppedFresh != 1 || sum.DroppedStale != 1 {
+	if sum.Moved != 1 || sum.Dropped != 1 {
 		t.Fatalf("Rekey summary = %+v", sum)
 	}
 	if v, ok := c.Get("ds@2|keep|p"); !ok || v.(string) != "val-ds@1|keep|p" {
@@ -596,8 +595,8 @@ func TestRekeyMigratesAndDrops(t *testing.T) {
 	if _, ok := c.Get("ds@1|drop|p"); ok {
 		t.Error("dropped entry still reachable")
 	}
-	if _, ok := c.Stale("ds@1|drop|p"); ok {
-		t.Error("dropped entry still stale-served")
+	if _, ok := c.stored("ds@1|drop|p"); ok {
+		t.Error("dropped entry still stored")
 	}
 	if _, ok := c.Get("other@7|x"); !ok {
 		t.Error("unmatched entry must survive untouched")
@@ -607,7 +606,7 @@ func TestRekeyMigratesAndDrops(t *testing.T) {
 func TestRekeyCollisionKeepsExisting(t *testing.T) {
 	c := NewCache(8)
 	put := func(k, v string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return v, nil }); err != nil {
+		if _, _, err := c.do(k, func() (interface{}, error) { return v, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -619,8 +618,8 @@ func TestRekeyCollisionKeepsExisting(t *testing.T) {
 		}
 		return k
 	})
-	if sum.DroppedFresh != 1 || sum.DroppedStale != 1 || sum.MovedFresh != 0 || sum.MovedStale != 0 {
-		t.Fatalf("collision summary = %+v, want the fresh and stale copies of a dropped", sum)
+	if sum.Dropped != 1 || sum.Moved != 0 {
+		t.Fatalf("collision summary = %+v, want a dropped", sum)
 	}
 	if v, _ := c.Get("b"); v.(string) != "from-b" {
 		t.Error("existing target must win the collision")
@@ -640,7 +639,7 @@ func TestRekeyAcrossScopes(t *testing.T) {
 		}
 		return ""
 	})
-	if _, _, err := c.Do("s1|k", func() (interface{}, error) { return "v", nil }); err != nil {
+	if _, _, err := c.do("s1|k", func() (interface{}, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
 	}
 	sum := c.Rekey(func(k string) string {
@@ -649,7 +648,7 @@ func TestRekeyAcrossScopes(t *testing.T) {
 		}
 		return k
 	})
-	if sum.MovedFresh != 1 || sum.MovedStale != 1 {
+	if sum.Moved != 1 || sum.Dropped != 0 {
 		t.Fatalf("cross-scope summary = %+v", sum)
 	}
 	if v, ok := c.Get("s2|k"); !ok || v.(string) != "v" {

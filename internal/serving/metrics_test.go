@@ -53,8 +53,8 @@ func TestMetricsInFlight(t *testing.T) {
 func TestMetricsHandlerJSON(t *testing.T) {
 	m := NewMetrics()
 	c := NewCache(8)
-	c.Do("k", func() (interface{}, error) { return 1, nil })
-	c.Do("k", func() (interface{}, error) { return 1, nil })
+	c.do("k", func() (interface{}, error) { return 1, nil })
+	c.do("k", func() (interface{}, error) { return 1, nil })
 	m.ObserveCache(c)
 	m.Observe("GET /api/v1/courses", 200, 2*time.Millisecond)
 

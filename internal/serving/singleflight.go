@@ -1,16 +1,14 @@
 // Package serving is the production-hardening layer between the HTTP
 // handlers and the analysis packages: a keyed result cache with
-// singleflight deduplication and a stale last-known-good store, the
-// per-route metrics registry, and the middleware stack (panic
-// recovery, access logs, instrumentation, load shedding) that
-// cmd/serve wraps around the API.
+// singleflight deduplication, the per-route metrics registry, and the
+// middleware stack (panic recovery, access logs, instrumentation, load
+// shedding) that cmd/serve wraps around the API.
 //
-// The dataset behind the analyses is deterministic, so cached results
-// never go stale on their own: the fresh cache is bounded by size only
-// and invalidation does not exist. "Stale" here means a last-known-good
-// value that has fallen out of the fresh LRU but is retained for
-// degraded serving while the compute path is failing (see Cache.Stale
-// and internal/resilience).
+// Every analysis is a deterministic function of one corpus revision,
+// and every cache key names that revision, so a held answer never goes
+// out of date: the cache is bounded by size only, a lookup that finds
+// its key is a hit, and only a new revision retires a key (see
+// Cache.Invalidate and Cache.Rekey).
 //
 // The cache participates in request tracing (internal/obs): when a
 // request context carries a trace, Cache.DoCtxFn records
