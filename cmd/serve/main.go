@@ -75,12 +75,12 @@
 // ("id=host:port,...") and its own -node-id from that list. Replicas
 // route each analysis request to the key's owner on a consistent-hash
 // ring (ownership = cache locality; the owner's singleflight becomes
-// cluster-wide dedup), fan batch items out by owner, and broadcast
-// ingest invalidations, degrading to local compute whenever a peer is
-// unreachable or draining. GET /api/v1/fleet reports membership and
-// routing counters; docs/cluster.md is the operator guide. At fleet
-// scale -trace-sample thins request tracing to a deterministic
-// fraction; sampled-out requests still log a wide event.
+// cluster-wide dedup) and fan batch items out by owner, degrading to
+// local compute whenever a peer is unreachable or draining. GET
+// /api/v1/fleet reports membership and routing counters;
+// docs/cluster.md is the operator guide. At fleet scale -trace-sample
+// thins request tracing to a deterministic fraction; sampled-out
+// requests still log a wide event.
 //
 // Legacy /api/... paths permanently redirect to /api/v1/... .
 package main

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -40,10 +39,9 @@ type Event struct {
 
 // TagChange is one course's tag-SET difference across a delta: the
 // tags that entered and left the union of the course's material tags.
-// It is what the incremental consumers (agreement histograms, the
-// course × curriculum matrix) need — a retag that only touches tags
-// the course already covers through other materials produces an empty
-// TagChange even though the material itself changed.
+// A retag that only touches tags the course already covers through
+// other materials produces an empty TagChange even though the material
+// itself changed.
 type TagChange struct {
 	Added   []string `json:"added,omitempty"`
 	Removed []string `json:"removed,omitempty"`
@@ -53,9 +51,7 @@ type TagChange struct {
 func (tc TagChange) Empty() bool { return len(tc.Added) == 0 && len(tc.Removed) == 0 }
 
 // Delta summarizes what one Apply changed, revision N-1 → N. It rides
-// on the new Snapshot so the serving layer can invalidate precisely:
-// an analysis scope that provably cannot observe any touched course or
-// tag keeps its cached results across the revision bump.
+// on the new Snapshot, and a PATCH response reports it.
 type Delta struct {
 	// Events is the number of events applied.
 	Events int `json:"events"`
@@ -75,29 +71,9 @@ type Delta struct {
 	Groups []string `json:"groups"`
 	// TagChanges maps each touched course to its tag-set difference
 	// (absent or empty when the course's tag union was unchanged).
-	// It is carried in memory for incremental recompute, not exported
-	// in API summaries.
+	// It is carried in memory for callers that tell an edit that changes
+	// a tag set from one that keeps it, not exported in API summaries.
 	TagChanges map[string]TagChange `json:"-"`
-	// ChangedGroups is the sorted, lowercased union of the group labels
-	// of the courses whose tag set changed — the subset of Groups an
-	// analysis that reads courses only through their tag sets can
-	// observe. Events never change which courses exist, their order,
-	// IDs or group labels, so a delta with no tag-set change reaches no
-	// such analysis. In memory only, like TagChanges.
-	ChangedGroups []string `json:"-"`
-}
-
-// ChangesTagSet reports whether the delta changed the given course's
-// tag set.
-func (d *Delta) ChangesTagSet(course string) bool {
-	_, ok := d.TagChanges[course]
-	return ok
-}
-
-// ChangesGroup reports whether a course carrying the given lowercased
-// group label changed its tag set.
-func (d *Delta) ChangesGroup(group string) bool {
-	return slices.Contains(d.ChangedGroups, group)
 }
 
 // validateEvent checks an event's shape before application.
@@ -237,29 +213,23 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 	}
 
 	// Summarize: touched courses, their group labels, the tag union,
-	// the per-course tag-set differences old → new, read from the two
-	// revisions' interned tag rows, and the group labels of the courses
-	// whose tag set changed.
-	groups, changed := map[string]bool{}, map[string]bool{}
+	// and the per-course tag-set differences old → new, read from the
+	// two revisions' interned tag rows.
+	groups := map[string]bool{}
 	for id, mod := range touched {
 		delta.Courses = append(delta.Courses, id)
-		tc := diffRows(repo.Vocabulary(), base.TagRow(id), repo.TagRow(id))
-		if !tc.Empty() {
+		if tc := diffRows(repo.Vocabulary(), base.TagRow(id), repo.TagRow(id)); !tc.Empty() {
 			delta.TagChanges[id] = tc
 		}
 		for _, label := range []materials.CourseGroup{mod.Group, mod.SecondaryGroup} {
 			if g := strings.ToLower(string(label)); g != "" {
 				groups[g] = true
-				if !tc.Empty() {
-					changed[g] = true
-				}
 			}
 		}
 	}
 	sort.Strings(delta.Courses)
 	delta.Tags = sortedKeys(tags)
 	delta.Groups = sortedKeys(groups)
-	delta.ChangedGroups = sortedKeys(changed)
 	return repo, delta, nil
 }
 

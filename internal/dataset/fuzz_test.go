@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -50,9 +49,9 @@ func eventsBody(t testing.TB, evs ...Event) []byte {
 // the reference in every Repository accessor, the interned tag rows
 // included, leaves the base snapshot's accessors as they were, shares
 // the strings of the materials it copied from the events with the
-// vocabulary and the type constants, and records, in TagChanges and
-// ChangedGroups, exactly what a from-scratch diff of every course's
-// TagSet() across the two snapshots finds.
+// vocabulary and the type constants, and records, in TagChanges,
+// exactly what a from-scratch diff of every course's TagSet() across
+// the two snapshots finds.
 func FuzzApplyEvents(f *testing.F) {
 	courses := fuzzCourses(f)
 	c0, c1, c2, c3 := courses[0], courses[1], courses[2], courses[3]
@@ -142,30 +141,13 @@ func FuzzApplyEvents(f *testing.F) {
 		}
 		checkShared(t, snap.Repo().Vocabulary(), copied)
 		want := map[string]TagChange{}
-		groups := map[string]bool{}
 		for _, c := range snap.Repo().Courses() {
-			tc := diffSets(base.Repo().Course(c.ID).TagSet(), c.TagSet())
-			if tc.Empty() {
-				continue
-			}
-			want[c.ID] = tc
-			for _, g := range []materials.CourseGroup{c.Group, c.SecondaryGroup} {
-				if g != "" {
-					groups[strings.ToLower(string(g))] = true
-				}
+			if tc := diffSets(base.Repo().Course(c.ID).TagSet(), c.TagSet()); !tc.Empty() {
+				want[c.ID] = tc
 			}
 		}
-		d := snap.Delta()
-		if !reflect.DeepEqual(d.TagChanges, want) {
+		if d := snap.Delta(); !reflect.DeepEqual(d.TagChanges, want) {
 			t.Fatalf("TagChanges = %v, want %v", d.TagChanges, want)
-		}
-		wantGroups := make([]string, 0, len(groups))
-		for g := range groups {
-			wantGroups = append(wantGroups, g)
-		}
-		sort.Strings(wantGroups)
-		if !reflect.DeepEqual(append([]string{}, d.ChangedGroups...), wantGroups) {
-			t.Fatalf("ChangedGroups = %v, want %v", d.ChangedGroups, wantGroups)
 		}
 	})
 }

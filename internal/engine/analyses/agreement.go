@@ -46,6 +46,11 @@ type Agreement struct{}
 
 func (Agreement) Name() string { return "agreement" }
 
+// Scope is the course group.
+func (Agreement) Scope(p engine.Params) materials.Scope {
+	return materials.Scope{Group: p.(AgreementParams).Group}
+}
+
 func (Agreement) Parse(v url.Values) (engine.Params, error) {
 	threshold, err := intParam(v, "threshold", 2, 1)
 	if err != nil {

@@ -9,6 +9,7 @@ package analyses
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -36,35 +37,15 @@ func Default() (*engine.Registry, error) {
 	), nil
 }
 
-// validGroup checks a normalized group name against the paper's group
-// vocabulary. It is the parameter-validation half of group resolution:
-// membership is not resolved until Compute, when the dataset's
+// validGroup checks a normalized group name against materials.Groups.
+// It is the parameter-validation half of group resolution: membership
+// (Course.InGroup) is not resolved until Compute, when the dataset's
 // repository is in hand.
 func validGroup(group string) error {
-	switch group {
-	case "cs1", "ds", "dsalgo", "pdc", "all", "":
-		return nil
-	default:
+	if !slices.Contains(materials.Groups, group) {
 		return fmt.Errorf("unknown group %q", group)
 	}
-}
-
-// courseInGroup reports whether a course belongs to a normalized group.
-// The composite "dsalgo" group is the paper's DS∪Algo pool; "all" (and
-// the empty default) admit every course.
-func courseInGroup(c *materials.Course, group string) bool {
-	switch group {
-	case "cs1":
-		return c.HasGroup(materials.GroupCS1)
-	case "ds":
-		return c.HasGroup(materials.GroupDS)
-	case "dsalgo":
-		return c.HasGroup(materials.GroupDS) || c.HasGroup(materials.GroupAlgo)
-	case "pdc":
-		return c.HasGroup(materials.GroupPDC)
-	default: // "all", "" — validated upstream
-		return true
-	}
+	return nil
 }
 
 // groupCourseIDs resolves a normalized course-group name to the IDs of
@@ -80,7 +61,7 @@ func groupCourseIDs(repo *materials.Repository, group string) ([]string, error) 
 	}
 	var ids []string
 	for _, c := range repo.Courses() {
-		if courseInGroup(c, group) {
+		if c.InGroup(group) {
 			ids = append(ids, c.ID)
 		}
 	}

@@ -36,6 +36,11 @@ type Cluster struct{}
 
 func (Cluster) Name() string { return "cluster" }
 
+// Scope is the course group.
+func (Cluster) Scope(p engine.Params) materials.Scope {
+	return materials.Scope{Group: p.(ClusterParams).Group}
+}
+
 func (Cluster) Parse(v url.Values) (engine.Params, error) {
 	k, err := intParam(v, "k", 4, 1)
 	if err != nil {

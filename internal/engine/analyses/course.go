@@ -47,6 +47,12 @@ type Anchors struct {
 
 func (Anchors) Name() string { return "anchors" }
 
+// Scope is the course: the recommender reads its tag set against static
+// rule tables.
+func (Anchors) Scope(p engine.Params) materials.Scope {
+	return materials.Scope{Course: p.(CourseParams).Course}
+}
+
 func (Anchors) Parse(v url.Values) (engine.Params, error) {
 	id, err := courseParam(v)
 	if err != nil {
@@ -96,6 +102,11 @@ type AuditResponse struct {
 type Audit struct{}
 
 func (Audit) Name() string { return "audit" }
+
+// Scope is the course.
+func (Audit) Scope(p engine.Params) materials.Scope {
+	return materials.Scope{Course: p.(CourseParams).Course}
+}
 
 func (Audit) Parse(v url.Values) (engine.Params, error) {
 	id, err := courseParam(v)
@@ -171,6 +182,11 @@ func (p PDCMaterialsParams) CacheKey() string { return fmt.Sprintf("%s|%d", p.Co
 type PDCMaterials struct{}
 
 func (PDCMaterials) Name() string { return "pdcmaterials" }
+
+// Scope is the course; the public catalog it draws from is static.
+func (PDCMaterials) Scope(p engine.Params) materials.Scope {
+	return materials.Scope{Course: p.(PDCMaterialsParams).Course}
+}
 
 func (PDCMaterials) Parse(v url.Values) (engine.Params, error) {
 	id, err := courseParam(v)

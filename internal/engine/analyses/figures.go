@@ -31,6 +31,10 @@ type Figures struct{}
 
 func (Figures) Name() string { return "figures" }
 
+// Scope is no course: figures render the built-in seed corpus, not the
+// dataset's.
+func (Figures) Scope(engine.Params) materials.Scope { return materials.Scope{} }
+
 func (Figures) Parse(v url.Values) (engine.Params, error) {
 	return FiguresParams{ID: v.Get("id")}, nil
 }

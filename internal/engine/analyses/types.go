@@ -61,6 +61,11 @@ type Types struct{}
 
 func (Types) Name() string { return "types" }
 
+// Scope is the course group.
+func (Types) Scope(p engine.Params) materials.Scope {
+	return materials.Scope{Group: p.(TypesParams).Group}
+}
+
 // Parse defaults k to the paper's group-specific choice: 3 for the
 // single-group analyses, 4 for the all-course factorization.
 func (Types) Parse(v url.Values) (engine.Params, error) {

@@ -123,8 +123,8 @@ func newDatasetExecutor(b *testing.B, cache *serving.Cache) *engine.Executor {
 
 // BenchmarkDatasetServing measures the dataset-scoped serving ladder
 // end to end at the executor layer: a cold agreement analysis (cache
-// invalidated each iteration, full compute) and a warm one (revision-
-// scoped cache hit) for both the full seed corpus and a small ingested
+// invalidated each iteration, full compute) and a warm one (a hit on
+// the key of its courses' digest) for both the full seed corpus and a small ingested
 // dataset. The cold/warm gap is the cache's value; the default/alt
 // cold gap shows how compute cost tracks corpus size.
 func BenchmarkDatasetServing(b *testing.B) {
@@ -153,7 +153,7 @@ func BenchmarkDatasetServing(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if bc.mode == "cold" {
 					b.StopTimer()
-					exec.InvalidateDataset(bc.dataset, 0)
+					exec.InvalidateDataset(bc.dataset)
 					b.StartTimer()
 				}
 				run(bc.mode == "warm")
@@ -248,8 +248,8 @@ func BenchmarkBatchScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				exec.InvalidateDataset(dataset.DefaultID, 0)
-				exec.InvalidateDataset("alt", 0)
+				exec.InvalidateDataset(dataset.DefaultID)
+				exec.InvalidateDataset("alt")
 				b.StartTimer()
 				for _, res := range exec.RunBatch(context.Background(), items) {
 					if res.Error != nil {

@@ -2,27 +2,12 @@ package engine
 
 import (
 	"context"
-	"fmt"
+	"encoding/hex"
 	"strings"
 
 	"csmaterials/internal/dataset"
 	"csmaterials/internal/obs"
 )
-
-// DeltaAware is implemented by analyses that can judge whether a
-// dataset delta can reach a cached result. The executor consults it
-// during a delta refresh: results the analysis proves unaffected are
-// migrated to the new revision's cache keys instead of being dropped
-// and recomputed, so a retag of one material invalidates only the
-// analyses and parameter scopes it can actually change.
-type DeltaAware interface {
-	// AffectedBy reports whether the result cached under paramKey (the
-	// Params.CacheKey() part of the logical key, "" when the analysis
-	// takes no parameters) could differ after d is applied. It must err
-	// on the side of true: a false negative serves a wrong result under
-	// the new revision.
-	AffectedBy(paramKey string, d *dataset.Delta) bool
-}
 
 // ConvergenceReporter is implemented by analysis RESULTS whose compute
 // is iterative (the NNMF factorizations); the executor reads it after
@@ -37,112 +22,61 @@ type refreshStats struct {
 	delta          uint64
 	full           uint64
 	invalidated    uint64
-	migrated       uint64
 	coldIterations uint64
 }
 
 // RefreshStats is the JSON form of one dataset's refresh counters.
 type RefreshStats struct {
-	// Delta and Full count refreshes by kind.
+	// Delta and Full count refreshes by the ingest behind them: a PATCH
+	// (its snapshot carries a delta) or a PUT.
 	Delta uint64 `json:"delta"`
 	Full  uint64 `json:"full"`
 	// Invalidated counts cache entries dropped by refreshes.
 	Invalidated uint64 `json:"invalidated"`
-	// Migrated counts entries carried to a new revision unchanged.
-	Migrated uint64 `json:"migrated"`
 	// ColdIterations accumulates iterations-to-converge reported by
 	// iterative results; every compute starts cold.
 	ColdIterations uint64 `json:"cold_iterations"`
 }
 
-// DeltaOutcome summarizes one refresh for the ingest response meta and
-// the tests asserting invalidation precision.
+// DeltaOutcome summarizes one refresh for the ingest response meta.
 type DeltaOutcome struct {
-	// Full reports that the refresh fell back to whole-dataset
-	// invalidation (no delta available).
-	Full bool `json:"full"`
-	// Invalidated is the number of cache entries dropped.
+	// Invalidated is the number of cache entries dropped: answers whose
+	// input the dataset no longer holds.
 	Invalidated int `json:"invalidated"`
-	// Migrated is the number of entries carried forward to the new
-	// revision because their analysis proved them unaffected.
-	Migrated int `json:"migrated"`
 }
 
-// ApplyDelta reconciles the serving layer with a freshly applied
-// dataset revision. When the snapshot carries a Delta (it came from
-// Registry.Apply), the refresh is delta-driven: every cached entry of
-// the dataset's previous revisions is classified by its analysis —
-// provably unaffected results are MIGRATED to the new revision's keys
-// (keeping their LRU positions and encoded bytes; no recompute, no
-// cold cache), and affected results are dropped, to be recomputed
-// cold on their next read. Snapshots without a delta (full PUT
-// re-ingest, LoadDir) degrade to RefreshFull.
+// ApplyDelta reconciles the serving layer with a newly installed
+// revision of ds, from a PATCH or a PUT alike. Each held answer is
+// keyed by the digest of the courses it reads, so an answer whose
+// input the new revision keeps is still found, and one whose input
+// changed is never read again. The refresh drops the latter, to bound
+// what the cache holds: every entry of ds whose digest is the digest of
+// no scope of the registry's current snapshot, which may be newer than
+// snap. So a late or reordered refresh can cost a recompute, never a
+// wrong answer. snap only tells a PATCH's refresh (it carries a delta)
+// from a PUT's in the counters.
 func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snapshot) DeltaOutcome {
-	d := snap.Delta()
-	if d == nil {
-		return e.RefreshFull(ctx, ds, snap.Revision())
-	}
 	start := obs.Now(ctx)
+	live := map[string]bool{}
+	if cur, ok := e.datasets.Get(ds); ok {
+		repo := cur.Repo()
+		for _, s := range repo.Scopes() {
+			d := repo.Digest(s)
+			live[hex.EncodeToString(d[:])] = true
+		}
+	}
 	prefix := ds + "@"
-	newPrefix := fmt.Sprintf("%s@%d|", ds, snap.Revision())
-
-	sum := e.cache.Rekey(func(key string) string {
-		if !strings.HasPrefix(key, prefix) || strings.HasPrefix(key, newPrefix) {
-			return key
-		}
-		name, paramKey, ok := splitPhysical(key)
+	out := DeltaOutcome{Invalidated: e.cache.Invalidate(func(key string) bool {
+		rest, ok := strings.CutPrefix(key, prefix)
 		if !ok {
-			return "" // malformed for this dataset: drop
+			return false
 		}
-		a, registered := e.reg.Get(name)
-		if !registered {
-			return ""
-		}
-		if da, aware := a.(DeltaAware); aware && !da.AffectedBy(paramKey, d) {
-			return newPrefix + name + joinParam(paramKey)
-		}
-		return ""
-	})
-
-	out := DeltaOutcome{Invalidated: sum.Dropped, Migrated: sum.Moved}
-	obs.AddSpan(ctx, "refresh-delta", start)
-	e.countRefresh(ds, true, out)
+		digest, _, _ := strings.Cut(rest, "|")
+		return !live[digest]
+	})}
+	obs.AddSpan(ctx, "refresh", start)
+	e.countRefresh(ds, snap.Delta() != nil, out)
 	return out
-}
-
-// RefreshFull invalidates every cache entry of ds except revision keep,
-// recording the sweep as a refresh-full span and in the csm_refresh_*
-// counters. It is the metrics-aware face of InvalidateDataset, used by
-// the full re-ingest path.
-func (e *Executor) RefreshFull(ctx context.Context, ds string, keep uint64) DeltaOutcome {
-	start := obs.Now(ctx)
-	out := DeltaOutcome{Full: true, Invalidated: e.InvalidateDataset(ds, keep)}
-	obs.AddSpan(ctx, "refresh-full", start)
-	e.countRefresh(ds, false, out)
-	return out
-}
-
-// splitPhysical decomposes a physical cache key
-// "<ds>@<rev>|<name>[|<paramKey>]" into its analysis name and
-// parameter key.
-func splitPhysical(key string) (name, paramKey string, ok bool) {
-	bar := strings.IndexByte(key, '|')
-	if bar < 0 {
-		return "", "", false
-	}
-	logical := key[bar+1:]
-	if i := strings.IndexByte(logical, '|'); i >= 0 {
-		return logical[:i], logical[i+1:], true
-	}
-	return logical, "", true
-}
-
-// joinParam re-attaches a parameter key to an analysis name.
-func joinParam(paramKey string) string {
-	if paramKey == "" {
-		return ""
-	}
-	return "|" + paramKey
 }
 
 // recordIterations accumulates a result's iterations-to-converge into
@@ -170,7 +104,6 @@ func (e *Executor) countRefresh(ds string, delta bool, out DeltaOutcome) {
 		st.full++
 	}
 	st.invalidated += uint64(out.Invalidated)
-	st.migrated += uint64(out.Migrated)
 	e.mu.Unlock()
 }
 

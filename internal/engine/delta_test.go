@@ -16,8 +16,8 @@ import (
 )
 
 // newDeltaExecutor wires the real analysis registry over a fresh
-// dataset registry (seed corpus as "default") — the delta-refresh
-// tests need real AffectedBy implementations, not fakes.
+// dataset registry (seed corpus as "default") — the refresh tests need
+// the real analyses' scopes, not fakes.
 func newDeltaExecutor(t *testing.T) (*engine.Executor, *dataset.Registry) {
 	t.Helper()
 	reg, err := analyses.Default()
@@ -43,7 +43,7 @@ func mustRunOn(t *testing.T, exec *engine.Executor, name string, v url.Values) (
 
 // cs1OnlyCourse returns a seed course that is in the cs1 group and in
 // none of ds/dsalgo/pdc, so a delta touching it must leave results
-// scoped to those groups migrated, not recomputed.
+// scoped to those groups held, not recomputed.
 func cs1OnlyCourse(t *testing.T, snap *dataset.Snapshot) *materials.Course {
 	t.Helper()
 	for _, c := range snap.Repo().Courses() {
@@ -86,10 +86,10 @@ func missingTag(t *testing.T, snap *dataset.Snapshot, c *materials.Course) strin
 }
 
 // TestApplyDeltaPrecision is the acceptance gate for invalidation
-// precision. A retag that keeps its course's tag set migrates every
+// precision. A retag that keeps its course's tag set keeps every
 // entry, the touched course's own anchors included; a retag that
-// changes it drops exactly the entries the change can reach and
-// migrates every other one to the new revision's keys.
+// changes it drops exactly the entries whose scope holds the course and
+// keeps every other one; a PUT of the same document drops nothing.
 func TestApplyDeltaPrecision(t *testing.T) {
 	exec, datasets := newDeltaExecutor(t)
 	base := datasets.Default()
@@ -121,12 +121,8 @@ func TestApplyDeltaPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-	if out.Full {
-		t.Fatal("delta snapshot must not fall back to a full refresh")
-	}
-	// Each held answer is counted once, migrated or dropped.
-	if out.Migrated != 4 || out.Invalidated != 0 {
-		t.Errorf("same-tag-set retag: %+v, want all 4 entries migrated and nothing dropped", out)
+	if out.Invalidated != 0 {
+		t.Errorf("same-tag-set retag: %+v, want nothing dropped", out)
 	}
 	for _, r := range reads {
 		if _, o := mustRunOn(t, exec, r.name, r.values); o.Cache != "hit" || o.Revision != snap.Revision() {
@@ -142,14 +138,11 @@ func TestApplyDeltaPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-	if out.Migrated != 2 {
-		t.Errorf("migrated = %d, want 2 (agreement|pdc, anchors|%s)", out.Migrated, other.ID)
-	}
 	if out.Invalidated != 2 {
 		t.Errorf("invalidated = %d, want 2 (agreement|all, anchors|%s)", out.Invalidated, touched.ID)
 	}
 
-	// Migrated entries serve as hits under the new revision; dropped
+	// Kept entries serve as hits under the new revision; dropped
 	// entries recompute cold.
 	for i, want := range []string{"miss", "hit", "miss", "hit"} {
 		r := reads[i]
@@ -158,22 +151,26 @@ func TestApplyDeltaPrecision(t *testing.T) {
 		}
 	}
 	st := exec.Stats().Refresh[dataset.DefaultID]
-	if st.Delta != 2 || st.Full != 0 {
-		t.Errorf("refresh counts = (%d delta, %d full), want (2, 0)", st.Delta, st.Full)
-	}
-	if st.Migrated != 6 || st.Invalidated != 2 {
-		t.Errorf("refresh totals = (%d migrated, %d invalidated), want (6, 2)", st.Migrated, st.Invalidated)
+	if st.Delta != 2 || st.Full != 0 || st.Invalidated != 2 {
+		t.Errorf("refresh totals = (%d delta, %d full, %d invalidated), want (2, 0, 2)", st.Delta, st.Full, st.Invalidated)
 	}
 
-	// A full PUT re-ingest (no delta on the snapshot) degrades to a
-	// full refresh.
-	doc := snap.Repo().Courses()
-	putSnap, err := datasets.Put(dataset.DefaultID, doc)
+	// A PUT of the same document changes no answer's input: it drops
+	// nothing, counts as a full refresh, and every read stays a hit.
+	putSnap, err := datasets.Put(dataset.DefaultID, snap.Repo().Courses())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := exec.ApplyDelta(context.Background(), dataset.DefaultID, putSnap); !out.Full {
-		t.Error("snapshot without a delta must refresh full")
+	if out := exec.ApplyDelta(context.Background(), dataset.DefaultID, putSnap); out.Invalidated != 0 {
+		t.Errorf("identical PUT: %+v, want nothing dropped", out)
+	}
+	for _, r := range reads {
+		if _, o := mustRunOn(t, exec, r.name, r.values); o.Cache != "hit" || o.Revision != putSnap.Revision() {
+			t.Errorf("%s %v after an identical PUT = %q@rev%d, want hit@rev%d", r.name, r.values, o.Cache, o.Revision, putSnap.Revision())
+		}
+	}
+	if st := exec.Stats().Refresh[dataset.DefaultID]; st.Full != 1 {
+		t.Errorf("full refreshes = %d after a PUT, want 1", st.Full)
 	}
 }
 
@@ -248,8 +245,8 @@ func TestUnchangedTagSetsComputeNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap); out.Migrated != len(reads) || out.Invalidated != 0 {
-		t.Fatalf("same-tag-set PATCH: %+v, want all %d entries migrated", out, len(reads))
+	if out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap); out.Invalidated != 0 {
+		t.Fatalf("same-tag-set PATCH: %+v, want all %d entries kept", out, len(reads))
 	}
 	checkHitsEqualCold("after the PATCH")
 	if c, i := work(); c != computes || i != iterations {
@@ -295,7 +292,7 @@ func TestApplyDeltaSeedsNoTypesPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap)
-	if out.Invalidated != 1 || out.Migrated != 0 {
+	if out.Invalidated != 1 {
 		t.Errorf("tag-set change: %+v, want types|all dropped", out)
 	}
 	computes := exec.Stats().Analyses["types"].Computes

@@ -76,6 +76,25 @@ type Analysis interface {
 	Compute(ctx context.Context, repo *materials.Repository, p Params) (interface{}, error)
 }
 
+// Scoped is implemented by analyses whose answer reads less than the
+// whole dataset. Scope returns the courses p's answer reads: a course
+// group, one course, or none. An analysis that does not implement it
+// reads every course. The executor keys each held answer by the digest
+// of its scope, so an answer is reused exactly while its input is
+// unchanged; a scope that leaves out a course the compute reads would
+// serve a stale answer.
+type Scoped interface {
+	Scope(p Params) materials.Scope
+}
+
+// scopeOf returns the scope of (a, p)'s answer.
+func scopeOf(a Analysis, p Params) materials.Scope {
+	if s, ok := a.(Scoped); ok {
+		return s.Scope(p)
+	}
+	return materials.Scope{Group: "all"}
+}
+
 // Warmer is implemented by analyses that should be pre-computed before
 // the server reports ready (GET /readyz). WarmParams returns the
 // parameter sets to warm, typically the expensive all-group defaults.

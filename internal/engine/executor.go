@@ -2,8 +2,8 @@ package engine
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
-	"fmt"
 	"net/url"
 	"strings"
 	"sync"
@@ -21,8 +21,8 @@ import (
 type ExecutorOptions struct {
 	// Datasets is the dataset registry every run resolves its
 	// repository through; required. Cache keys carry a
-	// "<dataset>@<revision>|" generation prefix, and breakers, stats,
-	// and fault labels partition per (dataset, analysis).
+	// "<dataset>@<scope digest>|" prefix, and breakers, stats, and
+	// fault labels partition per (dataset, analysis).
 	Datasets *dataset.Registry
 	// Cache is the result cache + singleflight group; required.
 	Cache *serving.Cache
@@ -42,7 +42,7 @@ type Outcome struct {
 	// Key is the logical cache key, "<name>|<params.CacheKey()>" — the
 	// client-facing identity of the computation, identical across
 	// datasets and revisions. The physical cache key adds the
-	// "<dataset>@<revision>|" generation prefix.
+	// "<dataset>@<scope digest>|" prefix.
 	Key string
 	// Dataset is the dataset the computation resolved against.
 	Dataset string
@@ -76,7 +76,7 @@ type AnalysisStats struct {
 // accounting plus batch totals.
 type Stats struct {
 	Analyses map[string]AnalysisStats `json:"analyses"`
-	// Refresh breaks down invalidation, migration and NNMF iterations
+	// Refresh breaks down refreshes, invalidation and NNMF iterations
 	// per dataset (absent until a refresh or an iterative compute
 	// happens).
 	Refresh      map[string]RefreshStats `json:"refresh,omitempty"`
@@ -92,10 +92,11 @@ type Stats struct {
 // caller.
 //
 // The ladder is partitioned per dataset: RunOn/RunParamsOn resolve a
-// snapshot from the registry, physical cache keys carry the snapshot's
-// revision (so an ingest can never race an in-flight compute into a
-// torn or cross-revision read), and breakers/stats/fault labels are
-// scoped "<dataset>/<analysis>" for non-default datasets.
+// snapshot from the registry, physical cache keys carry the digest of
+// the courses the answer reads in that snapshot (so an ingest can never
+// race an in-flight compute into a torn or cross-revision read), and
+// breakers/stats/fault labels are scoped "<dataset>/<analysis>" for
+// non-default datasets.
 type Executor struct {
 	reg      *Registry
 	datasets *dataset.Registry
@@ -133,9 +134,9 @@ func NewExecutor(reg *Registry, o ExecutorOptions) *Executor {
 			e.breakers.Get(name)
 		}
 	}
-	// Physical keys carry the dataset generation prefix, so the cache
-	// can partition its budget per dataset: one tenant's fill evicts
-	// only that tenant's entries.
+	// Physical keys carry the dataset prefix, so the cache can partition
+	// its budget per dataset: one tenant's fill evicts only that
+	// tenant's entries.
 	e.cache.SetScopeFunc(DatasetScope)
 	return e
 }
@@ -180,18 +181,20 @@ func (e *Executor) resolve(ds string) (*materials.Repository, uint64, error) {
 }
 
 // physicalKey derives the cache/singleflight key from the logical key:
-// it is prefixed with the dataset generation ("<dataset>@<revision>|"),
-// so a re-ingested revision can never collide with entries — or
-// in-flight computes — of a previous one, and invalidation can target
-// exactly one dataset's entries.
-func physicalKey(ds string, rev uint64, logical string) string {
-	return fmt.Sprintf("%s@%d|%s", ds, rev, logical)
+// it is prefixed with the dataset and the hex digest of the courses the
+// answer reads ("<dataset>@<digest>|"), so two revisions share an
+// answer exactly when its input is the same in both, and invalidation
+// can target exactly one dataset's entries.
+func physicalKey(ds string, d materials.Digest, logical string) string {
+	var h [2 * len(materials.Digest{})]byte
+	hex.Encode(h[:], d[:])
+	return ds + "@" + string(h[:]) + "|" + logical
 }
 
 // DatasetScope maps a physical cache key to the dataset that owns it:
-// the "<dataset>@<revision>|<logical>" generation prefix identifies
-// the tenant ('@' and '|' cannot occur in a dataset ID). Keys without
-// a generation prefix fall into the shared "" scope.
+// the "<dataset>@<digest>|<logical>" prefix identifies the tenant ('@'
+// and '|' cannot occur in a dataset ID). Keys without such a prefix
+// fall into the shared "" scope.
 func DatasetScope(key string) string {
 	at := strings.IndexByte(key, '@')
 	if at <= 0 {
@@ -323,12 +326,12 @@ func (e *Executor) RunParams(ctx context.Context, a Analysis, p Params) (interfa
 // cached.
 //
 // Dataset isolation: the snapshot (repository + revision) is resolved
-// once, before the ladder, and the revision is baked into the physical
-// cache key. A concurrent ingest swaps the registry's snapshot pointer
-// but cannot touch this run — it computes over its resolved snapshot
-// and stores under its resolved revision's key, which post-ingest
-// requests (holding the new revision) never read. There is no torn
-// read and no cross-revision answer.
+// once, before the ladder, and the digest of the courses the answer
+// reads in it is baked into the physical cache key. A concurrent ingest
+// swaps the registry's snapshot pointer but cannot touch this run — it
+// computes over its resolved snapshot and stores under that snapshot's
+// digest, which a later request reads only if its own snapshot holds
+// the same input. There is no torn read and no cross-revision answer.
 //
 // A held answer is a hit and never reaches the breaker, the compute or
 // a deadline. Only an answer that is not held does; then a compute
@@ -400,7 +403,8 @@ func (e *Executor) answer(ctx context.Context, ds string, a Analysis, p Params) 
 		return serving.NewAnswer(v), nil
 	}
 
-	v, served, err := e.cache.DoCtxFn(ctx, physicalKey(ds, rev, logical), guarded)
+	key := physicalKey(ds, repo.Digest(scopeOf(a, p)), logical)
+	v, served, err := e.cache.DoCtxFn(ctx, key, guarded)
 	if err != nil {
 		return nil, Outcome{}, err
 	}
@@ -421,11 +425,10 @@ func (e *Executor) Warm(ctx context.Context) error {
 
 // WarmDataset pre-computes every registered Warmer analysis's
 // WarmParams against dataset ds in registration order, returning the
-// first failure. The results land in the cache under the exact
-// (dataset, revision)-scoped keys live requests use, so the first real
-// request after readiness — or after an ingest — is a hit. Each
-// dataset's warmup budget is its own: warming one dataset never
-// touches another's entries or breakers.
+// first failure. The results land in the cache under the exact keys
+// live requests use, so the first real request after readiness — or
+// after an ingest — is a hit. Each dataset's warmup budget is its own:
+// warming one dataset never touches another's entries or breakers.
 func (e *Executor) WarmDataset(ctx context.Context, ds string) error {
 	for _, name := range e.reg.Names() {
 		a, ok := e.reg.Get(name)
@@ -448,18 +451,12 @@ func (e *Executor) WarmDataset(ctx context.Context, ds string) error {
 	return nil
 }
 
-// InvalidateDataset drops every cache entry belonging to ds except
-// those of revision keep (pass the just-ingested revision, or 0 on
-// delete to purge everything), returning the number of entries
-// dropped. Called after an ingest swaps the snapshot, it also sweeps
-// entries stored by computes that were in flight across the swap —
-// their keys carry the old revision and can never be read again.
-func (e *Executor) InvalidateDataset(ds string, keep uint64) int {
+// InvalidateDataset drops every cache entry belonging to ds, returning
+// the number of entries dropped. The idle reaper calls it to give a
+// quiet tenant's answers back; the dataset's scope counters stay.
+func (e *Executor) InvalidateDataset(ds string) int {
 	prefix := ds + "@"
-	keepPrefix := fmt.Sprintf("%s@%d|", ds, keep)
-	return e.cache.Invalidate(func(key string) bool {
-		return strings.HasPrefix(key, prefix) && (keep == 0 || !strings.HasPrefix(key, keepPrefix))
-	})
+	return e.cache.Invalidate(func(key string) bool { return strings.HasPrefix(key, prefix) })
 }
 
 // DropDatasetServingState removes every trace of ds from the serving
@@ -548,7 +545,6 @@ func (e *Executor) Stats() Stats {
 			Delta:          s.delta,
 			Full:           s.full,
 			Invalidated:    s.invalidated,
-			Migrated:       s.migrated,
 			ColdIterations: s.coldIterations,
 		}
 	}

@@ -1,13 +1,15 @@
 package engine_test
 
 // The delta oracle: a randomized differential test of the incremental
-// refresh. A seeded generator draws batches of classification events;
-// after each Registry.Apply + Executor.ApplyDelta every registered
+// refresh. A seeded generator draws steps: mostly batches of
+// classification events (Registry.Apply), sometimes a whole document
+// (Registry.Put) that is identical to the corpus or differs from it in
+// one way. After each step and its Executor.ApplyDelta every registered
 // analysis is read over a parameter grid and compared, byte for byte
 // and error for error, with a cold executor over the same snapshot (a
 // fresh cache): the refreshed executor's stored answer bytes against
 // the cold answer's value encoded afresh. The whole grid is read before
-// each delta too, so the entries a delta migrates, bytes and all, are
+// each step too, so the answers a refresh keeps, bytes and all, are
 // the ones checked. After the sequential reads the grid runs again as
 // one Executor.RunBatch, which must answer item for item, in input
 // order, with the same bytes and errors.
@@ -18,6 +20,7 @@ import (
 	"math/rand"
 	"net/url"
 	"sort"
+	"strings"
 	"testing"
 
 	"csmaterials/internal/dataset"
@@ -68,15 +71,23 @@ type gridRead struct {
 
 func (r gridRead) String() string { return r.name + "?" + r.values.Encode() }
 
+// renamed is the suffix a rename step toggles on a course ID.
+const renamed = "-renamed"
+
 // oracleGrid lists the reads for every registered analysis: each group
-// with two k or threshold values, each course (and one unknown course)
-// for the per-course analyses, and two figures plus an unknown one. An
-// analysis the grid does not know fails the test, so a newly
-// registered analysis cannot escape the oracle.
-func oracleGrid(t testing.TB, reg *engine.Registry, courses []string) []gridRead {
+// with two k or threshold values, each course under its ID and its
+// renamed ID (and one unknown course) for the per-course analyses, and
+// two figures plus an unknown one. An analysis the grid does not know
+// fails the test, so a newly registered analysis cannot escape the
+// oracle.
+func oracleGrid(t testing.TB, reg *engine.Registry, ids []string) []gridRead {
 	t.Helper()
 	groups := []string{"all", "cs1", "ds", "dsalgo", "pdc"}
-	courses = append(append([]string(nil), courses...), "no-such-course")
+	var courses []string
+	for _, id := range ids {
+		courses = append(courses, id, id+renamed)
+	}
+	courses = append(courses, "no-such-course")
 	var out []gridRead
 	add := func(name string, kv ...string) {
 		v := url.Values{}
@@ -124,12 +135,13 @@ func oracleGrid(t testing.TB, reg *engine.Registry, courses []string) []gridRead
 
 // readAnswer renders one read as comparable text: the data bytes, or
 // the error's status, code and message. stored reads the bytes the
-// answer carries (encoded on its first read, kept across migrations);
-// otherwise the answer's value is encoded afresh.
-func readAnswer(exec *engine.Executor, r gridRead, stored bool) string {
-	ans, _, err := exec.AnswerOn(context.Background(), oracleDataset, r.name, r.values)
+// answer carries (encoded on its first read, kept across refreshes);
+// otherwise the answer's value is encoded afresh. hit reports that the
+// executor served a held answer.
+func readAnswer(exec *engine.Executor, r gridRead, stored bool) (text string, hit bool) {
+	ans, out, err := exec.AnswerOn(context.Background(), oracleDataset, r.name, r.values)
 	if err != nil {
-		return renderError(engine.AsError(err))
+		return renderError(engine.AsError(err)), false
 	}
 	var b []byte
 	if stored {
@@ -138,9 +150,9 @@ func readAnswer(exec *engine.Executor, r gridRead, stored bool) string {
 		b, err = serving.EncodeData(ans.Value)
 	}
 	if err != nil {
-		return "encode error: " + err.Error()
+		return "encode error: " + err.Error(), false
 	}
-	return string(b)
+	return string(b), out.Cache == "hit"
 }
 
 func renderError(ee *engine.Error) string {
@@ -175,14 +187,17 @@ func batchAnswers(exec *engine.Executor, grid []gridRead) []string {
 	return out
 }
 
-// eventGen draws batches of classification events against the current
-// corpus. Each batch is simulated on a working copy of the touched
-// courses' material lists, so every batch it returns applies.
+// eventGen draws steps against the current corpus: batches of
+// classification events, and now and then a whole document to put.
+// Each batch is simulated on a working copy of the touched courses'
+// material lists, so every batch it returns applies.
 type eventGen struct {
 	rng   *rand.Rand
 	vocab []string // every tag of the starting corpus, sorted
 	added int      // materials added so far, for fresh IDs
-	// kinds counts the events and special batches generated, by kind.
+	puts  int      // documents drawn so far, to cycle their kinds
+	// kinds counts the events, special batches and documents
+	// generated, by kind.
 	kinds map[string]int
 	// work is the batch being drawn: course ID → material list.
 	work map[string][]*materials.Material
@@ -191,9 +206,7 @@ type eventGen struct {
 
 func newEventGen(seed int64, courses []*materials.Course) *eventGen {
 	set := map[string]bool{}
-	ids := make([]string, 0, len(courses))
 	for _, c := range courses {
-		ids = append(ids, c.ID)
 		for t := range c.TagSet() {
 			set[t] = true
 		}
@@ -203,7 +216,67 @@ func newEventGen(seed int64, courses []*materials.Course) *eventGen {
 		vocab = append(vocab, t)
 	}
 	sort.Strings(vocab)
-	return &eventGen{rng: rand.New(rand.NewSource(seed)), vocab: vocab, kinds: map[string]int{}, ids: ids}
+	return &eventGen{rng: rand.New(rand.NewSource(seed)), vocab: vocab, kinds: map[string]int{}}
+}
+
+// putKinds are the documents a step may put in place of a batch, drawn
+// in turn: the corpus as it is, one course renamed (its ID toggles the
+// renamed suffix), one course's tag set changed, one course moved to
+// another group, and two courses swapped in order.
+var putKinds = []string{"put-same", "put-rename", "put-retag", "put-regroup", "put-swap"}
+
+// step draws the next step against repo: a document to put (about one
+// step in six) or a batch of events to apply.
+func (g *eventGen) step(repo *materials.Repository) (events []dataset.Event, doc []*materials.Course) {
+	g.ids = g.ids[:0]
+	for _, c := range repo.Courses() {
+		g.ids = append(g.ids, c.ID)
+	}
+	if g.rng.Intn(6) > 0 {
+		return g.batch(repo), nil
+	}
+	return nil, g.document(repo)
+}
+
+// document returns repo's courses as a document of the next put kind.
+// It copies each course it changes, and the material it retags.
+func (g *eventGen) document(repo *materials.Repository) []*materials.Course {
+	kind := putKinds[g.puts%len(putKinds)]
+	g.puts++
+	g.kinds[kind]++
+	doc := repo.Courses()
+	i := g.rng.Intn(len(doc))
+	c := doc[i].Clone()
+	switch kind {
+	case "put-rename":
+		if id, ok := strings.CutSuffix(c.ID, renamed); ok {
+			c.ID = id
+		} else {
+			c.ID += renamed
+		}
+	case "put-retag":
+		for {
+			j := g.rng.Intn(len(c.Materials))
+			if tags, ok := g.changeTags(c.Materials, j); ok {
+				m := c.Materials[j].Clone()
+				m.Tags = tags
+				c.Materials[j] = m
+				break
+			}
+		}
+	case "put-regroup":
+		labels := []materials.CourseGroup{materials.GroupCS1, materials.GroupOOP, materials.GroupDS,
+			materials.GroupAlgo, materials.GroupSoftEng, materials.GroupPDC, materials.GroupOther}
+		for c.Group == doc[i].Group {
+			c.Group = labels[g.rng.Intn(len(labels))]
+		}
+	case "put-swap":
+		j := (i + 1 + g.rng.Intn(len(doc)-1)) % len(doc)
+		doc[i], doc[j] = doc[j], c
+		return doc
+	}
+	doc[i] = c
+	return doc
 }
 
 // mats returns course id's working material list.
@@ -403,13 +476,15 @@ func (g *eventGen) batch(repo *materials.Repository) []dataset.Event {
 
 // oracleRun summarizes what one oracle run exercised.
 type oracleRun struct {
-	steps, reads      int
-	migrated, dropped int
-	changed           int
-	evicted           uint64
+	steps, puts, reads int
+	// kept counts the answers a refresh left held: those held before
+	// it less those it dropped.
+	kept, dropped int
+	changed       int
+	evicted       uint64
 }
 
-// runDeltaOracle ingests courses, then applies steps generated batches,
+// runDeltaOracle ingests courses, then takes `steps` generated steps,
 // comparing the executor built over reg with a cold executor after
 // each. It returns the first mismatch. A capacity of 0 lets the
 // executor under test hold every answer of the grid; a positive one
@@ -444,25 +519,32 @@ func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Cou
 
 	for step := 0; step <= steps; step++ {
 		if step > 0 {
-			events := gen.batch(snap.Repo())
-			next, err := datasets.Apply(oracleDataset, events)
+			events, doc := gen.step(snap.Repo())
+			var next *dataset.Snapshot
+			if doc != nil {
+				next, err = datasets.Put(oracleDataset, doc)
+				run.puts++
+			} else {
+				next, err = datasets.Apply(oracleDataset, events)
+			}
 			if err != nil {
-				t.Fatalf("step %d: generated batch does not apply: %v", step, err)
+				t.Fatalf("step %d: generated step does not apply: %v", step, err)
 			}
 			snap = next
+			held := cache.Stats().Size
 			out := exec.ApplyDelta(context.Background(), oracleDataset, snap)
-			if out.Full {
-				return run, fmt.Errorf("step %d: a delta snapshot refreshed in full", step)
-			}
-			run.migrated += out.Migrated
+			run.kept += held - out.Invalidated
 			run.dropped += out.Invalidated
-			run.changed += len(snap.Delta().TagChanges)
+			if d := snap.Delta(); d != nil {
+				run.changed += len(d.TagChanges)
+			}
 			run.steps++
 		}
 		cold := engine.NewExecutor(coldReg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(1024)})
 		wants := make([]string, len(grid))
 		for i, r := range grid {
-			got, want := readAnswer(exec, r, true), readAnswer(cold, r, false)
+			got, _ := readAnswer(exec, r, true)
+			want, _ := readAnswer(cold, r, false)
 			run.reads++
 			if got != want {
 				return run, fmt.Errorf("step %d (revision %d), %s:\n got  %.300s\n want %.300s",
@@ -481,11 +563,11 @@ func runDeltaOracle(t testing.TB, reg *engine.Registry, courses []*materials.Cou
 	return run, nil
 }
 
-// TestDeltaOracle runs the oracle over generated batches: many steps
-// on a small corpus that covers every group, a few on the seed corpus,
-// and a bounded run on the small corpus whose cache holds fewer
-// answers than the grid reads, so reads evict and a delta migrates a
-// partly evicted scope.
+// TestDeltaOracle runs the oracle over generated steps: many on a
+// small corpus that covers every group, a few on the seed corpus, and
+// a bounded run on the small corpus whose cache holds fewer answers
+// than the grid reads, so reads evict and a refresh sweeps a partly
+// evicted scope.
 func TestDeltaOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -497,7 +579,7 @@ func TestDeltaOracle(t *testing.T) {
 		{"small corpus", smallCorpus(t), 1801, 40, 0},
 		{"seed corpus", dataset.Courses(), 1802, 4, 0},
 		// Two datasets share 48 answers: the oracle's budget is 24, below
-		// the grid's 77 reads.
+		// the grid's 117 reads.
 		{"small corpus, bounded cache", smallCorpus(t), 1803, 20, 48},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -509,12 +591,12 @@ func TestDeltaOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d steps, %d reads: %d entries migrated, %d dropped, %d tag-set changes, %d evictions",
-				run.steps, run.reads, run.migrated, run.dropped, run.changed, run.evicted)
-			// The oracle proves nothing unless deltas both migrated and
-			// dropped entries, and some course's tag set changed; a
+			t.Logf("%d steps (%d puts), %d reads: %d answers kept, %d dropped, %d tag-set changes, %d evictions",
+				run.steps, run.puts, run.reads, run.kept, run.dropped, run.changed, run.evicted)
+			// The oracle proves nothing unless refreshes both kept and
+			// dropped answers, and some course's tag set changed; a
 			// bounded run also proves nothing unless reads evicted.
-			if run.migrated == 0 || run.dropped == 0 || run.changed == 0 || (tc.capacity > 0 && run.evicted == 0) {
+			if run.kept == 0 || run.dropped == 0 || run.changed == 0 || (tc.capacity > 0 && run.evicted == 0) {
 				t.Fatalf("vacuous run: %+v", run)
 			}
 		})
@@ -522,7 +604,7 @@ func TestDeltaOracle(t *testing.T) {
 }
 
 // TestDeltaOracleGeneratorCoverage: the small-corpus run draws every
-// event kind and both special batches.
+// event kind, every special batch and every kind of document.
 func TestDeltaOracleGeneratorCoverage(t *testing.T) {
 	courses := smallCorpus(t)
 	datasets := dataset.NewRegistry(nil)
@@ -532,27 +614,35 @@ func TestDeltaOracleGeneratorCoverage(t *testing.T) {
 	}
 	gen := newEventGen(1801, courses)
 	for step := 0; step < 40; step++ {
-		if snap, err = datasets.Apply(oracleDataset, gen.batch(snap.Repo())); err != nil {
+		events, doc := gen.step(snap.Repo())
+		if doc != nil {
+			snap, err = datasets.Put(oracleDataset, doc)
+		} else {
+			snap, err = datasets.Apply(oracleDataset, events)
+		}
+		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	for _, kind := range []string{"retag-keep", "retag-change", "add", "remove",
-		"cancelling-retags", "remove-add-same-id", "add-remove-same-id"} {
+	kinds := append([]string{"retag-keep", "retag-change", "add", "remove",
+		"cancelling-retags", "remove-add-same-id", "add-remove-same-id"}, putKinds...)
+	for _, kind := range kinds {
 		if gen.kinds[kind] == 0 {
 			t.Errorf("40 steps drew no %s", kind)
 		}
 	}
 }
 
-// underReporting wraps a real analysis with an AffectedBy that claims
-// no delta reaches it, so every one of its entries migrates.
-type underReporting struct{ engine.Analysis }
+// noScope wraps a real analysis with a Scope that declares no course,
+// so its keys never change and every answer it holds outlives its
+// input.
+type noScope struct{ engine.Analysis }
 
-func (underReporting) AffectedBy(string, *dataset.Delta) bool { return false }
+func (noScope) Scope(engine.Params) materials.Scope { return materials.Scope{} }
 
 // TestDeltaOracleCatchesUnderReporting is the oracle's mutation check:
-// with any one delta-aware analysis swapped for an under-reporting
-// copy, the small-corpus run must fail.
+// with any one analysis that reads the dataset swapped for a copy that
+// declares no scope, the small-corpus run must fail.
 func TestDeltaOracleCatchesUnderReporting(t *testing.T) {
 	for _, name := range []string{"agreement", "types", "cluster", "anchors", "audit", "pdcmaterials"} {
 		t.Run(name, func(t *testing.T) {
@@ -561,9 +651,9 @@ func TestDeltaOracleCatchesUnderReporting(t *testing.T) {
 				t.Fatal(err)
 			}
 			a, _ := reg.Get(name)
-			reg.Replace(underReporting{a})
+			reg.Replace(noScope{a})
 			if _, err := runDeltaOracle(t, reg, smallCorpus(t), 1801, 40, 0); err == nil {
-				t.Fatalf("the oracle passed with %s under-reporting", name)
+				t.Fatalf("the oracle passed with %s declaring no scope", name)
 			} else {
 				t.Logf("caught: %v", err)
 			}

@@ -121,8 +121,6 @@ type Fleet struct {
 	loopsPrevented  uint64
 	notOwner        uint64
 	drainRefused    uint64
-	invalSent       uint64
-	invalReceived   uint64
 	batchFanouts    uint64
 }
 
@@ -271,40 +269,6 @@ func ShouldFallback(resp *http.Response, err error) bool {
 	return resp.StatusCode >= 500 || resp.StatusCode == http.StatusMisdirectedRequest
 }
 
-// BroadcastInvalidate tells every peer that dataset changed on this
-// replica so they sweep its revisioned cache keys (POST
-// /api/v1/fleet/invalidate). Best-effort and concurrent: a dead peer
-// just misses the broadcast (its stale keys are revision-scoped and
-// unreachable anyway once its registry catches up). Returns the number
-// of peers that acknowledged.
-func (f *Fleet) BroadcastInvalidate(ctx context.Context, dataset string) int {
-	body := []byte(fmt.Sprintf(`{"dataset":%q}`, dataset))
-	var (
-		wg  sync.WaitGroup
-		acc atomic.Int64
-	)
-	for id := range f.peers {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			resp, err := f.Forward(ctx, id, http.MethodPost, "/api/v1/fleet/invalidate", body)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				acc.Add(1)
-			}
-		}(id)
-	}
-	wg.Wait()
-	n := int(acc.Load())
-	f.mu.Lock()
-	f.invalSent += uint64(n)
-	f.mu.Unlock()
-	return n
-}
-
 // BreakerStats snapshots the per-peer forwarding breakers.
 func (f *Fleet) BreakerStats() map[string]resilience.BreakerStats {
 	return f.breakers.Stats()
@@ -351,9 +315,6 @@ func (f *Fleet) CountNotOwner() { f.bump(&f.notOwner) }
 // node_draining.
 func (f *Fleet) CountDrainRefused() { f.bump(&f.drainRefused) }
 
-// CountInvalidationReceived records an invalidation broadcast applied.
-func (f *Fleet) CountInvalidationReceived() { f.bump(&f.invalReceived) }
-
 // CountBatchFanout records one distributed batch partitioning.
 func (f *Fleet) CountBatchFanout() { f.bump(&f.batchFanouts) }
 
@@ -377,8 +338,6 @@ type Stats struct {
 	LoopsPrevented  uint64            `json:"loops_prevented_total"`
 	NotOwner        uint64            `json:"not_owner_total"`
 	DrainRefused    uint64            `json:"drain_refused_total"`
-	InvalSent       uint64            `json:"invalidations_sent_total"`
-	InvalReceived   uint64            `json:"invalidations_received_total"`
 	BatchFanouts    uint64            `json:"batch_fanouts_total"`
 }
 
@@ -399,8 +358,6 @@ func (f *Fleet) Stats() Stats {
 		LoopsPrevented:  f.loopsPrevented,
 		NotOwner:        f.notOwner,
 		DrainRefused:    f.drainRefused,
-		InvalSent:       f.invalSent,
-		InvalReceived:   f.invalReceived,
 		BatchFanouts:    f.batchFanouts,
 	}
 	for k, v := range f.forwards {

@@ -125,6 +125,29 @@ func (c *Course) HasGroup(g CourseGroup) bool {
 	return c.Group == g || c.SecondaryGroup == g
 }
 
+// Groups are the course groups the analyses select on: "all" holds
+// every course, "cs1", "ds" and "pdc" the courses with that label,
+// primary or secondary, and "dsalgo" the paper's DS ∪ Algo pool.
+var Groups = []string{"all", "cs1", "ds", "dsalgo", "pdc"}
+
+// InGroup reports whether the course belongs to the named group, one
+// of Groups.
+func (c *Course) InGroup(group string) bool {
+	switch group {
+	case "all":
+		return true
+	case "cs1":
+		return c.HasGroup(GroupCS1)
+	case "ds":
+		return c.HasGroup(GroupDS)
+	case "dsalgo":
+		return c.HasGroup(GroupDS) || c.HasGroup(GroupAlgo)
+	case "pdc":
+		return c.HasGroup(GroupPDC)
+	}
+	return false
+}
+
 // TagSet returns the union of the tags of all the course's materials —
 // the paper's representation of a course as a set of curriculum entries.
 func (c *Course) TagSet() map[string]bool {

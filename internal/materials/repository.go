@@ -1,6 +1,8 @@
 package materials
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,7 +26,9 @@ import (
 // Validation interns each course's tags: the repository keeps, per
 // course, its distinct tags as ascending ranks into the vocabulary of
 // its guidelines, which every repository over the same guidelines
-// shares. Group hands those rows to the group analyses.
+// shares. Group hands those rows to the group analyses. With the row it
+// keeps the course's digest, from which Digest names the input of an
+// answer.
 type Repository struct {
 	vocab      *Vocabulary
 	courses    map[string]stored
@@ -35,10 +39,33 @@ type Repository struct {
 	byMaterial map[string]*Material // built by index on first use
 }
 
-// stored is one course with its interned tag row.
+// stored is one course with its interned tag row and its digest.
 type stored struct {
 	course *Course
 	row    []int32
+	digest Digest
+}
+
+// Digest is a SHA-256 truncated to 128 bits.
+type Digest [16]byte
+
+// store returns c with its row and the digest of what any analysis
+// reads of it: its ID, name, institution, instructor, both group labels
+// and its tag row, whose ranks index the vocabulary every repository
+// over the same guidelines shares. No material field enters, so a retag
+// that keeps the course's tag set keeps its digest. Each string is
+// length-prefixed, so two different courses never hash the same bytes.
+func store(c *Course, row []int32) stored {
+	b := make([]byte, 0, 128+4*len(row))
+	for _, f := range []string{c.ID, c.Name, c.Institution, c.Instructor, string(c.Group), string(c.SecondaryGroup)} {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	for _, rank := range row {
+		b = binary.LittleEndian.AppendUint32(b, uint32(rank))
+	}
+	sum := sha256.Sum256(b)
+	return stored{course: c, row: row, digest: Digest(sum[:len(Digest{})])}
 }
 
 // NewRepository creates an empty repository validating against the given
@@ -126,7 +153,7 @@ func (r *Repository) add(c *Course, ids map[string]struct{}) error {
 	if err != nil {
 		return err
 	}
-	r.courses[c.ID] = stored{course: c, row: row}
+	r.courses[c.ID] = store(c, row)
 	r.order = append(r.order, c.ID)
 	r.nMaterials += len(c.Materials)
 	for _, m := range c.Materials {
@@ -143,12 +170,12 @@ func (r *Repository) add(c *Course, ids map[string]struct{}) error {
 // is validated as AddCourses validates a course, except that material
 // IDs are not checked across courses: a replacement must not bring in
 // an ID another course holds, and the caller, which knows which IDs
-// are new, checks that. Every other course with its interned tag row,
-// the course order and the vocabulary are shared with r, which stays
-// as it was; only the replacements are interned, and the copy's
-// material index is built on first use. The cost is in proportion to
-// the replacements and the number of courses, not to the materials
-// left alone.
+// are new, checks that. Every other course with its interned tag row
+// and digest, the course order and the vocabulary are shared with r,
+// which stays as it was; only the replacements are interned, and the
+// copy's material index is built on first use. The cost is in
+// proportion to the replacements and the number of courses, not to the
+// materials left alone.
 func (r *Repository) Derive(changed []*Course) (*Repository, error) {
 	courses := maps.Clone(r.courses)
 	n := r.nMaterials
@@ -164,7 +191,7 @@ func (r *Repository) Derive(changed []*Course) (*Repository, error) {
 		if err != nil {
 			return nil, err
 		}
-		courses[c.ID] = stored{course: c, row: row}
+		courses[c.ID] = store(c, row)
 		n += len(c.Materials) - len(prev.course.Materials)
 	}
 	// Clipped, so an AddCourses on the copy reallocates rather than
@@ -219,6 +246,52 @@ func (r *Repository) Group(ids []string) *Group {
 		}
 	}
 	return g
+}
+
+// A Scope names the courses of a repository an answer reads: the
+// members of a group (one of Groups), one course by ID, or, as the zero
+// Scope, none.
+type Scope struct {
+	Group  string
+	Course string
+}
+
+// Digest returns the digest of the scope's courses, in repository
+// order: the SHA-256 of their digests, truncated to 128 bits. A scope
+// whose one course the repository lacks holds no course.
+func (r *Repository) Digest(s Scope) Digest {
+	// Every read keys its answer by a digest, so a scope of up to 32
+	// courses is hashed from the stack, allocating nothing.
+	var stack [32 * len(Digest{})]byte
+	b := stack[:0]
+	switch {
+	case s.Course != "":
+		if st, ok := r.courses[s.Course]; ok {
+			b = append(b, st.digest[:]...)
+		}
+	case s.Group != "":
+		for _, id := range r.order {
+			if st := r.courses[id]; st.course.InGroup(s.Group) {
+				b = append(b, st.digest[:]...)
+			}
+		}
+	}
+	sum := sha256.Sum256(b)
+	return Digest(sum[:len(Digest{})])
+}
+
+// Scopes returns every scope of the repository: none, each of Groups
+// and each course.
+func (r *Repository) Scopes() []Scope {
+	out := make([]Scope, 0, 1+len(Groups)+len(r.order))
+	out = append(out, Scope{})
+	for _, g := range Groups {
+		out = append(out, Scope{Group: g})
+	}
+	for _, id := range r.order {
+		out = append(out, Scope{Course: id})
+	}
+	return out
 }
 
 // CoursesInGroup returns the courses whose primary or secondary group is

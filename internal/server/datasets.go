@@ -20,8 +20,8 @@ import (
 // in full (every tag against CS2013/PDC12, material IDs globally
 // unique) before the registry's snapshot pointer swaps. Requests
 // in flight across the swap finish against the snapshot they resolved;
-// the old revision's cache entries are precisely invalidated, touching
-// no other dataset.
+// the cache entries whose input changed are dropped, touching no other
+// dataset.
 
 // MaxDatasetBody bounds a PUT /api/v1/datasets/{ds} body.
 const MaxDatasetBody = 4 << 20
@@ -32,8 +32,8 @@ const MaxPatchBody = 1 << 20
 
 // IngestMeta is the meta block of PUT /api/v1/datasets/{ds} responses.
 type IngestMeta struct {
-	// Invalidated counts the cache entries of the dataset's previous
-	// revisions dropped by this ingest.
+	// Invalidated counts the cache entries this ingest dropped: the
+	// answers whose input changed.
 	Invalidated int `json:"invalidated"`
 }
 
@@ -51,8 +51,8 @@ type PatchMeta struct {
 	// Delta summarizes the applied events (courses, tags, groups
 	// touched; add/remove/retag counts).
 	Delta *dataset.Delta `json:"delta"`
-	// Refresh reports the delta-driven cache reconciliation: entries
-	// migrated to the new revision and entries dropped.
+	// Refresh reports the cache reconciliation: the entries dropped
+	// because their input changed.
 	Refresh engine.DeltaOutcome `json:"refresh"`
 }
 
@@ -95,10 +95,9 @@ func (s *Server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
 // each. The document is validated in full before anything is
 // published; a failed ingest leaves the previous revision serving. On
 // success the new snapshot is live for every subsequent request, the
-// previous revisions' cache entries are dropped (including any stored
-// by computes that were in flight across the swap — their keys carry
-// old revisions and are unreachable), and the dataset's warmup re-runs
-// in the background.
+// cache entries whose input changed are dropped (an answer whose
+// courses the document left as they were stays held), and the
+// dataset's warmup re-runs in the background.
 func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("ds")
 	keyName, ok := s.authorizeMutation(w, r, id)
@@ -125,8 +124,6 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.retuneTenancy()
 	s.touchDataset(id)
-	// A full re-ingest carries no delta, so ApplyDelta degrades to the
-	// whole-dataset refresh this handler always did.
 	outcome := s.exec.ApplyDelta(r.Context(), id, snap)
 	if s.noWarmup {
 		s.setDatasetState(id, DatasetReady{Status: "ready"})
@@ -134,7 +131,6 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		s.setDatasetState(id, DatasetReady{Status: "warming"})
 		s.spawnBackground(func(ctx context.Context) { _ = s.warmDataset(ctx, id) })
 	}
-	s.broadcastInvalidate(r, id)
 	meta, ok := s.datasets.MetaOf(id)
 	if !ok { // deleted in the same instant; report the revision ingested
 		meta = snap.Meta()
@@ -144,10 +140,9 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 
 // handleDatasetPatch applies a delta — an ordered event list — on top
 // of the dataset's current revision, behind the same auth/ownership
-// gates as PUT. Unlike PUT, the serving layer is reconciled
-// incrementally: cache entries no changed course tag set can reach
-// migrate to the new revision (staying warm, encoded bytes and all),
-// and affected entries drop, to recompute cold on their next read.
+// gates as PUT, and refreshes the serving layer as PUT does: answers
+// whose input the events left as it was stay held (encoded bytes and
+// all), and the rest drop, to recompute cold on their next read.
 // Concurrent PATCHes race on the revision; the loser retries inside
 // Registry.Apply and, if the dataset keeps moving, answers 409
 // dataset_conflict.
@@ -191,7 +186,6 @@ func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {
 		s.setDatasetState(id, DatasetReady{Status: "warming"})
 		s.spawnBackground(func(ctx context.Context) { _ = s.warmDataset(ctx, id) })
 	}
-	s.broadcastInvalidate(r, id)
 	meta, ok := s.datasets.MetaOf(id)
 	if !ok {
 		meta = snap.Meta()
@@ -227,6 +221,5 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 	s.limiter.DropTenant(id)
 	s.tracer.DropDataset(id)
 	s.retuneTenancy()
-	s.broadcastInvalidate(r, id)
 	writeData(w, http.StatusOK, DatasetDeleted{ID: id, Invalidated: invalidated}, nil)
 }

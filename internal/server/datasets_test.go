@@ -398,7 +398,7 @@ func TestMetricsDatasetIsolation(t *testing.T) {
 // re-ingests while readers analyze it. Every response must reflect
 // exactly one revision's corpus — the 3-course or the 2-course one,
 // never a blend — because computes hold an immutable snapshot and
-// store under revision-scoped keys.
+// store under the digest of that snapshot's courses.
 func TestConcurrentIngestNoTornReads(t *testing.T) {
 	s := newObsServer(t, Options{})
 	putDataset(t, s, "alt", 3)

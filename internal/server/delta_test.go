@@ -43,8 +43,8 @@ func retagBody(t *testing.T, s *Server, id string) string {
 
 // TestDatasetPatch covers the happy path of the delta ingest route:
 // the revision bumps, the envelope reports the delta summary and the
-// refresh outcome, and the serving layer refreshed delta-wise (not a
-// full invalidation).
+// refresh outcome, {"invalidated": n}, and a retag that keeps every
+// tag set drops nothing.
 func TestDatasetPatch(t *testing.T) {
 	s := newObsServer(t, Options{})
 	putDataset(t, s, "alt", 3)
@@ -68,8 +68,14 @@ func TestDatasetPatch(t *testing.T) {
 	if pe.Meta.Delta.Events != 1 || pe.Meta.Delta.Retagged != 1 || len(pe.Meta.Delta.Courses) != 1 {
 		t.Errorf("delta summary = %+v", pe.Meta.Delta)
 	}
-	if pe.Meta.Refresh.Full {
-		t.Error("patch refresh reported full invalidation; want delta-driven")
+	var refresh struct {
+		Meta struct {
+			Refresh map[string]int `json:"refresh"`
+		} `json:"meta"`
+	}
+	decode(t, w.Body.Bytes(), &refresh)
+	if got := refresh.Meta.Refresh; len(got) != 1 || got["invalidated"] != 0 {
+		t.Errorf(`meta.refresh = %v, want {"invalidated": 0}`, got)
 	}
 
 	// The dataset serves the new revision; the engine counted one delta

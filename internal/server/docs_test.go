@@ -41,7 +41,7 @@ func TestAPIDocsCoverRegistry(t *testing.T) {
 	for _, route := range []string{
 		"/api/v1/courses", "/api/v1/search", "/api/v1/batch",
 		"/api/v1/datasets", "/api/v1/datasets/{id}", "/api/v1/keys/reload",
-		"/api/v1/fleet", "/api/v1/fleet/invalidate",
+		"/api/v1/fleet",
 		"/healthz", "/readyz", "/metrics", "/debug/metrics", "/debug/trace",
 	} {
 		if !strings.Contains(doc, route) {

@@ -270,53 +270,6 @@ func (s *Server) forwardSubBatch(r *http.Request, owner string, items []engine.B
 	return env.Data, true
 }
 
-// --- Invalidation broadcast ----------------------------------------------
-
-// broadcastInvalidate tells the rest of the fleet that dataset changed
-// here (PUT/PATCH/DELETE ingest), so every replica sweeps its
-// revisioned cache keys for the dataset. Skipped for requests that
-// arrived as a broadcast (loop guard) and when no fleet is configured.
-func (s *Server) broadcastInvalidate(r *http.Request, ds string) {
-	if s.fleet == nil || r.Header.Get(fleet.ForwardedHeader) != "" {
-		return
-	}
-	s.fleet.BroadcastInvalidate(r.Context(), ds)
-}
-
-// FleetInvalidation is the POST /api/v1/fleet/invalidate body and data
-// payload.
-type FleetInvalidation struct {
-	Dataset string `json:"dataset"`
-	// Invalidated counts the cache entries dropped (response only).
-	Invalidated int `json:"invalidated,omitempty"`
-}
-
-// handleFleetInvalidate applies a peer's ingest notification: sweep
-// every cached revision of the named dataset locally. The local corpus
-// is not replaced — datasets are ingested per replica (see
-// docs/cluster.md) — so only derived serving state is dropped; the
-// search index keys by revision and ages out on its own.
-func (s *Server) handleFleetInvalidate(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
-		writeError(w, http.StatusNotFound, "not_found", "this replica is not part of a fleet")
-		return
-	}
-	var req FleetInvalidation
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad invalidation body: %v", err)
-		return
-	}
-	if err := dataset.ValidateID(req.Dataset); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%s", err.Error())
-		return
-	}
-	n := s.exec.InvalidateDataset(req.Dataset, 0)
-	s.fleet.CountInvalidationReceived()
-	writeData(w, http.StatusOK, FleetInvalidation{Dataset: req.Dataset, Invalidated: n}, nil)
-}
-
 // --- Fleet introspection --------------------------------------------------
 
 // FleetInfo is the GET /api/v1/fleet data payload.
@@ -399,8 +352,6 @@ func (s *Server) promFleetFamilies() []obs.Family {
 		counterFam("csm_fleet_loops_prevented_total", "Forwarded requests that would have re-forwarded but were computed locally by the loop guard.", st.LoopsPrevented),
 		counterFam("csm_fleet_not_owner_total", "Forwarded computes refused with 421 not_owner (ring-version mismatch).", st.NotOwner),
 		counterFam("csm_fleet_drain_refused_total", "Forwarded computes refused with 503 node_draining.", st.DrainRefused),
-		counterFam("csm_fleet_invalidations_sent_total", "Ingest invalidation broadcasts acknowledged by peers.", st.InvalSent),
-		counterFam("csm_fleet_invalidations_received_total", "Peer ingest invalidations applied to the local cache.", st.InvalReceived),
 		counterFam("csm_fleet_batch_fanouts_total", "Batch requests partitioned across the fleet.", st.BatchFanouts),
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -213,44 +212,6 @@ func TestFleetDistributedBatchByteIdentical(t *testing.T) {
 	for i, r := range e.Data {
 		if r.Error == nil && r.Cache != "hit" {
 			t.Errorf("replayed item %d cache = %q, want cluster-wide hit", i, r.Cache)
-		}
-	}
-}
-
-// TestFleetIngestBroadcastInvalidation: a dataset write on one replica
-// sweeps the dataset's cache entries on every other replica, so no node
-// keeps serving results computed over a corpus its peer has replaced.
-func TestFleetIngestBroadcastInvalidation(t *testing.T) {
-	servers, _ := newFleetCluster(t, []string{"a", "b", "c"})
-	for _, id := range []string{"a", "b", "c"} {
-		putDataset(t, servers[id], "alt", 3)
-	}
-	values := url.Values{"threshold": {"2"}} // all-groups agreement, valid on any corpus
-	ctx := context.Background()
-
-	// Seed b's and c's local caches for the dataset (bypassing ownership
-	// routing on purpose: the broadcast must reach entries wherever a
-	// forwarded compute or warmup left them).
-	for _, id := range []string{"b", "c"} {
-		if _, out, err := servers[id].exec.RunOn(ctx, "alt", "agreement", values); err != nil || out.Cache != "miss" {
-			t.Fatalf("seed compute on %s: cache=%q err=%v", id, out.Cache, err)
-		}
-		if _, out, err := servers[id].exec.RunOn(ctx, "alt", "agreement", values); err != nil || out.Cache != "hit" {
-			t.Fatalf("warm check on %s: cache=%q err=%v", id, out.Cache, err)
-		}
-	}
-
-	// Re-ingest on a: the broadcast sweeps b and c.
-	putDataset(t, servers["a"], "alt", 2)
-	if st := servers["a"].Fleet().Stats(); st.InvalSent < 2 {
-		t.Errorf("invalidations acked to a = %d, want 2 (b and c)", st.InvalSent)
-	}
-	for _, id := range []string{"b", "c"} {
-		if st := servers[id].Fleet().Stats(); st.InvalReceived == 0 {
-			t.Errorf("replica %s never applied the invalidation", id)
-		}
-		if _, out, err := servers[id].exec.RunOn(ctx, "alt", "agreement", values); err != nil || out.Cache != "miss" {
-			t.Errorf("post-invalidation compute on %s: cache=%q err=%v, want miss (entry swept)", id, out.Cache, err)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (s *Server) reclaimIdle(now time.Time) []string {
 	s.idleMu.Unlock()
 	for _, id := range idle {
 		s.dropSearcher(id)
-		s.exec.InvalidateDataset(id, 0)
+		s.exec.InvalidateDataset(id)
 		s.setDatasetState(id, DatasetReady{Status: "idle"})
 	}
 	return idle

@@ -185,8 +185,8 @@ func (s *Server) promFamilies() []obs.Family {
 		gaugeFam("csm_batch_workers", "Configured batch worker-pool size.", float64(es.BatchWorkers)),
 	)
 
-	// Incremental refresh: per-dataset delta/full refresh accounting,
-	// invalidation precision and NNMF iterations. Emitted only once a dataset has refreshed, so cold
+	// Refresh: per-dataset PATCH/PUT refresh accounting, invalidation and
+	// NNMF iterations. Emitted only once a dataset has refreshed, so cold
 	// single-tenant scrapes keep the legacy exposition.
 	if len(es.Refresh) > 0 {
 		refreshIDs := make([]string, 0, len(es.Refresh))
@@ -194,9 +194,8 @@ func (s *Server) promFamilies() []obs.Family {
 			refreshIDs = append(refreshIDs, id)
 		}
 		sort.Strings(refreshIDs)
-		rfTotal := obs.Family{Name: "csm_refresh_total", Help: "Serving-layer refreshes per dataset by kind (delta = event-driven, full = whole-dataset invalidation).", Type: obs.Counter}
-		rfInval := obs.Family{Name: "csm_refresh_invalidated_total", Help: "Cache entries dropped by refreshes per dataset.", Type: obs.Counter}
-		rfMigrated := obs.Family{Name: "csm_refresh_migrated_total", Help: "Cache entries migrated to a new revision unchanged per dataset.", Type: obs.Counter}
+		rfTotal := obs.Family{Name: "csm_refresh_total", Help: "Serving-layer refreshes per dataset by kind (delta = after a PATCH, full = after a PUT).", Type: obs.Counter}
+		rfInval := obs.Family{Name: "csm_refresh_invalidated_total", Help: "Cache entries dropped by refreshes per dataset: answers whose input changed.", Type: obs.Counter}
 		rfIters := obs.Family{Name: "csm_refresh_iterations_total", Help: "Iterations-to-converge accumulated per dataset by compute mode.", Type: obs.Counter}
 		for _, id := range refreshIDs {
 			rs := es.Refresh[id]
@@ -205,11 +204,10 @@ func (s *Server) promFamilies() []obs.Family {
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "kind", Value: "delta"}}, Value: float64(rs.Delta)},
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "kind", Value: "full"}}, Value: float64(rs.Full)})
 			rfInval.Samples = append(rfInval.Samples, obs.Sample{Labels: l, Value: float64(rs.Invalidated)})
-			rfMigrated.Samples = append(rfMigrated.Samples, obs.Sample{Labels: l, Value: float64(rs.Migrated)})
 			rfIters.Samples = append(rfIters.Samples,
 				obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "cold"}}, Value: float64(rs.ColdIterations)})
 		}
-		fams = append(fams, rfTotal, rfInval, rfMigrated, rfIters)
+		fams = append(fams, rfTotal, rfInval, rfIters)
 	}
 
 	// Dataset registry: one gauge set per registered dataset.

@@ -132,8 +132,8 @@ type Options struct {
 	IdleTTL time.Duration
 	// Fleet, when non-nil, joins this replica to a multi-replica fleet:
 	// analysis requests route to their key's owner on the consistent-hash
-	// ring, batches fan out by owner, ingest invalidations broadcast,
-	// and the csm_fleet_* families are exposed. Nil keeps the
+	// ring, batches fan out by owner, and the csm_fleet_* families are
+	// exposed. Nil keeps the
 	// single-process behavior byte-for-byte. cmd/serve builds one from
 	// -node-id and -peers.
 	Fleet *fleet.Fleet
@@ -380,7 +380,6 @@ func (s *Server) routes() {
 	}
 	s.handleAPI("POST /api/v1/batch", http.HandlerFunc(s.handleBatch))
 	s.handleAPI("GET /api/v1/fleet", http.HandlerFunc(s.handleFleet))
-	s.handleAPI("POST /api/v1/fleet/invalidate", http.HandlerFunc(s.handleFleetInvalidate))
 	s.handleAPI("GET /api/v1/datasets", http.HandlerFunc(s.handleDatasetList))
 	s.handleAPI("GET /api/v1/datasets/{ds}", http.HandlerFunc(s.handleDatasetGet))
 	s.handleAPI("PUT /api/v1/datasets/{ds}", http.HandlerFunc(s.handleDatasetPut))

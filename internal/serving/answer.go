@@ -11,9 +11,9 @@ import (
 // and the JSON encoding of that value as the data member of a response
 // envelope. The encoding is made on the first Data call, not at store
 // time, so an answer no response ever writes never pays for it. The
-// cache, a shared flight's joiners and a Rekey migration all hand on
-// the same *Answer, so its bytes are encoded once and kept for as long
-// as any of them holds it.
+// cache and a shared flight's joiners all hand on the same *Answer, so
+// its bytes are encoded once and kept for as long as any of them holds
+// it.
 type Answer struct {
 	// Value is the computed result; it must not change once stored.
 	Value interface{}

@@ -13,7 +13,7 @@ import (
 // concurrent DoCtxFn calls for the same key share one computation, and
 // completed results are retained (most recently used first) up to the
 // configured capacity. Errors are never cached. Every lookup that finds
-// its key is a hit: a key names one revision of a deterministic
+// its key is a hit: a key names the input of a deterministic
 // computation, so a held answer is exactly what a recompute would
 // return.
 //
@@ -291,64 +291,6 @@ func (c *Cache) Invalidate(match func(key string) bool) int {
 		}
 	}
 	return n
-}
-
-// Rekeyed summarizes a Rekey sweep.
-type Rekeyed struct {
-	Moved   int
-	Dropped int
-}
-
-// Rekey rewrites or removes entries key by key: for every entry,
-// mapper(key) returns the entry's new key — the same key to leave it
-// untouched, "" to drop it, or a different key to migrate the entry in
-// place. This is how a revision bump carries provably unaffected
-// results forward: the value survives under the new revision's key,
-// keeping its LRU position, instead of being thrown away and
-// recomputed. If the new key already exists the existing entry wins and
-// the source is dropped; an entry whose new key maps to a different
-// scope is re-inserted there (most recently used) under that scope's
-// budget. mapper must be pure and fast — it runs under the cache lock.
-// A migrated entry keeps its value, the same pointer, so whatever the
-// value carries (an Answer's encoded bytes) moves with it.
-func (c *Cache) Rekey(mapper func(key string) string) Rekeyed {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum Rekeyed
-	for _, st := range c.scopes {
-		for el := st.ll.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*cacheEntry)
-			switch newKey := mapper(e.key); {
-			case newKey == e.key:
-				// untouched
-			case newKey == "":
-				st.ll.Remove(el)
-				delete(st.items, e.key)
-				sum.Dropped++
-			default:
-				target, tst := c.scopeLocked(newKey)
-				if _, exists := tst.items[newKey]; exists {
-					st.ll.Remove(el)
-					delete(st.items, e.key)
-					sum.Dropped++
-					break
-				}
-				delete(st.items, e.key)
-				e.key = newKey
-				if tst == st {
-					st.items[newKey] = el
-				} else {
-					st.ll.Remove(el)
-					tst.items[newKey] = tst.ll.PushFront(e)
-					c.enforceLocked(target, tst)
-				}
-				sum.Moved++
-			}
-			el = next
-		}
-	}
-	return sum
 }
 
 // DropScope tears down one scope's whole partition — entries AND

@@ -562,104 +562,6 @@ func TestInvalidateCountsEachAnswerOnce(t *testing.T) {
 	}
 }
 
-func TestRekeyMigratesAndDrops(t *testing.T) {
-	c := NewCache(8)
-	put := func(k string) {
-		if _, _, err := c.do(k, func() (interface{}, error) { return "val-" + k, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("ds@1|keep|p")
-	put("ds@1|drop|p")
-	put("other@7|x")
-
-	sum := c.Rekey(func(k string) string {
-		switch k {
-		case "ds@1|keep|p":
-			return "ds@2|keep|p"
-		case "ds@1|drop|p":
-			return ""
-		default:
-			return k
-		}
-	})
-	if sum.Moved != 1 || sum.Dropped != 1 {
-		t.Fatalf("Rekey summary = %+v", sum)
-	}
-	if v, ok := c.Get("ds@2|keep|p"); !ok || v.(string) != "val-ds@1|keep|p" {
-		t.Error("migrated entry not reachable under new key")
-	}
-	if _, ok := c.Get("ds@1|keep|p"); ok {
-		t.Error("migrated entry still reachable under old key")
-	}
-	if _, ok := c.Get("ds@1|drop|p"); ok {
-		t.Error("dropped entry still reachable")
-	}
-	if _, ok := c.stored("ds@1|drop|p"); ok {
-		t.Error("dropped entry still stored")
-	}
-	if _, ok := c.Get("other@7|x"); !ok {
-		t.Error("unmatched entry must survive untouched")
-	}
-}
-
-func TestRekeyCollisionKeepsExisting(t *testing.T) {
-	c := NewCache(8)
-	put := func(k, v string) {
-		if _, _, err := c.do(k, func() (interface{}, error) { return v, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("a", "from-a")
-	put("b", "from-b")
-	sum := c.Rekey(func(k string) string {
-		if k == "a" {
-			return "b"
-		}
-		return k
-	})
-	if sum.Dropped != 1 || sum.Moved != 0 {
-		t.Fatalf("collision summary = %+v, want a dropped", sum)
-	}
-	if v, _ := c.Get("b"); v.(string) != "from-b" {
-		t.Error("existing target must win the collision")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("the losing source is still reachable")
-	}
-}
-
-func TestRekeyAcrossScopes(t *testing.T) {
-	c := NewCache(8)
-	c.SetScopeFunc(func(key string) string {
-		for i := 0; i < len(key); i++ {
-			if key[i] == '|' {
-				return key[:i]
-			}
-		}
-		return ""
-	})
-	if _, _, err := c.do("s1|k", func() (interface{}, error) { return "v", nil }); err != nil {
-		t.Fatal(err)
-	}
-	sum := c.Rekey(func(k string) string {
-		if k == "s1|k" {
-			return "s2|k"
-		}
-		return k
-	})
-	if sum.Moved != 1 || sum.Dropped != 0 {
-		t.Fatalf("cross-scope summary = %+v", sum)
-	}
-	if v, ok := c.Get("s2|k"); !ok || v.(string) != "v" {
-		t.Error("entry not reachable in the new scope")
-	}
-	st := c.Stats()
-	if sc, ok := st.Scopes["s2"]; !ok || sc.Size != 1 {
-		t.Errorf("scope stats after cross-scope rekey = %+v", st.Scopes)
-	}
-}
-
 // TestCacheFlightRechecksStore: a caller that misses, and reaches the
 // singleflight group only after another flight has stored the key and
 // ended, is served the stored value as a call that did not compute.

@@ -4,11 +4,11 @@
 // middleware stack (panic recovery, access logs, instrumentation, load
 // shedding) that cmd/serve wraps around the API.
 //
-// Every analysis is a deterministic function of one corpus revision,
-// and every cache key names that revision, so a held answer never goes
-// out of date: the cache is bounded by size only, a lookup that finds
-// its key is a hit, and only a new revision retires a key (see
-// Cache.Invalidate and Cache.Rekey).
+// Every analysis is a deterministic function of the courses it reads,
+// and every cache key names a digest of them, so a held answer never
+// goes out of date: the cache is bounded by size only, a lookup that
+// finds its key is a hit, and a key is retired only when its input
+// leaves the corpus (see Cache.Invalidate).
 //
 // The cache participates in request tracing (internal/obs): when a
 // request context carries a trace, Cache.DoCtxFn records
