@@ -44,8 +44,7 @@
 //	DELETE /api/v1/datasets/{id}            remove a dataset ("default" is protected, 409)
 //	POST /api/v1/keys/reload                re-read -api-keys-file (admin key; SIGHUP equivalent)
 //	GET  /api/v1/datasets/{id}/...          every query/analysis route, dataset-scoped
-//	GET  /metrics               Prometheus text exposition
-//	GET  /debug/metrics         JSON metrics
+//	GET  /metrics               Prometheus text exposition (every metric)
 //	GET  /debug/trace           retained trace IDs
 //	GET  /debug/trace/{id}      one request's span record
 //
@@ -82,7 +81,7 @@
 // thins request tracing to a deterministic fraction; sampled-out
 // requests still log a wide event.
 //
-// Legacy /api/... paths permanently redirect to /api/v1/... .
+// Only /api/v1/... paths exist; any other /api/... path is a 404.
 package main
 
 import (
@@ -231,7 +230,7 @@ func (c config) serverOptions(logger *log.Logger, events *obs.Logger) (server.Op
 
 // debugHandler serves Go pprof under /debug/pprof/ and falls back to
 // the main handler for everything else, so the debug listener also
-// answers /metrics, /debug/trace, and /debug/metrics.
+// answers /metrics and /debug/trace.
 func debugHandler(main http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -1,8 +1,8 @@
 // Apiclient: drive the v1 HTTP API end-to-end against an in-process
 // httptest.Server — paginated course listing, a course's anchor
 // recommendations, the cached NNMF typing (watch meta.cache flip from
-// miss to hit), a parallel analysis batch (POST /api/v1/batch), a
-// legacy-path redirect, and the /debug/metrics report.
+// miss to hit), a parallel analysis batch (POST /api/v1/batch), and
+// the Prometheus text of GET /metrics.
 //
 // The server is started with fault injection enabled, and every call
 // goes through a retrying client (exponential backoff with jitter,
@@ -26,7 +26,6 @@ import (
 
 	"csmaterials/internal/resilience/faultinject"
 	"csmaterials/internal/server"
-	"csmaterials/internal/serving"
 )
 
 // client retries transient failures: 429 (shed) and 503 (circuit open
@@ -287,39 +286,27 @@ func main() {
 	fmt.Printf("agreement with compute faults injected, unheld key: %s error=%s\n", resp.Status, failed.Error.Code)
 	faults.SetRules()
 
-	// 6. Legacy paths still work via permanent redirect.
-	resp, err = http.Get(ts.URL + "/api/agreement?group=CS1&threshold=4")
+	// 6. Observability: every number the server keeps is a series on
+	// GET /metrics. Print the request, cache, shedder and breaker
+	// series; the two types reads of step 3 must be there.
+	_, body, err = c.get("/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
-	final := resp.Request.URL.Path
-	_ = resp.Body.Close()
-	fmt.Printf("\nlegacy /api/agreement redirected to %s (%s)\n", final, resp.Status)
-
-	// 7. Observability: per-route counters, cache accounting, and the
-	// resilience ladder's own numbers.
-	resp, err = http.Get(ts.URL + "/debug/metrics")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var snap serving.Snapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	_ = resp.Body.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\n/debug/metrics:")
-	for route, rs := range snap.Routes {
-		fmt.Printf("  %-32s count=%d p99=%.1fms\n", route, rs.Count, rs.P99MS)
-	}
-	if snap.Cache != nil {
-		fmt.Printf("  cache: hits=%d misses=%d size=%d/%d\n",
-			snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Size, snap.Cache.Capacity)
-	}
-	if snap.Resilience != nil {
-		fmt.Printf("  shedder: admitted=%d shed=%d\n", snap.Resilience.Shedder.Admitted, snap.Resilience.Shedder.Shed)
-		for name, b := range snap.Resilience.Breakers {
-			fmt.Printf("  breaker %-12s state=%s failures=%d\n", name, b.State, b.Failures)
+	fmt.Println("\n/metrics:")
+	typesOK := ""
+	for _, line := range strings.Split(string(body), "\n") {
+		for _, prefix := range []string{"csm_http_requests_total", "csm_cache_", "csm_shed_", "csm_breaker_state", "csm_breaker_failures_total"} {
+			if strings.HasPrefix(line, prefix) {
+				fmt.Println("  " + line)
+				break
+			}
 		}
+		if v, ok := strings.CutPrefix(line, `csm_http_requests_total{route="GET /api/v1/types",status="200"} `); ok {
+			typesOK = v
+		}
+	}
+	if typesOK != "2" {
+		log.Fatalf("csm_http_requests_total{route=\"GET /api/v1/types\",status=\"200\"} = %q, want 2", typesOK)
 	}
 }

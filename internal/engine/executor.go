@@ -61,10 +61,10 @@ type analysisStats struct {
 	misses   uint64
 }
 
-// AnalysisStats is the JSON form of one scope's executor counters. The
-// map key is the scope name: the bare analysis name for the default
-// dataset, "<dataset>/<analysis>" otherwise — so per-dataset serving
-// behaviour is separable in /debug/metrics and /metrics.
+// AnalysisStats is one scope's executor counters. The map key is the
+// scope name: the bare analysis name for the default dataset,
+// "<dataset>/<analysis>" otherwise — so per-dataset serving behaviour
+// is separable in /metrics.
 type AnalysisStats struct {
 	Computes    uint64 `json:"computes"`
 	Failures    uint64 `json:"failures"`
@@ -72,8 +72,9 @@ type AnalysisStats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 }
 
-// Stats is the executor section of /debug/metrics: per-scope compute
-// accounting plus batch totals.
+// Stats is the executor's accounting behind the csm_analysis_*,
+// csm_batch_* and csm_refresh_* families of /metrics: per-scope
+// compute accounting plus batch totals.
 type Stats struct {
 	Analyses map[string]AnalysisStats `json:"analyses"`
 	// Refresh breaks down refreshes, invalidation and NNMF iterations
@@ -461,8 +462,8 @@ func (e *Executor) InvalidateDataset(ds string) int {
 
 // DropDatasetServingState removes every trace of ds from the serving
 // layer on dataset DELETE: cache entries AND the scope's cache
-// counters (a deleted tenant must vanish from /debug/metrics and the
-// csm_ families, not linger at its last values), executor stats
+// counters (a deleted tenant must vanish from the csm_ families, not
+// linger at its last values), executor stats
 // scopes, and "<ds>/<analysis>" breakers. Returns the number of cache
 // entries dropped. The default dataset's serving state is never
 // dropped here — it cannot be deleted.

@@ -29,7 +29,9 @@
 // Finished traces land in the Tracer's fixed-size ring buffer,
 // queryable by ID (the X-Trace response header), and their spans are
 // folded into per-(analysis, stage) latency histograms exported in
-// Prometheus exposition format. DESIGN §10 documents the contract.
+// Prometheus exposition format. Hist is the one histogram type: it
+// backs these and the serving layer's per-route request latency.
+// DESIGN §10 documents the contract.
 package obs
 
 import (

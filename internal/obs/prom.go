@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -141,6 +142,38 @@ func ValidateExposition(body string) error {
 		}
 	}
 	return nil
+}
+
+// Hist is a fixed-bound histogram: per-bucket (non-cumulative) counts
+// against ascending finite upper bounds, the last bucket being +Inf,
+// plus the sum and count of the observed values. A value equal to a
+// bound lands in that bound's bucket, as le= reads. Bounds are shared
+// between histograms and never written. A Hist does no locking; its
+// owner guards it.
+type Hist struct {
+	Bounds []float64
+	Counts []uint64 // len(Bounds)+1; the last is +Inf
+	Sum    float64
+	Count  uint64
+}
+
+// NewHist returns an empty histogram over bounds.
+func NewHist(bounds []float64) *Hist {
+	return &Hist{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
+}
+
+// Observe folds one value into the histogram.
+func (h *Hist) Observe(v float64) {
+	h.Counts[sort.SearchFloat64s(h.Bounds, v)]++
+	h.Sum += v
+	h.Count++
+}
+
+// Clone returns a copy that shares only the bounds.
+func (h *Hist) Clone() Hist {
+	c := *h
+	c.Counts = append([]uint64(nil), h.Counts...)
+	return c
 }
 
 // HistogramSamples builds the _bucket/_sum/_count sample series of one

@@ -127,3 +127,25 @@ func TestFormatValueEdges(t *testing.T) {
 		t.Fatalf("formatValue(NaN) = %q", got)
 	}
 }
+
+// TestHistObserveAndClone: a value equal to a bound counts in that
+// bound's bucket (le semantics), one past the last bound in +Inf, and
+// a clone shares no counts with its source.
+func TestHistObserveAndClone(t *testing.T) {
+	h := NewHist([]float64{0.001, 0.01})
+	for _, v := range []float64{0.0005, 0.001, 0.002, 0.01, 3} {
+		h.Observe(v)
+	}
+	if got, want := h.Counts, []uint64{2, 2, 1}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("counts = %v, want %v", got, want)
+	}
+	if h.Count != 5 || math.Abs(h.Sum-3.0135) > 1e-12 {
+		t.Fatalf("count = %d sum = %v, want 5 and 3.0135", h.Count, h.Sum)
+	}
+	c := h.Clone()
+	c.Counts[0] = 99
+	c.Observe(0)
+	if h.Counts[0] != 2 || h.Count != 5 {
+		t.Fatalf("clone aliases its source: %+v", h)
+	}
+}

@@ -172,11 +172,11 @@ func TestStageAggregation(t *testing.T) {
 	if s.Analysis != "types" || s.Stage != "compute" || s.Count != 3 {
 		t.Fatalf("unexpected series: %+v", s)
 	}
-	if len(s.Buckets) != len(StageBucketsSeconds)+1 {
-		t.Fatalf("bucket count = %d, want %d", len(s.Buckets), len(StageBucketsSeconds)+1)
+	if len(s.Counts) != len(StageBucketsSeconds)+1 {
+		t.Fatalf("bucket count = %d, want %d", len(s.Counts), len(StageBucketsSeconds)+1)
 	}
 	var total uint64
-	for _, n := range s.Buckets {
+	for _, n := range s.Counts {
 		total += n
 	}
 	if total != 3 {

@@ -29,13 +29,6 @@ type stageKey struct {
 	stage    string
 }
 
-// stageHist is one cumulative latency histogram.
-type stageHist struct {
-	buckets    []uint64 // len(StageBucketsSeconds)+1; last is +Inf
-	sumSeconds float64
-	count      uint64
-}
-
 // Tracer mints request traces, retains the most recent finished ones
 // in a fixed-size ring buffer queryable by ID, and folds every
 // finished span into per-(analysis, stage) latency histograms. The
@@ -56,7 +49,7 @@ type Tracer struct {
 	finished   uint64
 	sampledOut uint64
 	sampleRate float64 // probability a Start mints a trace; 1 = always
-	stages     map[stageKey]*stageHist
+	stages     map[stageKey]*Hist
 }
 
 // NewTracer returns a tracer retaining the last capacity finished
@@ -74,7 +67,7 @@ func NewTracer(capacity int, clock func() time.Time) *Tracer {
 		ring:       make([]*Trace, capacity),
 		sampleRate: 1,
 		byID:       make(map[string]*Trace),
-		stages:     make(map[stageKey]*stageHist),
+		stages:     make(map[stageKey]*Hist),
 	}
 }
 
@@ -168,13 +161,10 @@ func (t *Tracer) observeLocked(dataset, analysis, stage string, seconds float64)
 	k := stageKey{dataset: dataset, analysis: analysis, stage: stage}
 	h, ok := t.stages[k]
 	if !ok {
-		h = &stageHist{buckets: make([]uint64, len(StageBucketsSeconds)+1)}
+		h = NewHist(StageBucketsSeconds)
 		t.stages[k] = h
 	}
-	i := sort.SearchFloat64s(StageBucketsSeconds, seconds)
-	h.buckets[i]++
-	h.sumSeconds += seconds
-	h.count++
+	h.Observe(seconds)
 }
 
 // Get returns the finished trace with the given ID, if it is still in
@@ -200,17 +190,14 @@ func (t *Tracer) IDs() []string {
 	return out
 }
 
-// StageExport is one (dataset, analysis, stage) histogram series,
-// cumulative in neither direction: Buckets[i] counts observations in
-// bucket i (bounds StageBucketsSeconds; the final entry is +Inf).
-// Dataset is "" for spans recorded outside any dataset scope.
+// StageExport is one (dataset, analysis, stage) latency histogram, in
+// seconds over StageBucketsSeconds. Dataset is "" for spans recorded
+// outside any dataset scope.
 type StageExport struct {
-	Dataset    string
-	Analysis   string
-	Stage      string
-	Buckets    []uint64
-	SumSeconds float64
-	Count      uint64
+	Dataset  string
+	Analysis string
+	Stage    string
+	Hist
 }
 
 // StageSnapshot returns every stage histogram, sorted by (analysis,
@@ -220,16 +207,7 @@ func (t *Tracer) StageSnapshot() []StageExport {
 	defer t.mu.Unlock()
 	out := make([]StageExport, 0, len(t.stages))
 	for k, h := range t.stages {
-		buckets := make([]uint64, len(h.buckets))
-		copy(buckets, h.buckets)
-		out = append(out, StageExport{
-			Dataset:    k.dataset,
-			Analysis:   k.analysis,
-			Stage:      k.stage,
-			Buckets:    buckets,
-			SumSeconds: h.sumSeconds,
-			Count:      h.count,
-		})
+		out = append(out, StageExport{Dataset: k.dataset, Analysis: k.analysis, Stage: k.stage, Hist: h.Clone()})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Analysis != out[j].Analysis {

@@ -7,17 +7,9 @@
 // The package is deliberately stdlib-only and HTTP-agnostic at its
 // core: TenantLimiter and Breaker expose Acquire/Release and
 // Allow/Record primitives; internal/serving and internal/server wire
-// them into the middleware stack and response envelopes. The
+// them into the middleware stack and response envelopes, and
+// internal/server exposes their Stats snapshots as the csm_shed_*,
+// csm_tenant_* and csm_breaker_* families of GET /metrics. The
 // faultinject subpackage provides the deterministic chaos harness the
 // tests use to prove each rung of the ladder engages.
 package resilience
-
-// Stats is the resilience section of the /debug/metrics snapshot:
-// shedder counters (globals of the two-level TenantLimiter, kept in
-// the legacy shape), the per-tenant admission breakdown, and the state
-// and accounting of every named circuit breaker.
-type Stats struct {
-	Shedder  ShedderStats            `json:"shedder"`
-	Tenants  map[string]TenantStats  `json:"tenants,omitempty"`
-	Breakers map[string]BreakerStats `json:"breakers"`
-}

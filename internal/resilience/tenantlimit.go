@@ -225,16 +225,15 @@ func (l *TenantLimiter) RetryAfter(tenant string, res AdmitResult) time.Duration
 
 // TenantStats is one tenant's admission accounting snapshot.
 type TenantStats struct {
-	Weight    float64 `json:"weight"`
-	Quota     int64   `json:"quota"`
-	InFlight  int64   `json:"in_flight"`
-	Admitted  uint64  `json:"admitted_total"`
-	Shed      uint64  `json:"shed_total"`
-	ShedQuota uint64  `json:"shed_quota_total"`
+	Quota     int64  `json:"quota"`
+	InFlight  int64  `json:"in_flight"`
+	Admitted  uint64 `json:"admitted_total"`
+	Shed      uint64 `json:"shed_total"`
+	ShedQuota uint64 `json:"shed_quota_total"`
 }
 
-// ShedderStats is the global level of a TenantLimiter in the shape the
-// /debug/metrics "shedder" section has always had.
+// ShedderStats is the global level of a TenantLimiter: its in-flight
+// bound and count and its admission totals.
 type ShedderStats struct {
 	MaxInFlight int64  `json:"max_in_flight"`
 	InFlight    int64  `json:"in_flight"`
@@ -242,9 +241,9 @@ type ShedderStats struct {
 	Shed        uint64 `json:"shed_total"`
 }
 
-// Stats snapshots the global level in the legacy ShedderStats shape
-// (Shed counts BOTH levels, preserving the meaning of the pre-tenant
-// rejection counter) plus the per-tenant breakdown.
+// Stats snapshots the global level (Shed counts BOTH levels,
+// preserving the meaning of the pre-tenant rejection counter) plus the
+// per-tenant breakdown.
 func (l *TenantLimiter) Stats() (ShedderStats, map[string]TenantStats) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -256,12 +255,7 @@ func (l *TenantLimiter) Stats() (ShedderStats, map[string]TenantStats) {
 	}
 	tenants := make(map[string]TenantStats, len(l.tenants))
 	for t, ts := range l.tenants {
-		w := ts.weight
-		if !ts.declared {
-			w = 0
-		}
 		tenants[t] = TenantStats{
-			Weight:    w,
 			Quota:     l.quotaLocked(ts),
 			InFlight:  ts.inFlight,
 			Admitted:  ts.admitted,

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"csmaterials/internal/dataset"
+	"csmaterials/internal/engine"
 	"csmaterials/internal/materials"
 )
 
@@ -104,6 +105,68 @@ func FuzzPutDocument(f *testing.F) {
 			t.Fatalf("stored repository:\n%v\nreference:\n%v", a, b)
 		}
 		checkShared(t, got)
+	})
+}
+
+// FuzzBatchBody sends its input as the body of POST /api/v1/batch. The
+// server must never panic or answer 5xx. It answers 400 bad_request
+// exactly when a reference strict decode (plain encoding/json, unknown
+// fields disallowed) fails or the item count is 0 or above
+// engine.MaxBatchItems, and otherwise 200 with meta.items results in
+// input order: result i echoes item i's analysis and dataset and
+// carries exactly one of data and error. The seeds are the regression
+// corpus in testdata/fuzz/FuzzBatchBody: the delta oracle's grid over
+// one course of the default dataset as one batch, an empty item list,
+// MaxBatchItems+1 items, an unknown field, an unknown analysis and an
+// unknown dataset.
+func FuzzBatchBody(f *testing.F) {
+	s := newQuietServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 1<<20 {
+			return // past the server's body limit, which the reference does not model
+		}
+		w := do(t, s, http.MethodPost, "/api/v1/batch", string(body))
+		if w.Code >= 500 {
+			t.Fatalf("batch answered %d\n%s", w.Code, w.Body.Bytes())
+		}
+		var req BatchRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil || len(req.Items) == 0 || len(req.Items) > engine.MaxBatchItems {
+			var e errEnv
+			if w.Code == http.StatusBadRequest {
+				decode(t, w.Body.Bytes(), &e)
+			}
+			if w.Code != http.StatusBadRequest || e.Error.Code != "bad_request" {
+				t.Fatalf("batch of %d items (decode error %v) answered %d, want 400 bad_request\n%s",
+					len(req.Items), err, w.Code, w.Body.Bytes())
+			}
+			return
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("batch of %d valid items answered %d\n%s", len(req.Items), w.Code, w.Body.Bytes())
+		}
+		var got struct {
+			Data []struct {
+				Analysis string          `json:"analysis"`
+				Dataset  string          `json:"dataset"`
+				Data     json.RawMessage `json:"data"`
+				Error    *struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			} `json:"data"`
+			Meta BatchMeta `json:"meta"`
+		}
+		decode(t, w.Body.Bytes(), &got)
+		if got.Meta.Items != len(req.Items) || len(got.Data) != len(req.Items) {
+			t.Fatalf("%d items answered %d results, meta.items %d", len(req.Items), len(got.Data), got.Meta.Items)
+		}
+		for i, it := range req.Items {
+			r := got.Data[i]
+			if r.Analysis != it.Analysis || r.Dataset != it.Dataset || (r.Error == nil) == (len(r.Data) == 0) {
+				t.Fatalf("result %d = %+v for item %+v", i, r, it)
+			}
+		}
 	})
 }
 

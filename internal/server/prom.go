@@ -9,13 +9,12 @@ import (
 	"csmaterials/internal/engine"
 	"csmaterials/internal/obs"
 	"csmaterials/internal/resilience"
-	"csmaterials/internal/serving"
 )
 
 // handleProm serves GET /metrics in Prometheus text exposition format:
-// the per-route HTTP histograms, the cache/shedder/breaker/engine
-// counters that /debug/metrics serves as JSON, and the per-analysis
-// per-stage latency histograms aggregated from request traces.
+// the per-route HTTP histograms, the cache, shedder, breaker and engine
+// counters, and the per-analysis per-stage latency histograms
+// aggregated from request traces.
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	fams := s.promFamilies()
 	w.Header().Set("Content-Type", obs.ExpositionContentType)
@@ -48,16 +47,12 @@ func (s *Server) promFamilies() []obs.Family {
 	}
 	fams = append(fams, reqs)
 
-	boundsMS := serving.LatencyBoundsMS()
-	boundsSec := make([]float64, len(boundsMS))
-	for i, b := range boundsMS {
-		boundsSec[i] = b / 1000
-	}
 	durs := obs.Family{Name: "csm_http_request_duration_seconds", Help: "Request latency by route pattern.", Type: obs.Histogram}
 	for _, rt := range ex.Routes {
+		h := rt.Latency
 		durs.Samples = append(durs.Samples, obs.HistogramSamples(
 			[]obs.Label{{Name: "route", Value: rt.Route}},
-			boundsSec, rt.BucketCounts, rt.TotalMS/1000, rt.Count)...)
+			h.Bounds, h.Counts, h.Sum, h.Count)...)
 	}
 	fams = append(fams, durs)
 
@@ -251,7 +246,7 @@ func (s *Server) promFamilies() []obs.Family {
 		}
 		labels := []obs.Label{{Name: "analysis", Value: st.Analysis}, {Name: "dataset", Value: ds}, {Name: "stage", Value: st.Stage}}
 		stageFam.Samples = append(stageFam.Samples, obs.HistogramSamples(
-			labels, obs.StageBucketsSeconds, st.Buckets, st.SumSeconds, st.Count)...)
+			labels, st.Bounds, st.Counts, st.Sum, st.Count)...)
 	}
 	ts := s.tracer.Stats()
 	fams = append(fams, stageFam,

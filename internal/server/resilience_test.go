@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,6 @@ import (
 
 	"csmaterials/internal/resilience"
 	"csmaterials/internal/resilience/faultinject"
-	"csmaterials/internal/serving"
 )
 
 // waitFor polls cond until true or a 5s budget runs out.
@@ -107,16 +107,13 @@ func TestShedderRejects429UnderOverload(t *testing.T) {
 		t.Fatalf("held request finished with %d", got)
 	}
 
-	// The shed shows up in /debug/metrics' resilience section and in
-	// the per-route 429 accounting.
-	var snap serving.Snapshot
-	_, mbody := get(t, ts, "/debug/metrics")
-	decode(t, mbody, &snap)
-	if snap.Resilience == nil || snap.Resilience.Shedder.Shed < 1 {
-		t.Fatalf("resilience snapshot = %+v", snap.Resilience)
+	// The shed shows up in the shedder's rejection counter and in the
+	// per-route 429 accounting.
+	if v, err := strconv.Atoi(metricValue(t, ts, "csm_shed_rejected_total")); err != nil || v < 1 {
+		t.Fatalf("csm_shed_rejected_total = %d (%v), want >= 1", v, err)
 	}
-	if snap.Routes["GET /api/v1/courses"].ByStatus["429"] != 1 {
-		t.Fatalf("route stats = %+v", snap.Routes["GET /api/v1/courses"])
+	if v := metricValue(t, ts, `csm_http_requests_total{route="GET /api/v1/courses",status="429"}`); v != "1" {
+		t.Fatalf("429s metered on the courses route = %s, want 1", v)
 	}
 }
 
@@ -254,12 +251,9 @@ func TestBreakerServesHeldAnswers(t *testing.T) {
 		t.Fatalf("types Compute ran %d times; the breaker/injector should have kept it at the 1 priming call", n)
 	}
 
-	// /debug/metrics exposes breaker state.
-	var snap serving.Snapshot
-	_, mbody := get(t, ts, "/debug/metrics")
-	decode(t, mbody, &snap)
-	if snap.Resilience == nil || snap.Resilience.Breakers["types"].State != "open" {
-		t.Fatalf("metrics breakers = %+v", snap.Resilience)
+	// /metrics exposes breaker state (2 = open).
+	if v := metricValue(t, ts, `csm_breaker_state{analysis="types",dataset="default"}`); v != "2" {
+		t.Fatalf("types breaker state = %s, want 2 (open)", v)
 	}
 
 	// Recovery: faults clear and the cooldown elapses. The next miss is

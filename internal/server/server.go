@@ -6,8 +6,7 @@
 //
 // The v1 API lives under /api/v1/ and answers every request with a
 // {"data": ..., "meta": {...}} envelope; errors use
-// {"error": {"code", "message"}}. Legacy /api/... paths permanently
-// redirect to their /api/v1/... equivalents.
+// {"error": {"code", "message"}}.
 //
 // Every analysis endpoint is a thin dispatch into internal/engine: the
 // analyses register in an engine.Registry, and one executor runs them
@@ -35,8 +34,9 @@
 // probe (distinct from the /healthz liveness probe): it stays 503
 // until the default dataset is loaded and every warmable analysis has
 // been pre-computed, and reports per-dataset warmup state and breaker
-// states. Per-route metrics are served at GET /debug/metrics. Built on
-// net/http only.
+// states. Every metric (per-route requests and latency, cache, shedder,
+// breakers, executor, datasets and trace stages) is served at
+// GET /metrics in Prometheus text format. Built on net/http only.
 package server
 
 import (
@@ -80,8 +80,9 @@ type Options struct {
 	// means DefaultCacheSize; a negative value disables retention
 	// (singleflight deduplication still applies).
 	CacheSize int
-	// Logger receives access logs and panic stacks; nil disables
-	// logging (useful in tests and benchmarks).
+	// Logger receives the stacks of recovered handler panics; nil
+	// discards them (useful in tests and benchmarks). Per-request
+	// logging is Events.
 	Logger *log.Logger
 	// MaxInFlight bounds concurrently served /api/ requests; excess is
 	// shed immediately with 429 + Retry-After. Zero means
@@ -107,8 +108,7 @@ type Options struct {
 	// tracer with a DefaultTraceBuffer-deep ring.
 	Tracer *obs.Tracer
 	// Events receives one structured JSON line per API request (the
-	// wide-event access log). Nil disables wide events; the plain
-	// Logger access log is used instead when it is set.
+	// wide-event access log). Nil disables per-request logging.
 	Events *obs.Logger
 	// DataDir, when non-empty, is a directory of *.json dataset
 	// documents ({"courses": [...]}) registered at startup, each named
@@ -279,30 +279,8 @@ func NewWithOptions(o Options) (*Server, error) {
 	})
 	s.exec.SetBatchWorkers(o.BatchWorkers)
 	s.retuneTenancy()
-	s.metrics.ObserveCache(s.cache)
-	s.metrics.ObserveResilience(func() resilience.Stats {
-		var st resilience.Stats
-		st.Shedder, st.Tenants = s.limiter.Stats()
-		if len(st.Tenants) == 1 {
-			if _, only := st.Tenants[dataset.DefaultID]; only {
-				// Single-tenant snapshots keep the legacy shape.
-				st.Tenants = nil
-			}
-		}
-		if s.breakers != nil {
-			st.Breakers = s.breakers.Stats()
-		}
-		return st
-	})
-	s.metrics.ObserveEngine(func() interface{} { return s.exec.Stats() })
 	s.routes()
-	if s.events != nil {
-		// Wide events replace the plain access log: one line per
-		// request, not two.
-		s.handler = serving.Recover(s.logger, http.HandlerFunc(s.route))
-	} else {
-		s.handler = serving.Recover(s.logger, serving.AccessLog(s.logger, http.HandlerFunc(s.route)))
-	}
+	s.handler = serving.Recover(s.logger, http.HandlerFunc(s.route))
 	if !o.disableWarmup {
 		s.spawnBackground(s.warmup)
 	}
@@ -336,9 +314,6 @@ func (s *Server) spawnBackground(fn func(ctx context.Context)) {
 // ingest-triggered warmups) has finished. cmd/serve calls it after the
 // HTTP listener has shut down.
 func (s *Server) DrainBackground() { s.bg.Wait() }
-
-// Metrics exposes the metrics registry (for cmd/serve and tests).
-func (s *Server) Metrics() *serving.Metrics { return s.metrics }
 
 // Cache exposes the result cache (for benchmarks and tests).
 func (s *Server) Cache() *serving.Cache { return s.cache }
@@ -386,11 +361,9 @@ func (s *Server) routes() {
 	s.handleAPI("PATCH /api/v1/datasets/{ds}", http.HandlerFunc(s.handleDatasetPatch))
 	s.handleAPI("DELETE /api/v1/datasets/{ds}", http.HandlerFunc(s.handleDatasetDelete))
 	s.handleAPI("POST /api/v1/keys/reload", http.HandlerFunc(s.handleKeysReload))
-	s.handle("GET /debug/metrics", s.metrics.Handler())
 	s.handle("GET /metrics", http.HandlerFunc(s.handleProm))
 	s.handle("GET /debug/trace", http.HandlerFunc(s.handleTraceList))
 	s.handle("GET /debug/trace/{id}", http.HandlerFunc(s.handleTrace))
-	s.handle("/api/", http.HandlerFunc(s.handleLegacy))
 }
 
 // handle registers pattern with per-route instrumentation.
@@ -453,8 +426,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 	// If the path matches a real route under some other method, the
 	// original method was the problem: answer 405 listing the allowed
-	// methods. The method-less legacy "/api/" catch-all does not count
-	// as a real route here. HEAD rides along with GET, per net/http.
+	// methods. HEAD rides along with GET, per net/http.
 	var allowed []string
 	for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete} {
 		if m == r.Method || (m == http.MethodGet && r.Method == http.MethodHead) {
@@ -462,7 +434,7 @@ func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 		}
 		probe := r.Clone(r.Context())
 		probe.Method = m
-		if _, pattern := s.mux.Handler(probe); pattern != "" && pattern != "/api/" {
+		if _, pattern := s.mux.Handler(probe); pattern != "" {
 			allowed = append(allowed, m)
 		}
 	}
@@ -472,23 +444,6 @@ func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, http.StatusNotFound, "not_found", "no such endpoint %s", r.URL.Path)
-}
-
-// handleLegacy permanently redirects pre-v1 /api/... paths to their
-// /api/v1/... equivalents, preserving the query string.
-func (s *Server) handleLegacy(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/")
-	if rest == "v1" || strings.HasPrefix(rest, "v1/") {
-		// A /api/v1/ path no specific pattern claimed: either a wrong
-		// method on a real route or an unknown endpoint.
-		s.handleUnmatched(w, r)
-		return
-	}
-	target := "/api/v1/" + rest
-	if q := r.URL.RawQuery; q != "" {
-		target += "?" + q
-	}
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
 }
 
 // --- Envelope ------------------------------------------------------------

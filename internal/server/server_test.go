@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -413,44 +414,27 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestLegacyRedirects: pre-v1 paths 308 to their v1 equivalents with
-// the query string intact, and clients that follow redirects see the
-// v1 envelope.
-func TestLegacyRedirects(t *testing.T) {
+// TestRemovedPathsNotFound: the API lives under /api/v1/ only and its
+// metrics under /metrics only; a pre-v1 /api/... path and the old
+// /debug/metrics JSON view answer the JSON 404 of any unknown path,
+// and every unknown path, /api/v1/... ones included, is metered under
+// route="(unmatched)".
+func TestRemovedPathsNotFound(t *testing.T) {
 	_, ts := newTestServer(t)
-	noFollow := &http.Client{
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	cases := []struct{ from, to string }{
-		{"/api/courses", "/api/v1/courses"},
-		{"/api/courses/vcu-cmsc256-duke/anchors", "/api/v1/courses/vcu-cmsc256-duke/anchors"},
-		{"/api/search?prefix=AL/&limit=5", "/api/v1/search?prefix=AL/&limit=5"},
-		{"/api/types?group=cs1&k=3", "/api/v1/types?group=cs1&k=3"},
-		{"/api/figures/3a", "/api/v1/figures/3a"},
-	}
-	for _, tc := range cases {
-		resp, err := noFollow.Get(ts.URL + tc.from)
-		if err != nil {
-			t.Fatal(err)
+	paths := []string{"/api/courses", "/api/types?group=cs1&k=3", "/api/figures/3a", "/debug/metrics", "/api/v1/nope"}
+	for _, path := range paths {
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s status %d, want 404\n%s", path, resp.StatusCode, body)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Fatalf("GET %s status %d, want 308", tc.from, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != tc.to {
-			t.Fatalf("GET %s Location = %q, want %q", tc.from, loc, tc.to)
+		var e errEnv
+		decode(t, body, &e)
+		if e.Error.Code != "not_found" {
+			t.Fatalf("GET %s error envelope = %+v", path, e)
 		}
 	}
-	// A default client lands on the v1 payload.
-	e := getEnvelope(t, ts, "/api/agreement?group=CS1&threshold=4", 200)
-	var out struct {
-		KASpan []string `json:"ka_span"`
-	}
-	decode(t, e.Data, &out)
-	if len(out.KASpan) != 1 || out.KASpan[0] != "SDF" {
-		t.Fatalf("redirected agreement = %+v", out)
+	if v := metricValue(t, ts, `csm_http_requests_total{route="(unmatched)",status="404"}`); v != strconv.Itoa(len(paths)) {
+		t.Fatalf("unmatched 404s = %s, want %d", v, len(paths))
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"csmaterials/internal/engine"
 	"csmaterials/internal/materials"
-	"csmaterials/internal/serving"
 )
 
 // fakeCompute swaps the registered analysis's Compute for fn while
@@ -102,7 +102,7 @@ type httpStatusError struct{ status int }
 func (e *httpStatusError) Error() string { return http.StatusText(e.status) }
 
 // TestCacheMetaAndMetrics walks the miss→hit transition and checks that
-// /debug/metrics reports route counts, latency buckets, and cache
+// /metrics reports the route's requests, its latency count, and cache
 // accounting for it.
 func TestCacheMetaAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -115,31 +115,20 @@ func TestCacheMetaAndMetrics(t *testing.T) {
 		t.Fatalf("second request meta = %+v", e.Meta)
 	}
 
-	resp, body := get(t, ts, "/debug/metrics")
-	if resp.StatusCode != 200 {
-		t.Fatalf("metrics status %d", resp.StatusCode)
+	for _, series := range []string{
+		`csm_http_requests_total{route="GET /api/v1/types",status="200"}`,
+		`csm_http_request_duration_seconds_count{route="GET /api/v1/types"}`,
+	} {
+		if v := metricValue(t, ts, series); v != "2" {
+			t.Fatalf("%s = %s, want 2", series, v)
+		}
 	}
-	var snap serving.Snapshot
-	decode(t, body, &snap)
-	rs, ok := snap.Routes["GET /api/v1/types"]
-	if !ok {
-		t.Fatalf("types route missing from metrics: %v", snap.Routes)
-	}
-	if rs.Count != 2 || rs.ByStatus["200"] != 2 {
-		t.Fatalf("types route stats = %+v", rs)
-	}
-	bucketTotal := uint64(0)
-	for _, n := range rs.Buckets {
-		bucketTotal += n
-	}
-	if bucketTotal != 2 {
-		t.Fatalf("latency buckets sum to %d, want 2: %+v", bucketTotal, rs.Buckets)
-	}
-	if rs.P99MS < rs.P50MS {
-		t.Fatalf("quantiles out of order: %+v", rs)
-	}
-	if snap.Cache == nil || snap.Cache.Hits < 1 || snap.Cache.Misses < 1 {
-		t.Fatalf("cache stats = %+v", snap.Cache)
+	// Background warmup also misses, so only a floor holds for the
+	// cache totals.
+	for _, series := range []string{"csm_cache_hits_total", "csm_cache_misses_total"} {
+		if v, err := strconv.Atoi(metricValue(t, ts, series)); err != nil || v < 1 {
+			t.Fatalf("%s = %d (%v), want >= 1", series, v, err)
+		}
 	}
 }
 

@@ -134,7 +134,6 @@ func TestIngestAuth(t *testing.T) {
 
 // TestOpenModeKeepsLegacySurface pins the single-tenant compatibility
 // contract: with no keys configured, mutations need no credentials,
-// the resilience snapshot keeps its legacy shape (no "tenants" key),
 // and no csm_tenant_* families appear in the Prometheus text.
 func TestOpenModeKeepsLegacySurface(t *testing.T) {
 	s := newObsServer(t, Options{})
@@ -145,13 +144,8 @@ func TestOpenModeKeepsLegacySurface(t *testing.T) {
 		t.Fatalf("open-mode delete: status %d\n%s", w.Code, w.Body.Bytes())
 	}
 
-	// Back to a single tenant: the /debug/metrics resilience section
-	// must not grow a tenants map, and /metrics no tenant families.
-	w := do(t, s, http.MethodGet, "/debug/metrics", "")
-	if strings.Contains(w.Body.String(), `"tenants"`) {
-		t.Fatalf("single-tenant /debug/metrics leaked a tenants key:\n%s", w.Body.Bytes())
-	}
-	w = do(t, s, http.MethodGet, "/metrics", "")
+	// Back to a single tenant: /metrics carries no tenant families.
+	w := do(t, s, http.MethodGet, "/metrics", "")
 	for _, fam := range []string{"csm_tenant_", "csm_dataset_cache_"} {
 		if strings.Contains(w.Body.String(), fam) {
 			t.Fatalf("single-tenant /metrics exposes %s* families", fam)

@@ -23,34 +23,33 @@ func TestMetricsExport(t *testing.T) {
 		t.Fatalf("routes not sorted: %+v", ex.Routes)
 	}
 	types := ex.Routes[1]
-	if types.Count != 3 {
-		t.Fatalf("count = %d, want 3", types.Count)
+	if types.Latency.Count != 3 {
+		t.Fatalf("count = %d, want 3", types.Latency.Count)
 	}
 	wantStatus := []StatusCount{{Status: 200, Count: 2}, {Status: 400, Count: 1}}
 	if len(types.ByStatus) != 2 || types.ByStatus[0] != wantStatus[0] || types.ByStatus[1] != wantStatus[1] {
 		t.Fatalf("by-status = %+v, want %+v", types.ByStatus, wantStatus)
 	}
-	bounds := LatencyBoundsMS()
+	bounds := types.Latency.Bounds
 	if !sort.Float64sAreSorted(bounds) {
 		t.Fatalf("bounds not sorted: %v", bounds)
 	}
-	if len(types.BucketCounts) != len(bounds)+1 {
-		t.Fatalf("bucket counts = %d, want %d", len(types.BucketCounts), len(bounds)+1)
+	if len(types.Latency.Counts) != len(bounds)+1 {
+		t.Fatalf("bucket counts = %d, want %d", len(types.Latency.Counts), len(bounds)+1)
 	}
 	var total uint64
-	for _, n := range types.BucketCounts {
+	for _, n := range types.Latency.Counts {
 		total += n
 	}
 	if total != 3 {
 		t.Fatalf("bucket total = %d, want 3", total)
 	}
-	if types.TotalMS < 34-1e-9 || types.TotalMS > 34+1e-9 {
-		t.Fatalf("total ms = %v, want 34", types.TotalMS)
+	if types.Latency.Sum < 0.034-1e-12 || types.Latency.Sum > 0.034+1e-12 {
+		t.Fatalf("sum = %v s, want 0.034", types.Latency.Sum)
 	}
 	// Export must return copies: mutating them cannot corrupt the registry.
-	types.BucketCounts[0] = math.MaxUint64
-	bounds[0] = -1
-	if m.Export().Routes[1].BucketCounts[0] == math.MaxUint64 || LatencyBoundsMS()[0] < 0 {
+	types.Latency.Counts[0] = math.MaxUint64
+	if m.Export().Routes[1].Latency.Counts[0] == math.MaxUint64 {
 		t.Fatal("export aliases internal state")
 	}
 }

@@ -1,69 +1,38 @@
 package serving
 
 import (
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"csmaterials/internal/resilience"
+	"csmaterials/internal/obs"
 )
 
-// latencyBucketsMS are the histogram upper bounds, in milliseconds.
-// The final implicit bucket is +Inf.
-var latencyBucketsMS = []float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// latencyBoundsSeconds are the request latency histogram upper bounds;
+// the final implicit bucket is +Inf.
+var latencyBoundsSeconds = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
-// routeStats accumulates per-route observations.
+// routeStats accumulates one route's observations.
 type routeStats struct {
-	count    uint64
 	byStatus map[int]uint64
-	buckets  []uint64 // len(latencyBucketsMS)+1, last is +Inf
-	totalMS  float64
-	maxMS    float64
+	latency  *obs.Hist
 }
 
-// Metrics records per-route request counts, latency histograms, an
-// in-flight gauge, and (optionally) cache statistics, and serves them
-// as expvar-style JSON.
+// Metrics records per-route request counts by status, per-route
+// latency histograms and an in-flight gauge: the HTTP layer of
+// GET /metrics.
 type Metrics struct {
 	start    time.Time
 	inFlight int64
 
-	mu         sync.Mutex
-	routes     map[string]*routeStats
-	cache      *Cache
-	resilience func() resilience.Stats
-	engine     func() interface{}
+	mu     sync.Mutex
+	routes map[string]*routeStats
 }
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now(), routes: make(map[string]*routeStats)}
-}
-
-// ObserveCache includes the cache's counters in the metrics snapshot.
-func (m *Metrics) ObserveCache(c *Cache) {
-	m.mu.Lock()
-	m.cache = c
-	m.mu.Unlock()
-}
-
-// ObserveResilience includes shedder/breaker accounting in the metrics
-// snapshot; f is called once per snapshot.
-func (m *Metrics) ObserveResilience(f func() resilience.Stats) {
-	m.mu.Lock()
-	m.resilience = f
-	m.mu.Unlock()
-}
-
-// ObserveEngine includes the analysis executor's accounting in the
-// metrics snapshot; f is called once per snapshot. The value is opaque
-// here (serving cannot import the engine package) and serialized as-is.
-func (m *Metrics) ObserveEngine(f func() interface{}) {
-	m.mu.Lock()
-	m.engine = f
-	m.mu.Unlock()
 }
 
 // IncInFlight / DecInFlight maintain the in-flight request gauge.
@@ -72,145 +41,15 @@ func (m *Metrics) DecInFlight() { atomic.AddInt64(&m.inFlight, -1) }
 
 // Observe records one completed request for the route.
 func (m *Metrics) Observe(route string, status int, d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rs, ok := m.routes[route]
 	if !ok {
-		rs = &routeStats{
-			byStatus: make(map[int]uint64),
-			buckets:  make([]uint64, len(latencyBucketsMS)+1),
-		}
+		rs = &routeStats{byStatus: make(map[int]uint64), latency: obs.NewHist(latencyBoundsSeconds)}
 		m.routes[route] = rs
 	}
-	rs.count++
 	rs.byStatus[status]++
-	rs.totalMS += ms
-	if ms > rs.maxMS {
-		rs.maxMS = ms
-	}
-	i := sort.SearchFloat64s(latencyBucketsMS, ms)
-	rs.buckets[i]++
-}
-
-// quantileMS estimates the q-quantile (0..1) from the histogram by
-// linear interpolation within the containing bucket.
-func (rs *routeStats) quantileMS(q float64) float64 {
-	if rs.count == 0 {
-		return 0
-	}
-	rank := q * float64(rs.count)
-	var cum float64
-	for i, n := range rs.buckets {
-		next := cum + float64(n)
-		if next >= rank && n > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBucketsMS[i-1]
-			}
-			hi := rs.maxMS
-			if i < len(latencyBucketsMS) && latencyBucketsMS[i] < hi {
-				hi = latencyBucketsMS[i]
-			}
-			if hi < lo {
-				hi = lo
-			}
-			return lo + (hi-lo)*(rank-cum)/float64(n)
-		}
-		cum = next
-	}
-	return rs.maxMS
-}
-
-// RouteSnapshot is the JSON form of one route's stats.
-type RouteSnapshot struct {
-	Count    uint64            `json:"count"`
-	ByStatus map[string]uint64 `json:"by_status"`
-	Buckets  map[string]uint64 `json:"latency_buckets_ms"`
-	MeanMS   float64           `json:"mean_ms"`
-	MaxMS    float64           `json:"max_ms"`
-	P50MS    float64           `json:"p50_ms"`
-	P90MS    float64           `json:"p90_ms"`
-	P99MS    float64           `json:"p99_ms"`
-}
-
-// Snapshot is the JSON document served at /debug/metrics.
-type Snapshot struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	InFlight      int64                    `json:"in_flight"`
-	Routes        map[string]RouteSnapshot `json:"routes"`
-	Cache         *CacheStats              `json:"cache,omitempty"`
-	Resilience    *resilience.Stats        `json:"resilience,omitempty"`
-	Engine        interface{}              `json:"engine,omitempty"`
-}
-
-// Snapshot returns a point-in-time copy of all metrics.
-func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := Snapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		InFlight:      atomic.LoadInt64(&m.inFlight),
-		Routes:        make(map[string]RouteSnapshot, len(m.routes)),
-	}
-	for route, rs := range m.routes {
-		out := RouteSnapshot{
-			Count:    rs.count,
-			ByStatus: make(map[string]uint64, len(rs.byStatus)),
-			Buckets:  make(map[string]uint64, len(rs.buckets)),
-			MaxMS:    rs.maxMS,
-			P50MS:    rs.quantileMS(0.50),
-			P90MS:    rs.quantileMS(0.90),
-			P99MS:    rs.quantileMS(0.99),
-		}
-		if rs.count > 0 {
-			out.MeanMS = rs.totalMS / float64(rs.count)
-		}
-		for status, n := range rs.byStatus {
-			out.ByStatus[itoa(status)] = n
-		}
-		for i, n := range rs.buckets {
-			out.Buckets[bucketLabel(i)] = n
-		}
-		snap.Routes[route] = out
-	}
-	if m.cache != nil {
-		st := m.cache.Stats()
-		snap.Cache = &st
-	}
-	if m.resilience != nil {
-		rs := m.resilience()
-		snap.Resilience = &rs
-	}
-	if m.engine != nil {
-		snap.Engine = m.engine()
-	}
-	return snap
-}
-
-// Handler serves the snapshot as indented JSON (expvar-style, GET only).
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, m.Snapshot())
-	})
-}
-
-func bucketLabel(i int) string {
-	if i >= len(latencyBucketsMS) {
-		return "+Inf"
-	}
-	return "<=" + ftoa(latencyBucketsMS[i])
-}
-
-// --- Raw export (the bridge to Prometheus exposition) --------------------
-
-// LatencyBoundsMS returns the finite histogram upper bounds in
-// milliseconds; the implicit final bucket is +Inf. Exposition code
-// converts to seconds at the edge.
-func LatencyBoundsMS() []float64 {
-	out := make([]float64, len(latencyBucketsMS))
-	copy(out, latencyBucketsMS)
-	return out
+	rs.latency.Observe(d.Seconds())
 }
 
 // StatusCount is one (status code, count) pair of a route's export.
@@ -219,29 +58,23 @@ type StatusCount struct {
 	Count  uint64
 }
 
-// RouteExport is the raw (unformatted, bound-typed) form of one
-// route's stats, for metric exporters that need numbers rather than
-// the display labels of the JSON snapshot.
+// RouteExport is one route's accounting: its requests by status code
+// and its latency histogram in seconds.
 type RouteExport struct {
 	Route    string
-	Count    uint64
 	ByStatus []StatusCount // sorted by status code
-	// BucketCounts are per-bucket (non-cumulative) observation counts
-	// aligned with LatencyBoundsMS; the final extra entry is +Inf.
-	BucketCounts []uint64
-	TotalMS      float64
-	MaxMS        float64
+	Latency  obs.Hist
 }
 
-// Export is the raw snapshot behind GET /metrics.
+// Export is the HTTP layer of GET /metrics.
 type Export struct {
 	UptimeSeconds float64
 	InFlight      int64
 	Routes        []RouteExport // sorted by route
 }
 
-// Export snapshots the registry in raw, deterministic form: routes and
-// status codes sorted, bucket counts aligned with LatencyBoundsMS.
+// Export snapshots the registry in deterministic form: routes and
+// status codes sorted, histograms copied.
 func (m *Metrics) Export() Export {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -252,14 +85,10 @@ func (m *Metrics) Export() Export {
 	}
 	for route, rs := range m.routes {
 		re := RouteExport{
-			Route:        route,
-			Count:        rs.count,
-			ByStatus:     make([]StatusCount, 0, len(rs.byStatus)),
-			BucketCounts: make([]uint64, len(rs.buckets)),
-			TotalMS:      rs.totalMS,
-			MaxMS:        rs.maxMS,
+			Route:    route,
+			ByStatus: make([]StatusCount, 0, len(rs.byStatus)),
+			Latency:  rs.latency.Clone(),
 		}
-		copy(re.BucketCounts, rs.buckets)
 		for status, n := range rs.byStatus {
 			re.ByStatus = append(re.ByStatus, StatusCount{Status: status, Count: n})
 		}

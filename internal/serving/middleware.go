@@ -80,20 +80,6 @@ func Recover(logger *log.Logger, next http.Handler) http.Handler {
 	})
 }
 
-// AccessLog emits one structured (logfmt-style) line per request.
-func AccessLog(logger *log.Logger, next http.Handler) http.Handler {
-	if logger == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := Wrap(w)
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		logger.Printf("access method=%s path=%q query=%q status=%d bytes=%d dur=%s remote=%s",
-			r.Method, r.URL.Path, r.URL.RawQuery, sw.Status, sw.Bytes, time.Since(start).Round(time.Microsecond), r.RemoteAddr)
-	})
-}
-
 // Instrument meters next under the given route label: request count,
 // status codes, latency histogram, and the in-flight gauge.
 func Instrument(m *Metrics, route string, next http.Handler) http.Handler {
@@ -178,7 +164,3 @@ func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

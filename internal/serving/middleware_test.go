@@ -51,23 +51,6 @@ func TestRecoverPassesThroughNormalResponses(t *testing.T) {
 	}
 }
 
-func TestAccessLogLine(t *testing.T) {
-	var buf bytes.Buffer
-	logger := log.New(&buf, "", 0)
-	h := AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-		w.Write([]byte("nope"))
-	}))
-	req := httptest.NewRequest("GET", "/api/v1/ghost?x=1", nil)
-	h.ServeHTTP(httptest.NewRecorder(), req)
-	line := buf.String()
-	for _, want := range []string{"method=GET", `path="/api/v1/ghost"`, `query="x=1"`, "status=404", "bytes=4"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("access log %q missing %q", line, want)
-		}
-	}
-}
-
 func TestInstrumentRecordsRoute(t *testing.T) {
 	m := NewMetrics()
 	h := Instrument(m, "GET /slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -75,13 +58,13 @@ func TestInstrumentRecordsRoute(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/slow", nil))
-	snap := m.Snapshot()
-	rs := snap.Routes["GET /slow"]
-	if rs.Count != 1 || rs.ByStatus["200"] != 1 {
+	ex := m.Export()
+	rs := routeExport(t, ex, "GET /slow")
+	if rs.Latency.Count != 1 || statusCount(rs, 200) != 1 {
 		t.Fatalf("route stats = %+v", rs)
 	}
-	if snap.InFlight != 0 {
-		t.Fatalf("in_flight = %d after request", snap.InFlight)
+	if ex.InFlight != 0 {
+		t.Fatalf("in_flight = %d after request", ex.InFlight)
 	}
 }
 
@@ -95,11 +78,11 @@ func TestInstrumentMetersEscapingPanicAs500(t *testing.T) {
 	if rr.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d", rr.Code)
 	}
-	rs := m.Snapshot().Routes["GET /boom"]
-	if rs.ByStatus["500"] != 1 {
+	ex := m.Export()
+	if rs := routeExport(t, ex, "GET /boom"); statusCount(rs, 500) != 1 {
 		t.Fatalf("route stats = %+v", rs)
 	}
-	if got := m.Snapshot().InFlight; got != 0 {
+	if got := ex.InFlight; got != 0 {
 		t.Fatalf("in_flight = %d after panic", got)
 	}
 }

@@ -1,8 +1,8 @@
 // Package serving is the production-hardening layer between the HTTP
 // handlers and the analysis packages: a keyed result cache with
 // singleflight deduplication, the per-route metrics registry, and the
-// middleware stack (panic recovery, access logs, instrumentation, load
-// shedding) that cmd/serve wraps around the API.
+// middleware stack (panic recovery, instrumentation, load shedding)
+// that cmd/serve wraps around the API.
 //
 // Every analysis is a deterministic function of the courses it reads,
 // and every cache key names a digest of them, so a held answer never
@@ -13,9 +13,10 @@
 // The cache participates in request tracing (internal/obs): when a
 // request context carries a trace, Cache.DoCtxFn records
 // cache-hit/cache-miss, singleflight-lead/-join, and store spans, and
-// Metrics.Export exposes the raw per-route histograms that the
-// server's Prometheus endpoint renders. Untraced contexts pay one nil
-// context lookup and nothing else.
+// Metrics.Export copies out the per-route status counts and obs.Hist
+// latency histograms that the server's GET /metrics renders, its only
+// metrics surface. Untraced contexts pay one nil context lookup and
+// nothing else.
 package serving
 
 import (
