@@ -258,14 +258,14 @@ func deepCopy(c *materials.Course) *materials.Course {
 // values: materials and courses as JSON of deep copies (Clone leaves an
 // empty slice nil, so nil and empty compare equal).
 type repoView struct {
-	Courses   []string                           // Courses(), in order
-	Course    map[string]string                  // Course(id) per listed course
-	Groups    map[materials.CourseGroup][]string // CoursesInGroup course IDs
-	Material  map[string]string                  // Material(id); "" for nil
-	Materials []string                           // Materials(), in order
-	Count     int                                // NumMaterials()
-	TagSets   map[string]map[string]bool         // each course's TagSet()
-	Rows      map[string][]string                // each course's TagRow, as tags
+	Courses   []string                   // Courses(), in order
+	Course    map[string]string          // Course(id) per listed course
+	Groups    map[string][]string        // Restrict course IDs per group
+	Material  map[string]string          // Material(id); "" for nil
+	Materials []string                   // Materials(), in order
+	Count     int                        // NumMaterials()
+	TagSets   map[string]map[string]bool // each course's TagSet()
+	Rows      map[string][]string        // each course's TagRow, as tags
 }
 
 // viewOf reads every accessor of r, looking each of ids up by Material.
@@ -279,7 +279,7 @@ func viewOf(r *materials.Repository, ids []string) repoView {
 	}
 	v := repoView{
 		Course:   map[string]string{},
-		Groups:   map[materials.CourseGroup][]string{},
+		Groups:   map[string][]string{},
 		Material: map[string]string{},
 		Count:    r.NumMaterials(),
 		TagSets:  map[string]map[string]bool{},
@@ -295,9 +295,8 @@ func viewOf(r *materials.Repository, ids []string) repoView {
 		}
 		v.Rows[c.ID] = row
 	}
-	for _, g := range []materials.CourseGroup{materials.GroupCS1, materials.GroupOOP, materials.GroupDS,
-		materials.GroupAlgo, materials.GroupSoftEng, materials.GroupPDC, materials.GroupOther} {
-		for _, c := range r.CoursesInGroup(g) {
+	for _, g := range materials.Groups {
+		for _, c := range r.Restrict(materials.Scope{Group: g}).Courses() {
 			v.Groups[g] = append(v.Groups[g], c.ID)
 		}
 	}

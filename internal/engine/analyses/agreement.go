@@ -67,28 +67,28 @@ func (Agreement) WarmParams() []engine.Params {
 
 func (Agreement) Compute(ctx context.Context, repo *materials.Repository, p engine.Params) (interface{}, error) {
 	ap := p.(AgreementParams)
-	ids, err := groupCourseIDs(repo, ap.Group)
+	g, err := groupOf(repo, ap.Group)
 	if err != nil {
 		return nil, err
 	}
-	a, err := agreement.AnalyzeGroup(ctx, repo.Group(ids), ontology.CS2013(), ontology.PDC12())
+	a, err := agreement.AnalyzeGroup(ctx, g, ontology.CS2013(), ontology.PDC12())
 	if err != nil {
 		return nil, err
 	}
 	// at_least[k] for every k from one pass over the counts: a tag is in
-	// at most len(ids) courses, so exactly[c] tallies them by count and
-	// at_least is its suffix sum.
-	exactly := make([]int, len(ids)+1)
+	// at most len(a.Courses) courses, so exactly[c] tallies them by
+	// count and at_least is its suffix sum.
+	exactly := make([]int, len(a.Courses)+1)
 	for _, c := range a.Counts {
 		exactly[c]++
 	}
-	atLeast := make(map[string]int, len(ids))
-	for k, n := len(ids), 0; k >= 2; k-- {
+	atLeast := make(map[string]int, len(a.Courses))
+	for k, n := len(a.Courses), 0; k >= 2; k-- {
 		n += exactly[k]
 		atLeast[strconv.Itoa(k)] = n
 	}
 	// ka_span is the sorted key set of ka_counts: one area pass serves
-	// both. Courses is the analysis's exact-size copy of ids.
+	// both. Courses is the analysis's exact-size copy of the group's IDs.
 	kaCounts := a.KACounts(ap.Threshold)
 	return &AgreementResponse{
 		Courses:   a.Courses,

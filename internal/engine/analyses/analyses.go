@@ -39,8 +39,8 @@ func Default() (*engine.Registry, error) {
 
 // validGroup checks a normalized group name against materials.Groups.
 // It is the parameter-validation half of group resolution: membership
-// (Course.InGroup) is not resolved until Compute, when the dataset's
-// repository is in hand.
+// (Course.InGroup) is resolved by the executor, which hands Compute a
+// repository restricted to the group's courses.
 func validGroup(group string) error {
 	if !slices.Contains(materials.Groups, group) {
 		return fmt.Errorf("unknown group %q", group)
@@ -48,27 +48,18 @@ func validGroup(group string) error {
 	return nil
 }
 
-// groupCourseIDs resolves a normalized course-group name to the IDs of
-// repo's member courses, in the repository's insertion order. The
-// membership is derived from course group tags rather than a hardcoded
-// roster, so the same analyses run against any ingested dataset; on the
-// seed corpus the derived lists reproduce the paper's rosters exactly.
-// A group with no members in this dataset is a 404, not an empty
-// analysis.
-func groupCourseIDs(repo *materials.Repository, group string) ([]string, error) {
-	if err := validGroup(group); err != nil {
-		return nil, err
-	}
+// groupOf returns the courses of repo, which holds exactly group's
+// members, with their tag rows. A group with no members in this
+// dataset is a 404, not an empty analysis.
+func groupOf(repo *materials.Repository, group string) (*materials.Group, error) {
 	var ids []string
 	for _, c := range repo.Courses() {
-		if c.InGroup(group) {
-			ids = append(ids, c.ID)
-		}
+		ids = append(ids, c.ID)
 	}
 	if len(ids) == 0 {
 		return nil, engine.Errorf(404, "not_found", "no courses in group %q", group)
 	}
-	return ids, nil
+	return repo.Group(ids), nil
 }
 
 // normGroup canonicalizes the group parameter for cache keys: groups

@@ -207,7 +207,7 @@ func TestGroupsDerivedFromRepository(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse group %q: %v", group, err)
 		}
-		v, err := a.Compute(context.Background(), repo, p)
+		v, err := a.Compute(context.Background(), repo.Restrict(a.Scope(p)), p)
 		if err != nil {
 			t.Fatalf("compute group %q: %v", group, err)
 		}
@@ -241,7 +241,7 @@ func TestGroupOnEmptyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.Compute(context.Background(), repo, p)
+	_, err = a.Compute(context.Background(), repo.Restrict(a.Scope(p)), p)
 	var ee *engine.Error
 	if !errors.As(err, &ee) || ee.Status != 404 {
 		t.Fatalf("pdc over CS1-only corpus = %v, want 404 not_found", err)

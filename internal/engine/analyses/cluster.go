@@ -51,13 +51,13 @@ func (Cluster) Parse(v url.Values) (engine.Params, error) {
 
 func (Cluster) Compute(ctx context.Context, repo *materials.Repository, p engine.Params) (interface{}, error) {
 	cp := p.(ClusterParams)
-	ids, err := groupCourseIDs(repo, cp.Group)
+	g, err := groupOf(repo, cp.Group)
 	if err != nil {
 		return nil, err
 	}
-	d, err := cluster.BuildGroup(repo.Group(ids), cluster.Average)
+	d, err := cluster.BuildGroup(g, cluster.Average) // fails on a one-course group
 	if err != nil {
-		return nil, err
+		return nil, engine.Errorf(400, "bad_request", "%s", err.Error())
 	}
 	clusters, err := d.CutK(cp.K)
 	if err != nil {

@@ -83,11 +83,11 @@ func (Types) Parse(v url.Values) (engine.Params, error) {
 
 func (Types) Compute(ctx context.Context, repo *materials.Repository, p engine.Params) (interface{}, error) {
 	tp := p.(TypesParams)
-	ids, err := groupCourseIDs(repo, tp.Group)
+	g, err := groupOf(repo, tp.Group)
 	if err != nil {
 		return nil, err
 	}
-	model, err := factorize.AnalyzeGroup(ctx, repo.Group(ids), tp.K, factorize.PaperOptions(),
+	model, err := factorize.AnalyzeGroup(ctx, g, tp.K, factorize.PaperOptions(),
 		ontology.CS2013(), ontology.PDC12())
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

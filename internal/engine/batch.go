@@ -125,7 +125,9 @@ func (e *Executor) runItem(ctx context.Context, it BatchItem) BatchResult {
 	}
 	sp := obs.StartSpan(ctx, "batch-item")
 	sp.SetAnalysis(it.Analysis)
-	sp.SetDataset(ds)
+	if _, ok := e.datasets.Get(ds); ok { // spans name registered datasets only
+		sp.SetDataset(ds)
+	}
 	defer sp.End()
 	res := BatchResult{Analysis: it.Analysis, Dataset: it.Dataset}
 	if err := ctx.Err(); err != nil {

@@ -2,8 +2,10 @@
 // surfaces and the analysis packages. Every computation the system can
 // serve — agreement, course types, clustering, anchor recommendations,
 // audits, PDC material recommendations, figures — is an Analysis: a
-// stable name, a typed parameter set parsed from url.Values, and a
-// context-aware compute over the course repository.
+// stable name, a typed parameter set parsed from url.Values, the scope
+// of courses an answer reads, and a context-aware compute over exactly
+// those courses (a caller other than the executor passes
+// repo.Restrict(a.Scope(p))).
 //
 // Analyses register in a Registry; an Executor runs them through the
 // serving ladder (cache → breaker-guarded singleflight compute)
@@ -69,30 +71,16 @@ type Analysis interface {
 	// defaults. It returns a 400-shaped error for malformed input; the
 	// executor calls Validate on the result before computing.
 	Parse(v url.Values) (Params, error)
-	// Compute runs the analysis over the repository. It must be pure
-	// and deterministic for a given (repo, params) pair — results are
-	// cached indefinitely — and should check ctx between expensive
-	// iterations, returning ctx.Err() when cancelled.
-	Compute(ctx context.Context, repo *materials.Repository, p Params) (interface{}, error)
-}
-
-// Scoped is implemented by analyses whose answer reads less than the
-// whole dataset. Scope returns the courses p's answer reads: a course
-// group, one course, or none. An analysis that does not implement it
-// reads every course. The executor keys each held answer by the digest
-// of its scope, so an answer is reused exactly while its input is
-// unchanged; a scope that leaves out a course the compute reads would
-// serve a stale answer.
-type Scoped interface {
+	// Scope returns the courses p's answer reads: a course group, one
+	// course, or none. The executor keys the answer by their digest.
 	Scope(p Params) materials.Scope
-}
-
-// scopeOf returns the scope of (a, p)'s answer.
-func scopeOf(a Analysis, p Params) materials.Scope {
-	if s, ok := a.(Scoped); ok {
-		return s.Scope(p)
-	}
-	return materials.Scope{Group: "all"}
+	// Compute runs the analysis over repo, which holds exactly the
+	// courses of Scope(p): the executor passes repo.Restrict(a.Scope(p)),
+	// and so must any other caller. It must be pure and deterministic
+	// for a given (repo, params) pair — results are cached indefinitely
+	// — and should check ctx between expensive iterations, returning
+	// ctx.Err() when cancelled.
+	Compute(ctx context.Context, repo *materials.Repository, p Params) (interface{}, error)
 }
 
 // Warmer is implemented by analyses that should be pre-computed before

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,6 +63,10 @@ func (f *fakeAnalysis) Parse(v url.Values) (engine.Params, error) {
 	}
 	return fakeParams{key: v.Get("key"), invalid: v.Get("key") == "invalid"}, nil
 }
+
+// Scope declares every course, as a compute that reads the whole
+// dataset would.
+func (f *fakeAnalysis) Scope(engine.Params) materials.Scope { return materials.Scope{Group: "all"} }
 
 func (f *fakeAnalysis) Compute(ctx context.Context, repo *materials.Repository, p engine.Params) (interface{}, error) {
 	fn := f.fn.Load().(func(context.Context, fakeParams) (interface{}, error))
@@ -303,6 +309,84 @@ func TestCancellationStopsCompute(t *testing.T) {
 	if st := cache.Stats(); st.Size != 0 {
 		t.Fatalf("cancelled compute was cached: %+v", st)
 	}
+}
+
+// scopeRecorder answers with the IDs of the courses of the repository
+// its compute is handed. Its key names its scope: "group:<g>",
+// "course:<id>", or anything else for no course.
+type scopeRecorder struct{ *fakeAnalysis }
+
+func (scopeRecorder) Scope(p engine.Params) materials.Scope {
+	switch kind, arg, _ := strings.Cut(p.(fakeParams).key, ":"); kind {
+	case "group":
+		return materials.Scope{Group: arg}
+	case "course":
+		return materials.Scope{Course: arg}
+	}
+	return materials.Scope{}
+}
+
+func (scopeRecorder) Compute(ctx context.Context, repo *materials.Repository, p engine.Params) (interface{}, error) {
+	ids := []string{}
+	for _, c := range repo.Courses() {
+		ids = append(ids, c.ID)
+	}
+	return ids, nil
+}
+
+// TestComputeReadsOnlyItsScope: the executor hands a compute exactly
+// the courses its scope names, in dataset order, for a group, a course
+// and no course; and so does every answer it holds after a PUT that
+// moves one course from CS1 into PDC and its refresh.
+func TestComputeReadsOnlyItsScope(t *testing.T) {
+	const ds = "scoped"
+	datasets := dataset.NewRegistry(nil)
+	snap, err := datasets.Put(ds, dataset.Courses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewExecutor(engine.NewRegistry(scopeRecorder{newFake("ids")}),
+		engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(64)})
+	moved := dataset.CS1CourseIDs()[0]
+	keys := []string{"group:all", "group:cs1", "group:pdc", "course:" + moved, "none"}
+	check := func(stage string) {
+		t.Helper()
+		for _, key := range keys {
+			s := scopeRecorder{}.Scope(fakeParams{key: key})
+			want := []string{}
+			for _, c := range snap.Repo().Courses() {
+				if c.ID == s.Course || (s.Group != "" && c.InGroup(s.Group)) {
+					want = append(want, c.ID)
+				}
+			}
+			v, out, err := e.RunOn(context.Background(), ds, "ids", vals(key))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", stage, key, err)
+			}
+			if got := v.([]string); !slices.Equal(got, want) {
+				t.Errorf("%s, %s (cache %s): the compute read %v, want %v", stage, key, out.Cache, got, want)
+			}
+		}
+	}
+	check("before the PUT")
+	doc := dataset.Courses()
+	for i, c := range doc {
+		if c.ID == moved {
+			if c.SecondaryGroup != "" || c.Group != materials.GroupCS1 {
+				t.Fatalf("%s is not a CS1-only course", moved)
+			}
+			cp := c.Clone()
+			cp.Group = materials.GroupPDC
+			doc[i] = cp
+		}
+	}
+	if snap, err = datasets.Put(ds, doc); err != nil {
+		t.Fatal(err)
+	}
+	if out := e.ApplyDelta(context.Background(), ds, snap); out.Invalidated == 0 {
+		t.Fatalf("moving %s into PDC invalidated nothing", moved)
+	}
+	check("after the PUT")
 }
 
 // TestWarm pre-computes the Warmer's params so the first live request

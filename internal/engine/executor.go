@@ -242,7 +242,10 @@ func (e *Executor) AnswerOn(ctx context.Context, ds, name string, values url.Val
 	if !ok {
 		return nil, Outcome{}, Errorf(404, "not_found", "unknown analysis %q", name)
 	}
-	ctx = obs.WithAnalysis(obs.WithDataset(ctx, ds), name)
+	if _, ok := e.datasets.Get(ds); ok { // spans name registered datasets only
+		ctx = obs.WithDataset(ctx, ds)
+	}
+	ctx = obs.WithAnalysis(ctx, name)
 	sp := obs.StartSpan(ctx, "parse")
 	p, err := e.ParseParams(a, values)
 	if err != nil {
@@ -381,7 +384,7 @@ func (e *Executor) answer(ctx context.Context, ds string, a Analysis, p Params) 
 		if err == nil {
 			csp := obs.StartSpan(ctx, "compute")
 			e.countCompute(scope)
-			v, err = a.Compute(fctx, repo, p)
+			v, err = a.Compute(fctx, repo.Restrict(a.Scope(p)), p)
 			switch {
 			case err == nil:
 				e.recordIterations(ds, v)
@@ -404,7 +407,7 @@ func (e *Executor) answer(ctx context.Context, ds string, a Analysis, p Params) 
 		return serving.NewAnswer(v), nil
 	}
 
-	key := physicalKey(ds, repo.Digest(scopeOf(a, p)), logical)
+	key := physicalKey(ds, repo.Digest(a.Scope(p)), logical)
 	v, served, err := e.cache.DoCtxFn(ctx, key, guarded)
 	if err != nil {
 		return nil, Outcome{}, err

@@ -1,6 +1,9 @@
 package materials
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestDigestCoversWhatAnalysesRead: changing what an analysis may read
 // of a course (its ID, name, institution, instructor, either group
@@ -89,4 +92,48 @@ func TestDigestCoversWhatAnalysesRead(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRestrictHoldsTheDigestedCourses: for every scope, Restrict holds
+// exactly the courses Digest covers, in repository order, sharing their
+// rows, so the digest of all of the restricted repository's courses is
+// the scope's digest; and Digest allocates nothing.
+func TestRestrictHoldsTheDigestedCourses(t *testing.T) {
+	r := newTestRepo(t)
+	a, b, c := testCourse("a"), testCourse("b"), testCourse("c")
+	b.Group, b.SecondaryGroup = GroupDS, GroupAlgo
+	c.Group = GroupPDC
+	if err := r.AddCourses(a, b, c); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append(r.Scopes(), Scope{Course: "no-such-course"}) {
+		sub := r.Restrict(s)
+		var ids []string
+		materials := 0
+		for _, c := range r.Courses() {
+			if (s.Course != "" && c.ID == s.Course) || (s.Course == "" && s.Group != "" && c.InGroup(s.Group)) {
+				ids = append(ids, c.ID)
+				materials += len(c.Materials)
+			}
+		}
+		var got []string
+		for _, c := range sub.Courses() {
+			got = append(got, c.ID)
+			if sub.Course(c.ID) != r.Course(c.ID) || &sub.TagRow(c.ID)[0] != &r.TagRow(c.ID)[0] {
+				t.Errorf("scope %+v: course %s is not shared with the full repository", s, c.ID)
+			}
+		}
+		if !slices.Equal(got, ids) || sub.NumMaterials() != materials {
+			t.Errorf("scope %+v: Restrict holds %v (%d materials), want %v (%d)", s, got, sub.NumMaterials(), ids, materials)
+		}
+		if sub.Digest(Scope{Group: "all"}) != r.Digest(s) {
+			t.Errorf("scope %+v: the restricted repository's courses digest differently from the scope", s)
+		}
+		if sub.Vocabulary() != r.Vocabulary() {
+			t.Errorf("scope %+v: the restricted repository has its own vocabulary", s)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Digest(Scope{Group: "all"}) }); n != 0 {
+		t.Errorf("Digest makes %.0f allocations, want 0", n)
+	}
 }

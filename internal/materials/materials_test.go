@@ -2,6 +2,7 @@ package materials
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,9 +200,18 @@ func TestRepositoryCoursesInGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ds := r.CoursesInGroup(GroupDS)
-	if len(ds) != 2 || ds[0].ID != "c2" || ds[1].ID != "c3" {
-		t.Fatalf("CoursesInGroup(DS) = %v", ds)
+	want := map[string][]string{
+		"all": {"c1", "c2", "c3"}, "cs1": {"c1", "c3"}, "ds": {"c2", "c3"},
+		"dsalgo": {"c2", "c3"}, "pdc": nil,
+	}
+	for _, g := range Groups {
+		var got []string
+		for _, c := range r.Restrict(Scope{Group: g}).Courses() {
+			got = append(got, c.ID)
+		}
+		if !slices.Equal(got, want[g]) {
+			t.Errorf("Restrict(%s) holds %v, want %v", g, got, want[g])
+		}
 	}
 }
 

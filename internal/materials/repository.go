@@ -28,7 +28,7 @@ import (
 // its guidelines, which every repository over the same guidelines
 // shares. Group hands those rows to the group analyses. With the row it
 // keeps the course's digest, from which Digest names the input of an
-// answer.
+// answer, and Restrict hands an analysis exactly that input.
 type Repository struct {
 	vocab      *Vocabulary
 	courses    map[string]stored
@@ -264,20 +264,39 @@ func (r *Repository) Digest(s Scope) Digest {
 	// courses is hashed from the stack, allocating nothing.
 	var stack [32 * len(Digest{})]byte
 	b := stack[:0]
+	r.walk(s, func(st stored) { b = append(b, st.digest[:]...) })
+	sum := sha256.Sum256(b)
+	return Digest(sum[:len(Digest{})])
+}
+
+// Restrict returns a repository holding only the courses Digest(s)
+// covers, in repository order, sharing their rows, digests and the
+// vocabulary with r: the input of an answer keyed by that digest.
+func (r *Repository) Restrict(s Scope) *Repository {
+	out := &Repository{vocab: r.vocab, courses: map[string]stored{}}
+	r.walk(s, func(st stored) {
+		out.courses[st.course.ID] = st
+		out.order = append(out.order, st.course.ID)
+		out.nMaterials += len(st.course.Materials)
+	})
+	return out
+}
+
+// walk visits the scope's courses in repository order: the one
+// membership rule of a scope.
+func (r *Repository) walk(s Scope, visit func(stored)) {
 	switch {
 	case s.Course != "":
 		if st, ok := r.courses[s.Course]; ok {
-			b = append(b, st.digest[:]...)
+			visit(st)
 		}
 	case s.Group != "":
 		for _, id := range r.order {
 			if st := r.courses[id]; st.course.InGroup(s.Group) {
-				b = append(b, st.digest[:]...)
+				visit(st)
 			}
 		}
 	}
-	sum := sha256.Sum256(b)
-	return Digest(sum[:len(Digest{})])
 }
 
 // Scopes returns every scope of the repository: none, each of Groups
@@ -290,18 +309,6 @@ func (r *Repository) Scopes() []Scope {
 	}
 	for _, id := range r.order {
 		out = append(out, Scope{Course: id})
-	}
-	return out
-}
-
-// CoursesInGroup returns the courses whose primary or secondary group is
-// g, in insertion order.
-func (r *Repository) CoursesInGroup(g CourseGroup) []*Course {
-	var out []*Course
-	for _, c := range r.Courses() {
-		if c.HasGroup(g) {
-			out = append(out, c)
-		}
 	}
 	return out
 }

@@ -221,13 +221,12 @@ func accessors(r *materials.Repository) map[string]string {
 	put("NumMaterials", r.NumMaterials())
 	put("Group", r.Group(append(ids, "no-such-course")).Rows)
 	put("Vocabulary", r.Vocabulary().Len())
-	for _, g := range []materials.CourseGroup{materials.GroupCS1, materials.GroupOOP, materials.GroupDS,
-		materials.GroupAlgo, materials.GroupSoftEng, materials.GroupPDC, materials.GroupOther} {
+	for _, g := range materials.Groups {
 		var in []string
-		for _, c := range r.CoursesInGroup(g) {
+		for _, c := range r.Restrict(materials.Scope{Group: g}).Courses() {
 			in = append(in, fmt.Sprintf("%s %v", c.ID, r.Course(c.ID) == c))
 		}
-		put("CoursesInGroup "+string(g), in)
+		put("Restrict "+g, in)
 	}
 	return out
 }

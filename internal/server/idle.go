@@ -20,14 +20,16 @@ import (
 // deterministically; the background reaper only runs when cmd/serve
 // starts it via StartIdleReaper.
 
-// touchDataset records query activity on id and, if the dataset had
-// been idle-reclaimed, marks it live again.
+// touchDataset records query activity on id, if the registry holds
+// it, and, if the dataset had been idle-reclaimed, marks it live again.
 func (s *Server) touchDataset(id string) {
 	if s.idleTTL <= 0 {
 		return
 	}
 	s.idleMu.Lock()
-	s.lastAccess[id] = s.clock()
+	if _, ok := s.datasets.Get(id); ok { // under idleMu: no DELETE comes in between
+		s.lastAccess[id] = s.clock()
+	}
 	wasReclaimed := s.reclaimed[id]
 	if wasReclaimed {
 		delete(s.reclaimed, id)

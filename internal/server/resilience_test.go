@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"csmaterials/internal/dataset"
 	"csmaterials/internal/resilience"
 	"csmaterials/internal/resilience/faultinject"
 )
@@ -371,4 +372,29 @@ func TestReadyzDefaultWarmup(t *testing.T) {
 		resp, _ := get(t, ts, "/readyz")
 		return resp.StatusCode == 200
 	})
+}
+
+// TestOneCourseClusterIsBadRequest: clustering a group that holds one
+// course is a fault of the request's parameters, not of the compute
+// path. Past the breaker threshold every such read still answers 400
+// bad_request, the tenant's cluster breaker records no failure, and a
+// valid cluster read of the tenant answers 200.
+func TestOneCourseClusterIsBadRequest(t *testing.T) {
+	s := newObsServer(t, Options{})
+	doc := putBody(t, dataset.CoursesByID([]string{"uncc-3145-saule", "uncc-2214-krs"})...)
+	if w := do(t, s, http.MethodPut, "/api/v1/datasets/solo", string(doc)); w.Code != http.StatusOK {
+		t.Fatalf("PUT solo: %d %s", w.Code, w.Body.Bytes())
+	}
+	for i := 0; i <= resilience.DefaultBreakerThreshold; i++ {
+		w := do(t, s, http.MethodGet, "/api/v1/datasets/solo/cluster?group=pdc", "")
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"code": "bad_request"`) {
+			t.Fatalf("read %d of a one-course cluster: %d %s", i+1, w.Code, w.Body.Bytes())
+		}
+	}
+	if st := s.breakers.Get("solo/cluster").Stats(); st.State != "closed" || st.Failures != 0 {
+		t.Fatalf("the cluster breaker after one-course reads: %+v, want closed with no failure", st)
+	}
+	if w := do(t, s, http.MethodGet, "/api/v1/datasets/solo/cluster?group=all&k=2", ""); w.Code != http.StatusOK {
+		t.Fatalf("cluster?group=all&k=2: %d %s", w.Code, w.Body.Bytes())
+	}
 }

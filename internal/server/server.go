@@ -377,11 +377,15 @@ func (s *Server) handle(pattern string, h http.Handler) {
 // metered against their route. Tracing wraps the limiter so shed
 // requests still produce a trace and a wide event. The limiter
 // attributes each request to the dataset it targets (the {ds} path
-// value; un-scoped aliases and non-dataset routes bill the default
-// tenant), so one tenant's flood cannot consume another's quota.
+// value when the registry holds it; un-scoped aliases, non-dataset
+// routes and unregistered names bill the default tenant), so one
+// tenant's flood cannot consume another's quota.
 func (s *Server) handleAPI(pattern string, h http.Handler) {
 	tenantOf := func(r *http.Request) string {
 		ds, _ := requestDataset(r)
+		if _, ok := s.datasets.Get(ds); !ok {
+			return dataset.DefaultID
+		}
 		return ds
 	}
 	s.handle(pattern, s.traced(pattern, serving.Shed(s.limiter, tenantOf, s.faults.Middleware(h))))

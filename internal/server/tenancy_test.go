@@ -462,3 +462,123 @@ func TestNoisyNeighborChaos(t *testing.T) {
 		t.Fatalf("quiet went cold after noisy's re-ingest: %+v", e.Meta)
 	}
 }
+
+// TestUnknownDatasetsLeaveNoState: requests naming datasets the
+// registry does not hold, on analysis, course and search routes and in
+// a batch, answer with their usual errors and leave nothing behind: no
+// /metrics series names them, the admission limiter holds only
+// registered tenants, and the idle tracker records only registered
+// IDs. Such requests count under the default tenant, so a server
+// holding only the default dataset keeps its single-tenant exposition.
+func TestUnknownDatasetsLeaveNoState(t *testing.T) {
+	s := newObsServer(t, Options{IdleTTL: time.Minute})
+	unknown := func(id string) string {
+		return `{
+  "error": {
+    "code": "not_found",
+    "message": "unknown dataset \"` + id + `\""
+  }
+}
+`
+	}
+	for i := 0; i < 3; i++ {
+		a, c, q := fmt.Sprintf("ghost-a%d", i), fmt.Sprintf("ghost-c%d", i), fmt.Sprintf("ghost-s%d", i)
+		for _, tc := range []struct{ path, want string }{
+			{"/api/v1/datasets/" + a + "/types", unknown(a)},
+			{"/api/v1/datasets/" + a + "/cluster?group=cs1&k=2", unknown(a)},
+			{"/api/v1/datasets/" + c + "/courses", unknown(c)},
+			{"/api/v1/datasets/" + c + "/courses/hanover-cs225-wahl", unknown(c)},
+			{"/api/v1/datasets/" + c + "/courses/hanover-cs225-wahl/audit", unknown(c)},
+			{"/api/v1/datasets/" + q + "/search?prefix=AL", unknown(q)},
+		} {
+			if w := do(t, s, http.MethodGet, tc.path, ""); w.Code != http.StatusNotFound || w.Body.String() != tc.want {
+				t.Errorf("GET %s: %d %s, want 404 %s", tc.path, w.Code, w.Body.Bytes(), tc.want)
+			}
+		}
+	}
+	for _, tc := range []struct{ path, want string }{
+		// A parse error still comes before the dataset's.
+		{"/api/v1/datasets/ghost-p/types?group=bogus", `{
+  "error": {
+    "code": "bad_request",
+    "message": "unknown group \"bogus\""
+  }
+}
+`},
+		{"/api/v1/datasets/Ghost%20Name/types", `{
+  "error": {
+    "code": "bad_request",
+    "message": "dataset: invalid dataset ID \"Ghost Name\": want lowercase letters, digits, '.', '_', '-', starting with a letter or digit"
+  }
+}
+`},
+	} {
+		if w := do(t, s, http.MethodGet, tc.path, ""); w.Code != http.StatusBadRequest || w.Body.String() != tc.want {
+			t.Errorf("GET %s: %d %s, want 400 %s", tc.path, w.Code, w.Body.Bytes(), tc.want)
+		}
+	}
+	batch := `{"items":[{"analysis":"types","dataset":"ghost-b0","params":{"group":"cs1"}},` +
+		`{"analysis":"agreement","dataset":"ghost-b1"},{"analysis":"nope","dataset":"ghost-b2"}]}`
+	wantBatch := `{
+  "data": [
+    {
+      "analysis": "types",
+      "dataset": "ghost-b0",
+      "error": {
+        "status": 404,
+        "code": "not_found",
+        "message": "unknown dataset \"ghost-b0\""
+      }
+    },
+    {
+      "analysis": "agreement",
+      "dataset": "ghost-b1",
+      "error": {
+        "status": 404,
+        "code": "not_found",
+        "message": "unknown dataset \"ghost-b1\""
+      }
+    },
+    {
+      "analysis": "nope",
+      "dataset": "ghost-b2",
+      "error": {
+        "status": 404,
+        "code": "not_found",
+        "message": "unknown analysis \"nope\""
+      }
+    }
+  ],
+  "meta": {
+    "items": 3,
+    "workers": 4
+  }
+}
+`
+	if w := do(t, s, http.MethodPost, "/api/v1/batch", batch); w.Code != http.StatusOK || w.Body.String() != wantBatch {
+		t.Errorf("POST /api/v1/batch: %d %s, want 200 %s", w.Code, w.Body.Bytes(), wantBatch)
+	}
+
+	for _, line := range strings.Split(do(t, s, http.MethodGet, "/metrics", "").Body.String(), "\n") {
+		if strings.Contains(line, "ghost") || strings.Contains(line, "Ghost") || strings.HasPrefix(line, "csm_tenant_") {
+			t.Errorf("/metrics: %s", line)
+		}
+	}
+	registered := map[string]bool{}
+	for _, id := range s.datasets.IDs() {
+		registered[id] = true
+	}
+	_, tenants := s.limiter.Stats()
+	for id := range tenants {
+		if !registered[id] {
+			t.Errorf("the admission limiter holds a tenant %q", id)
+		}
+	}
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	for id := range s.lastAccess {
+		if !registered[id] {
+			t.Errorf("the idle tracker records %q", id)
+		}
+	}
+}

@@ -34,7 +34,7 @@ type Cache struct {
 	group    Group
 
 	mu       sync.Mutex
-	scopeOf  func(key string) string // nil → everything in scope ""
+	scopeFn  func(key string) string // nil → everything in scope ""
 	scopes   map[string]*scopeStore
 	declared []string       // scopes sharing the capacity (sorted)
 	budgets  map[string]int // per-scope overrides
@@ -78,7 +78,7 @@ func NewCache(capacity int) *Cache {
 // the scope they were stored under.
 func (c *Cache) SetScopeFunc(f func(key string) string) {
 	c.mu.Lock()
-	c.scopeOf = f
+	c.scopeFn = f
 	c.mu.Unlock()
 }
 
@@ -107,8 +107,8 @@ func (c *Cache) Partition(scopes []string, overrides map[string]int) {
 // partition on first touch; callers hold c.mu.
 func (c *Cache) scopeLocked(key string) (string, *scopeStore) {
 	scope := ""
-	if c.scopeOf != nil {
-		scope = c.scopeOf(key)
+	if c.scopeFn != nil {
+		scope = c.scopeFn(key)
 	}
 	st, ok := c.scopes[scope]
 	if !ok {
