@@ -73,11 +73,18 @@ type Document struct {
 // Share rewrites the document's strings so that equal ones share
 // storage (materials.Sharer): each tag becomes the shared vocabulary's
 // own string, each valid type its constant, and each repeated author,
-// language, course level or dataset name one copy. An ingest calls it
-// on a document it decoded itself; Put leaves its argument as it is,
-// since callers share theirs (Courses is read-only).
+// language, course level or dataset name one copy. LoadDir and
+// DecodeDocument's fallback call it on documents they decoded
+// themselves; Put leaves its argument as it is, since callers share
+// theirs (Courses is read-only).
 func (d *Document) Share() {
-	materials.VocabularyOf(ontology.CS2013(), ontology.PDC12()).NewSharer().Courses(d.Courses)
+	newSharer().Courses(d.Courses)
+}
+
+// newSharer returns a Sharer over the vocabulary every stored corpus
+// ranks into.
+func newSharer() *materials.Sharer {
+	return materials.VocabularyOf(ontology.CS2013(), ontology.PDC12()).NewSharer()
 }
 
 // Meta is the catalog-facing description of one dataset revision.

@@ -115,7 +115,8 @@ func (e *Executor) RunBatch(ctx context.Context, items []BatchItem) []BatchResul
 }
 
 // runItem executes one batch item, recording it as a batch-item span
-// (labelled with the item's analysis) in the batch request's trace;
+// (labelled with the item's analysis and dataset when they are
+// registered) in the batch request's trace;
 // the ladder spans of the item itself interleave under the trace mutex
 // with the other workers', each carrying its own analysis label.
 func (e *Executor) runItem(ctx context.Context, it BatchItem) BatchResult {
@@ -124,8 +125,10 @@ func (e *Executor) runItem(ctx context.Context, it BatchItem) BatchResult {
 		ds = dataset.DefaultID
 	}
 	sp := obs.StartSpan(ctx, "batch-item")
-	sp.SetAnalysis(it.Analysis)
-	if _, ok := e.datasets.Get(ds); ok { // spans name registered datasets only
+	if _, ok := e.reg.Get(it.Analysis); ok { // spans name registered analyses and datasets only
+		sp.SetAnalysis(it.Analysis)
+	}
+	if _, ok := e.datasets.Get(ds); ok {
 		sp.SetDataset(ds)
 	}
 	defer sp.End()

@@ -395,7 +395,7 @@ func TestWarm(t *testing.T) {
 	f := newFake("fake")
 	f.warm = []engine.Params{fakeParams{key: "warmed"}}
 	e, _, _ := newFakeExecutor(f)
-	if err := e.Warm(context.Background()); err != nil {
+	if err := e.WarmDataset(context.Background(), dataset.DefaultID); err != nil {
 		t.Fatal(err)
 	}
 	if _, out, _ := e.Run(context.Background(), "fake", vals("warmed")); out.Cache != "hit" {
@@ -408,8 +408,8 @@ func TestWarm(t *testing.T) {
 		return nil, fmt.Errorf("warm exploded")
 	})
 	e2, _, _ := newFakeExecutor(broken)
-	if err := e2.Warm(context.Background()); err == nil {
-		t.Fatal("Warm swallowed the compute failure")
+	if err := e2.WarmDataset(context.Background(), dataset.DefaultID); err == nil {
+		t.Fatal("WarmDataset swallowed the compute failure")
 	}
 }
 

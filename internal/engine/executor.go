@@ -207,13 +207,8 @@ func DatasetScope(key string) string {
 	return key[:at]
 }
 
-// RetryAfter returns the wait hinted to clients rejected by name's open
-// circuit on the default dataset (zero without breakers).
-func (e *Executor) RetryAfter(name string) time.Duration {
-	return e.RetryAfterOn(dataset.DefaultID, name)
-}
-
-// RetryAfterOn is RetryAfter for a specific dataset's breaker.
+// RetryAfterOn returns the wait hinted to clients rejected by the open
+// circuit of analysis name on dataset ds (zero without breakers).
 func (e *Executor) RetryAfterOn(ds, name string) time.Duration {
 	if e.breakers == nil {
 		return 0
@@ -311,12 +306,6 @@ func (e *Executor) FleetKeyOn(ds, name string, values url.Values) (string, error
 		return "", err
 	}
 	return ds + "|" + Key(a, p), nil
-}
-
-// RunParams executes a with validated params against the default
-// dataset through the full ladder.
-func (e *Executor) RunParams(ctx context.Context, a Analysis, p Params) (interface{}, Outcome, error) {
-	return e.RunParamsOn(ctx, dataset.DefaultID, a, p)
 }
 
 // RunParamsOn executes a with validated params against dataset ds
@@ -420,11 +409,6 @@ func (e *Executor) answer(ctx context.Context, ds string, a Analysis, p Params) 
 		e.countMiss(scope)
 	}
 	return v.(*serving.Answer), out, nil
-}
-
-// Warm pre-computes the default dataset's warmable analyses.
-func (e *Executor) Warm(ctx context.Context) error {
-	return e.WarmDataset(ctx, dataset.DefaultID)
 }
 
 // WarmDataset pre-computes every registered Warmer analysis's

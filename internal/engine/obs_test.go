@@ -152,13 +152,17 @@ func TestBatchTraceSpans(t *testing.T) {
 		t.Fatalf("unknown analysis item = %+v", results[2])
 	}
 	rec, _ := tracer.Get(trace.ID())
-	var batchItems, computes int
+	var batchItems, unlabelled, computes int
 	for _, sp := range rec.Spans {
 		switch {
 		case sp.Name == "batch-item":
 			batchItems++
-			if sp.Analysis == "" {
-				t.Fatal("batch-item span missing analysis label")
+			switch sp.Analysis {
+			case "types":
+			case "":
+				unlabelled++
+			default:
+				t.Fatalf("batch-item span labelled %q", sp.Analysis)
 			}
 		case sp.Name == "compute":
 			computes++
@@ -170,8 +174,8 @@ func TestBatchTraceSpans(t *testing.T) {
 			t.Fatalf("unexpected span %q", sp.Name)
 		}
 	}
-	if batchItems != 3 {
-		t.Fatalf("batch-item spans = %d, want 3", batchItems)
+	if batchItems != 3 || unlabelled != 1 {
+		t.Fatalf("batch-item spans = %d, %d of them without an analysis label; want 3, 1 (the unregistered analysis)", batchItems, unlabelled)
 	}
 	if computes != 2 {
 		t.Fatalf("compute spans = %d, want 2 (unknown analysis never computes)", computes)

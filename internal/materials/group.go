@@ -125,6 +125,35 @@ func (s *Sharer) str(v string) string {
 	return v
 }
 
+// TagOf returns the tag spelled by b as Tags shares it: the
+// vocabulary's own string, or a copy of b when the vocabulary does not
+// hold it. A decoder hands it bytes it is still reading.
+func (s *Sharer) TagOf(b []byte) string {
+	if r, ok := s.vocab.rank[string(b)]; ok {
+		return s.vocab.tags[r]
+	}
+	return string(b)
+}
+
+// TypeOf returns the material type spelled by b as Material shares it:
+// the type's constant, or a copy of b when it names no valid type.
+func (s *Sharer) TypeOf(b []byte) MaterialType {
+	if t, ok := validType[MaterialType(b)]; ok {
+		return t
+	}
+	return MaterialType(b)
+}
+
+// StringOf returns the string spelled by b as Material shares an
+// author, language, course level or dataset name: the first copy of it
+// this Sharer saw.
+func (s *Sharer) StringOf(b []byte) string {
+	if u, ok := s.seen[string(b)]; ok {
+		return u
+	}
+	return s.str(string(b))
+}
+
 // vocabularies caches one Vocabulary per guideline list, so every
 // repository over the same guidelines (each PUT builds one) shares it.
 // A process uses a handful of guideline lists; entries are never

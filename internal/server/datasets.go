@@ -89,9 +89,10 @@ func (s *Server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, meta, nil)
 }
 
-// handleDatasetPut ingests (or replaces) a named dataset. The decoded
-// document's strings are shared with the vocabulary and with each
-// other (dataset.Document.Share), so a stored corpus holds one copy of
+// handleDatasetPut ingests (or replaces) a named dataset. The body is
+// read once into a buffer of its Content-Length and parsed in one pass
+// (dataset.DecodeDocument), whose strings are shared with the
+// vocabulary and with each other, so a stored corpus holds one copy of
 // each. The document is validated in full before anything is
 // published; a failed ingest leaves the previous revision serving. On
 // success the new snapshot is live for every subsequent request, the
@@ -104,14 +105,12 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var doc dataset.Document
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDatasetBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
+	size := min(max(r.ContentLength, 0), MaxDatasetBody)
+	doc, err := dataset.DecodeDocument(http.MaxBytesReader(w, r.Body, MaxDatasetBody), int(size))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "bad dataset document: %v", err)
 		return
 	}
-	doc.Share()
 	snap, err := s.datasets.Put(id, doc.Courses)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)

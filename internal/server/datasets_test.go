@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -193,6 +195,64 @@ func TestDatasetIngestAnalyzeReingest(t *testing.T) {
 	if legacyAfter.Body.String() != legacyBefore.Body.String() {
 		t.Errorf("legacy envelope changed across another dataset's ingest:\nbefore %s\nafter  %s",
 			legacyBefore.Body.String(), legacyAfter.Body.String())
+	}
+}
+
+// TestPutBodyFraming: a PUT answers as a streaming decode of its body
+// does, whatever the framing. Bytes after the document are not read. A
+// body longer than MaxDatasetBody is accepted when its document ends
+// within the limit, and answers "request body too large" when it does
+// not. A body sent without a Content-Length, or with one larger than
+// the bytes sent, is read to its end.
+func TestPutBodyFraming(t *testing.T) {
+	s := newQuietServer(t)
+	doc := corpusDoc(t, 2)
+	pad := strings.Repeat(" ", MaxDatasetBody)
+	for _, tc := range []struct {
+		name   string
+		body   string
+		length int64 // the Content-Length sent: -1 for none, 0 for the body's
+		status int
+		msg    string
+	}{
+		{"bytes after the document", doc + `{"courses":"more"`, 0, http.StatusOK, ""},
+		{"over the limit, the document within it", doc + pad, 0, http.StatusOK, ""},
+		{"over the limit, the document past it", `{"courses":[` + pad + `]}`, 0, http.StatusBadRequest,
+			"bad dataset document: http: request body too large"},
+		{"no Content-Length", doc, -1, http.StatusOK, ""},
+		{"no Content-Length, a cut document", doc[:len(doc)/2], -1, http.StatusBadRequest,
+			"bad dataset document: unexpected EOF"},
+		{"a Content-Length past the bytes sent", doc, int64(len(doc)) + 100, http.StatusOK, ""},
+		{"a Content-Length past the bytes sent, a cut document", doc[:len(doc)/2], int64(len(doc)), http.StatusBadRequest,
+			"bad dataset document: unexpected EOF"},
+	} {
+		r := httptest.NewRequest(http.MethodPut, "/api/v1/datasets/framed", io.MultiReader(strings.NewReader(tc.body)))
+		if tc.length == 0 {
+			r.ContentLength = int64(len(tc.body))
+		} else {
+			r.ContentLength = tc.length
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		if w.Code != tc.status {
+			t.Errorf("%s: status %d, want %d\n%s", tc.name, w.Code, tc.status, w.Body.Bytes())
+			continue
+		}
+		if tc.status != http.StatusOK {
+			var e errEnv
+			decode(t, w.Body.Bytes(), &e)
+			if e.Error.Message != tc.msg {
+				t.Errorf("%s: error %q, want %q", tc.name, e.Error.Message, tc.msg)
+			}
+			continue
+		}
+		var ok struct {
+			Data dataset.Meta `json:"data"`
+		}
+		decode(t, w.Body.Bytes(), &ok)
+		if ok.Data.Courses != 2 {
+			t.Errorf("%s: stored %d courses, want 2", tc.name, ok.Data.Courses)
+		}
 	}
 }
 

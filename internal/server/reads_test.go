@@ -260,13 +260,10 @@ func TestIngestRetainedBytes(t *testing.T) {
 	}
 	materials := 0
 	kept := retainedBytes(func() any {
-		var doc dataset.Document
-		dec := json.NewDecoder(bytes.NewReader(body.Bytes()))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&doc); err != nil {
+		doc, err := dataset.DecodeDocument(bytes.NewReader(body.Bytes()), body.Len())
+		if err != nil {
 			t.Fatal(err)
 		}
-		doc.Share()
 		snap, err := dataset.NewRegistry(nil).Put("measured", doc.Courses)
 		if err != nil {
 			t.Fatal(err)
@@ -278,6 +275,42 @@ func TestIngestRetainedBytes(t *testing.T) {
 	t.Logf("one ingest of the seed corpus (%d materials, %d bytes) keeps %d bytes live", materials, body.Len(), kept)
 	if kept > max {
 		t.Errorf("one ingest of the seed corpus keeps %d bytes live, want at most %d", kept, max)
+	}
+}
+
+// TestPutAllocatedBytes bounds what one in-process PUT of the seed
+// corpus document allocates, garbage included: the body is read once
+// into a buffer of its Content-Length and parsed in one pass into the
+// corpus it stores. It takes the least of three PUTs, so the runtime's
+// own allocations beside one do not count.
+func TestPutAllocatedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state changes what a PUT allocates")
+	}
+	var body bytes.Buffer
+	if err := dataset.Repository().SaveJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	doc := body.String()
+	s := newQuietServer(t)
+	put := func() {
+		if w := do(t, s, http.MethodPut, "/api/v1/datasets/measured", doc); w.Code != http.StatusOK {
+			t.Fatalf("PUT: status %d\n%s", w.Code, w.Body.Bytes())
+		}
+	}
+	put() // the first PUT registers the tenant
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		put()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	const max = 1200 << 10
+	t.Logf("one PUT of the seed corpus (%d bytes) allocates %d bytes", len(doc), least)
+	if least > max {
+		t.Errorf("one PUT of the seed corpus allocates %d bytes, want at most %d", least, max)
 	}
 }
 

@@ -465,7 +465,8 @@ func TestNoisyNeighborChaos(t *testing.T) {
 
 // TestUnknownDatasetsLeaveNoState: requests naming datasets the
 // registry does not hold, on analysis, course and search routes and in
-// a batch, answer with their usual errors and leave nothing behind: no
+// a batch, and a batch item naming an analysis the registry does not
+// hold, answer with their usual errors and leave nothing behind: no
 // /metrics series names them, the admission limiter holds only
 // registered tenants, and the idle tracker records only registered
 // IDs. Such requests count under the default tenant, so a server
@@ -518,7 +519,8 @@ func TestUnknownDatasetsLeaveNoState(t *testing.T) {
 		}
 	}
 	batch := `{"items":[{"analysis":"types","dataset":"ghost-b0","params":{"group":"cs1"}},` +
-		`{"analysis":"agreement","dataset":"ghost-b1"},{"analysis":"nope","dataset":"ghost-b2"}]}`
+		`{"analysis":"agreement","dataset":"ghost-b1"},{"analysis":"nope","dataset":"ghost-b2"},` +
+		`{"analysis":"ghost-n","dataset":"default"}]}`
 	wantBatch := `{
   "data": [
     {
@@ -547,10 +549,19 @@ func TestUnknownDatasetsLeaveNoState(t *testing.T) {
         "code": "not_found",
         "message": "unknown analysis \"nope\""
       }
+    },
+    {
+      "analysis": "ghost-n",
+      "dataset": "default",
+      "error": {
+        "status": 404,
+        "code": "not_found",
+        "message": "unknown analysis \"ghost-n\""
+      }
     }
   ],
   "meta": {
-    "items": 3,
+    "items": 4,
     "workers": 4
   }
 }
